@@ -30,6 +30,7 @@ from . import __version__
 from .machines import (
     BH_FIDELITY,
     MACHINE_NAMES,
+    MAX_QUAD_ORDER,
     PC_FIDELITY,
     PC_X,
     PC_Y,
@@ -37,13 +38,15 @@ from .machines import (
     AveragingMeasure,
     NotDecomposable,
     average_fidelity,
-    bh_clone,
+    clone_batch,
     clone_output,
+    equatorial_batch,
     measure_nodes,
     orthogonal_decomposition,
-    pc_clone,
+    orthogonal_decompositions,
+    projector_distances,
+    qubit_batch,
     scaling_factor,
-    two_op_clone,
     two_op_case_report,
 )
 from .prepsolver import (
@@ -55,11 +58,9 @@ from .prepsolver import (
     solve_prep_angles,
 )
 from .qnum import (
-    density_of,
     equatorial_qubit,
     fidelity,
-    haar_qubit,
-    tensor,
+    haar_amplitudes,
 )
 from .synth import (
     TABLE2,
@@ -74,6 +75,10 @@ from .synth import (
 )
 
 TOOL_NAME = "qclone"
+
+MAX_STEPS = 10000
+DEFAULT_MEASURE = "equatorial"
+DEFAULT_QUAD = 128
 
 
 class UsageError(Exception):
@@ -144,11 +149,31 @@ def _angle(value: float, deg: bool) -> float:
     return math.radians(value) if deg else value
 
 
+def _require_finite(args, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{flag} must be a finite number, not {value}")
+
+
+def _require_in_range(flag: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise UsageError(f"--{flag} must be in {lo}..{hi}, not {value}")
+
+
+def _quad_order(args) -> int:
+    if args.quad is None:
+        return DEFAULT_QUAD
+    _require_in_range("quad", args.quad, 2, MAX_QUAD_ORDER)
+    return args.quad
+
+
 # --- run --------------------------------------------------------------------
 
 
 def _cmd_run(args) -> int:
     machine = args.machine
+    _require_finite(args, "theta", "phi")
     if machine == "two-op" and args.phi is None:
         raise UsageError("machine two-op requires --phi")
     if machine != "two-op" and args.phi is not None:
@@ -213,39 +238,45 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.steps < 2:
-        raise UsageError("--steps must be at least 2")
+    _require_in_range("steps", args.steps, 2, MAX_STEPS)
+    _require_finite(args, "from", "to", "phi")
     machine = args.machine
     lo = _angle(getattr(args, "from"), args.deg)
     hi = _angle(args.to, args.deg)
-    grid = np.linspace(lo, hi, args.steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo, hi, args.steps)
+    if not np.all(np.isfinite(grid)):
+        raise UsageError("the --from..--to grid overflows to non-finite values")
 
     if args.param == "phi":
         if machine != "two-op":
             raise UsageError("--param phi applies to the two-op machine only")
+        if args.phi is not None:
+            raise UsageError("--phi applies to --param theta sweeps only")
+        measure = args.measure or DEFAULT_MEASURE
+        quad = _quad_order(args)
         columns = ["param", "mean_a", "mean_b", "var_a", "var_b", "correlation"]
         rows = []
         for phi in grid:
-            st = average_fidelity(machine, args.measure, args.quad, phi=float(phi))
+            st = average_fidelity(machine, measure, quad, phi=float(phi))
             rows.append([float(phi), st.mean_a, st.mean_b, st.var_a, st.var_b, st.correlation])
-        meta = _metadata(machine=machine, measure=str(args.measure), quadrature_order=args.quad)
+        meta = _metadata(machine=machine, measure=measure, quadrature_order=quad)
     else:
+        for flag in ("measure", "quad"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} applies to --param phi sweeps only")
         phi = _angle(args.phi, args.deg) if args.phi is not None else None
         if machine == "two-op" and phi is None:
             raise UsageError("theta sweep of two-op requires --phi")
         if machine != "two-op" and args.phi is not None:
             raise UsageError(f"--phi is only meaningful for two-op, not {machine}")
+        out = clone_batch(machine, equatorial_batch(grid), phi)
         columns = ["theta", "phi", "F_a", "F_b"]
+        fids = [out.fidelity_a, out.fidelity_b]
         if machine == "pc":
             columns.append("F_orig")
-        rows = []
-        for theta in grid:
-            psi0 = equatorial_qubit(float(theta))
-            out = clone_output(machine, psi0, phi)
-            row = [float(theta), phi, fidelity(psi0, out.clone_a), fidelity(psi0, out.clone_b)]
-            if machine == "pc":
-                row.append(fidelity(psi0, out.original_channel))
-            rows.append(row)
+            fids.append(out.fidelity_original)
+        rows = [[theta, phi, *vals] for theta, *vals in zip(grid.tolist(), *(f.tolist() for f in fids))]
         meta = _metadata(machine=machine)
 
     if args.format == "json":
@@ -424,31 +455,23 @@ def _table2_lines(row_index: int | None) -> list[tuple[str, bool]]:
     return lines
 
 
+def _scaling_residual(rho: np.ndarray, psi: np.ndarray) -> float:
+    """Worst distance of ``rho`` from ``s |psi><psi| + (1-s)/2 I``, s = f0_sq - f2_sq."""
+    f0, f2 = orthogonal_decompositions(rho, psi)
+    s = (f0 - f2)[:, None, None]
+    proj = psi[:, :, None] * psi.conj()[:, None, :]
+    resid = rho - (s * proj + (1.0 - s) / 2.0 * np.eye(2))
+    return float(np.linalg.norm(resid, axis=(1, 2)).max())
+
+
 def _invariant_lines(quad: int) -> list[tuple[str, bool]]:
     lines = []
 
-    rng = np.random.default_rng(20240901)
-    worst_fid = 0.0
-    worst_pair = 0.0
-    worst_scaling = 0.0
-    for _ in range(1000):
-        psi = haar_qubit(rng)
-        out = bh_clone(psi)
-        worst_fid = max(
-            worst_fid,
-            abs(fidelity(psi, out.clone_a) - BH_FIDELITY),
-            abs(fidelity(psi, out.clone_b) - BH_FIDELITY),
-        )
-        worst_pair = max(
-            worst_pair,
-            float(np.max(np.abs(out.clone_a.entries - out.clone_b.entries))),
-        )
-        dec = orthogonal_decomposition(out.clone_a, psi)
-        s = scaling_factor(dec)
-        resid = out.clone_a.entries - (
-            s * density_of(psi).entries + (1.0 - s) / 2.0 * np.eye(2)
-        )
-        worst_scaling = max(worst_scaling, float(np.linalg.norm(resid)))
+    psi = qubit_batch(haar_amplitudes(np.random.default_rng(20240901), 1000))
+    bh = clone_batch("bh", psi)
+    worst_fid = float(np.abs(np.concatenate([bh.fidelity_a, bh.fidelity_b]) - BH_FIDELITY).max())
+    worst_pair = float(np.abs(bh.clone_a - bh.clone_b).max())
+    worst_scaling = _scaling_residual(bh.clone_a, psi)
     lines.append(
         _check_line(
             "invariants",
@@ -460,23 +483,10 @@ def _invariant_lines(quad: int) -> list[tuple[str, bool]]:
         )
     )
 
-    worst = 0.0
-    worst_pc_scaling = 0.0
-    for k in range(256):
-        theta = 2.0 * math.pi * k / 256.0
-        psi = equatorial_qubit(theta)
-        out = pc_clone(psi)
-        worst = max(
-            worst,
-            abs(fidelity(psi, out.clone_a) - PC_FIDELITY),
-            abs(fidelity(psi, out.clone_b) - PC_FIDELITY),
-        )
-        dec = orthogonal_decomposition(out.clone_a, psi)
-        s = scaling_factor(dec)
-        resid = out.clone_a.entries - (
-            s * density_of(psi).entries + (1.0 - s) / 2.0 * np.eye(2)
-        )
-        worst_pc_scaling = max(worst_pc_scaling, float(np.linalg.norm(resid)))
+    psi = equatorial_batch(2.0 * math.pi * np.arange(256) / 256.0)
+    pc = clone_batch("pc", psi)
+    worst = float(np.abs(np.concatenate([pc.fidelity_a, pc.fidelity_b]) - PC_FIDELITY).max())
+    worst_pc_scaling = _scaling_residual(pc.clone_a, psi)
     lines.append(
         _check_line(
             "invariants",
@@ -496,21 +506,15 @@ def _invariant_lines(quad: int) -> list[tuple[str, bool]]:
         )
     )
 
+    psi = equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0)
     phi = math.pi / 4.0
     var_max = max(
         average_fidelity("two-op", m, quad, phi=phi).var_a
         for m in AveragingMeasure
     )
-    joint_dev = 0.0
-    for k in range(32):
-        theta = 2.0 * math.pi * k / 32.0
-        psi = equatorial_qubit(theta)
-        out = two_op_clone(psi, phi)
-        target = tensor(psi, equatorial_qubit(phi))  # ancilla after its rotation
-        proj = np.outer(out.joint.amplitudes, out.joint.amplitudes.conj()) - np.outer(
-            target.amplitudes, target.amplitudes.conj()
-        )
-        joint_dev = max(joint_dev, float(np.linalg.norm(proj)))
+    # the input passes through untouched and the ancilla ends up rotated
+    target = (psi[:, :, None] * equatorial_qubit(phi).amplitudes).reshape(-1, 4)
+    joint_dev = float(projector_distances(clone_batch("two-op", psi, phi).joint, target).max())
     lines.append(
         _check_line(
             "invariants",
@@ -523,15 +527,8 @@ def _invariant_lines(quad: int) -> list[tuple[str, bool]]:
     )
 
     phi = math.pi / 2.0
-    sum_dev = 0.0
-    for k in range(32):
-        theta = 2.0 * math.pi * k / 32.0
-        psi = equatorial_qubit(theta)
-        out = two_op_clone(psi, phi)
-        sum_dev = max(
-            sum_dev,
-            abs(fidelity(psi, out.clone_a) + fidelity(psi, out.clone_b) - 1.0),
-        )
+    two = clone_batch("two-op", psi, phi)
+    sum_dev = float(np.abs(two.fidelity_a + two.fidelity_b - 1.0).max())
     corr_dev = max(
         abs(average_fidelity("two-op", m, quad, phi=phi).correlation + 1.0)
         for m in AveragingMeasure
@@ -593,13 +590,16 @@ def _invariant_lines(quad: int) -> list[tuple[str, bool]]:
 def _cmd_verify(args) -> int:
     if args.row is not None and args.target != "table2":
         raise UsageError("--row applies to the table2 target only")
+    if args.quad is not None and args.target == "table2":
+        raise UsageError("--quad applies to the invariants and all targets only")
+    quad = _quad_order(args)
     if args.row is not None and not 1 <= args.row <= len(TABLE2):
         raise UsageError(f"--row must be in 1..{len(TABLE2)}")
     lines: list[tuple[str, bool]] = []
     if args.target in ("table2", "all"):
         lines.extend(_table2_lines(args.row))
     if args.target in ("invariants", "all"):
-        lines.extend(_invariant_lines(args.quad))
+        lines.extend(_invariant_lines(quad))
     text = "".join(line + "\n" for line, _ok in lines)
     _emit(text, args.out)
     return 0 if all(ok for _line, ok in lines) else 1
@@ -674,14 +674,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", choices=("phi", "theta"), required=True)
     p_sweep.add_argument("--from", type=float, required=True)
     p_sweep.add_argument("--to", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
+    p_sweep.add_argument("--steps", type=int, required=True, help=f"grid points, 2..{MAX_STEPS}")
     p_sweep.add_argument(
         "--measure",
         choices=("equatorial", "polar"),
-        default="equatorial",
-        help="averaging measure for --param phi sweeps",
+        default=None,
+        help=f"averaging measure for --param phi sweeps (default {DEFAULT_MEASURE})",
     )
-    p_sweep.add_argument("--quad", type=int, default=128, metavar="N")
+    p_sweep.add_argument(
+        "--quad",
+        type=int,
+        default=None,
+        metavar="N",
+        help=f"Gauss-Legendre order for --param phi sweeps, 2..{MAX_QUAD_ORDER} (default {DEFAULT_QUAD})",
+    )
     p_sweep.add_argument("--phi", type=float, default=None, help="fixed phi for theta sweeps")
     _add_common(p_sweep, fmt_default="csv")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -706,7 +712,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("target", choices=("table2", "invariants", "all"))
     p_verify.add_argument("--row", type=int, default=None)
-    p_verify.add_argument("--quad", type=int, default=128, metavar="N")
+    p_verify.add_argument(
+        "--quad",
+        type=int,
+        default=None,
+        metavar="N",
+        help=f"Gauss-Legendre order for the invariants, 2..{MAX_QUAD_ORDER} (default {DEFAULT_QUAD})",
+    )
     p_verify.add_argument("--out", metavar="FILE", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 

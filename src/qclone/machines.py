@@ -1,5 +1,20 @@
 """The four cloning machines as executable pipelines, plus fidelity statistics.
 
+Each machine is a fixed CNOT/rotation network acting on ``psi tensor prep``,
+so it is a linear isometry ``V`` (2^n x 2) of the input qubit.  Two paths
+evaluate it:
+
+* :func:`clone_output` is the readable reference: it runs the gate sequence
+  on one :class:`PureState` and returns checked :class:`DensityMatrix`
+  channels.  ``run`` and the per-machine functions use it.
+* :func:`clone_batch` is the batched kernel behind every ensemble statistic
+  (``average_fidelity``, sweeps, the invariant suite).  It compiles ``V``
+  by running :func:`clone_output` on |0> and |1> (so each gate sequence is
+  written once), maps an (N, 2) batch of inputs with one product, and forms
+  each one-wire channel as ``M M^dagger`` from the reshaped amplitudes.  The
+  checks of the reference path (finite inputs, Hermitian unit-trace channels,
+  the PSD floor, real fidelities) are applied to the whole batch.
+
 Wire layout of the outputs:
 
 * ``one-op`` / ``two-op`` (2 wires): clones live on wires 0 and 1.
@@ -9,10 +24,10 @@ Wire layout of the outputs:
   original (it ends up with a quarter of orthogonal impurity on equatorial
   inputs).  No leftover ancilla.
 
-Averaging is deterministic by default: Gauss-Legendre nodes, with the
-polar measure mapped through ``u = sin^2 t`` so that every fidelity curve in
-this package integrates as a trigonometric polynomial (machine precision at
-order 128).  Monte Carlo sampling is available behind ``method="monte-carlo"``
+Averaging is deterministic by default: Gauss-Legendre nodes (cached per
+measure and order, returned read-only), with the polar measure mapped
+through ``u = sin^2 t`` so that every fidelity curve in this package
+integrates as a trigonometric polynomial (machine precision at order 128).  Monte Carlo sampling is available behind ``method="monte-carlo"``
 for cross-checks.
 """
 
@@ -21,15 +36,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .gates import CnotOp, RotationOp, apply_cnot, apply_rotation
 from .qnum import (
+    ATOL_ALGEBRAIC,
+    PSD_FLOOR,
     DensityMatrix,
     PureState,
     WrongArity,
+    ZeroVector,
     basis_state,
     density_of,
     equatorial_qubit,
@@ -42,6 +61,7 @@ from .qnum import (
 __all__ = [
     "NotDecomposable",
     "CloneOutput",
+    "CloneBatch",
     "AveragingMeasure",
     "FidelityStats",
     "DecompositionCoeffs",
@@ -51,6 +71,7 @@ __all__ = [
     "PC_Z",
     "PC_FIDELITY",
     "BH_FIDELITY",
+    "MAX_QUAD_ORDER",
     "one_op_clone",
     "two_op_clone",
     "bh_prep",
@@ -59,9 +80,18 @@ __all__ = [
     "pc_clone",
     "clone_output",
     "pointwise_fidelities",
+    "compile_isometry",
+    "machine_isometry",
+    "qubit_batch",
+    "equatorial_batch",
+    "reduced_qubits",
+    "batch_fidelity",
+    "projector_distances",
+    "clone_batch",
     "measure_nodes",
     "average_fidelity",
     "orthogonal_decomposition",
+    "orthogonal_decompositions",
     "scaling_factor",
     "two_op_case_report",
 ]
@@ -79,6 +109,9 @@ PC_FIDELITY = PC_X**2 + PC_Y**2
 BH_FIDELITY = 5.0 / 6.0
 
 MACHINE_NAMES = ("one-op", "two-op", "bh", "pc")
+
+#: Largest Gauss-Legendre order: ``leggauss(n)`` builds a dense n x n matrix.
+MAX_QUAD_ORDER = 1024
 
 
 class NotDecomposable(ValueError):
@@ -263,17 +296,152 @@ def pointwise_fidelities(
     return fidelity(psi0, out.clone_a), fidelity(psi0, out.clone_b)
 
 
+# --- batched kernel -----------------------------------------------------------
+
+#: Output wires of (clone A, clone B, degraded original) for each machine.
+_CHANNEL_WIRES = {
+    "one-op": (0, 1, None),
+    "two-op": (0, 1, None),
+    "bh": (0, 1, None),
+    "pc": (1, 2, 0),
+}
+
+
+@dataclass(frozen=True)
+class CloneBatch:
+    """Batched counterpart of :class:`CloneOutput` for N inputs.
+
+    ``joint`` holds the (N, 2**n) output amplitudes, the channels are
+    (N, 2, 2) stacks and the fidelities are length-N arrays.
+    """
+
+    joint: np.ndarray
+    clone_a: np.ndarray
+    clone_b: np.ndarray
+    fidelity_a: np.ndarray
+    fidelity_b: np.ndarray
+    original_channel: np.ndarray | None = None
+    fidelity_original: np.ndarray | None = None
+
+
+def compile_isometry(network) -> np.ndarray:
+    """The 2^n x 2 matrix ``V`` with ``network(psi).amplitudes == V @ psi``.
+
+    ``network`` maps a one-qubit :class:`PureState` to the output state of a
+    linear gate network; the columns of ``V`` are its outputs on |0> and |1>.
+    """
+    return np.stack([network(basis_state(1, k)).amplitudes for k in (0, 1)], axis=1)
+
+
+def machine_isometry(machine: str, phi: float | None = None) -> np.ndarray:
+    """Isometry of a named machine, compiled from the reference :func:`clone_output`."""
+    return compile_isometry(lambda psi0: clone_output(machine, psi0, phi).joint)
+
+
+def qubit_batch(amplitudes) -> np.ndarray:
+    """Finite (N, 2) complex input rows, each renormalized as :class:`PureState` does."""
+    psi = np.asarray(amplitudes, dtype=np.complex128)
+    if psi.ndim != 2 or psi.shape[1] != 2:
+        raise WrongArity("an input batch has shape (N, 2)")
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("amplitudes must be finite")
+    norm_sq = np.einsum("ni,ni->n", psi.conj(), psi).real
+    if np.any(norm_sq < 1e-15):
+        raise ZeroVector("state vector has zero norm")
+    return psi / np.sqrt(norm_sq)[:, None]
+
+
+def equatorial_batch(thetas) -> np.ndarray:
+    """Rows ``(cos t, sin t)``: the batched :func:`equatorial_qubit`."""
+    thetas = np.asarray(thetas, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("theta must be finite")
+    return qubit_batch(np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
+
+
+def _outer(rows: np.ndarray) -> np.ndarray:
+    return rows[:, :, None] * rows.conj()[:, None, :]
+
+
+def reduced_qubits(joint: np.ndarray, wire: int) -> np.ndarray:
+    """One-wire reduced states of a batch of pure states, as (N, 2, 2) ``M M^dagger``.
+
+    ``M`` is each row's amplitudes reshaped to (2, 2**(n-1)) with ``wire``
+    first, so no 2^n x 2^n density matrix is formed.  The stack is checked
+    like :class:`DensityMatrix` (Hermitian and unit trace within 1e-12, one
+    batched ``eigvalsh`` against the PSD floor) and returned symmetrized.
+    """
+    rows, dim = joint.shape
+    n = dim.bit_length() - 1
+    m = np.moveaxis(joint.reshape((rows,) + (2,) * n), 1 + wire, 1).reshape(rows, 2, dim // 2)
+    rho = m @ m.conj().transpose(0, 2, 1)
+    adjoint = rho.conj().transpose(0, 2, 1)
+    if np.max(np.abs(rho - adjoint), initial=0.0) > ATOL_ALGEBRAIC:
+        raise ValueError("reduced state is not Hermitian within 1e-12")
+    trace_dev = np.max(np.abs(rho[:, 0, 0] + rho[:, 1, 1] - 1.0), initial=0.0)
+    if trace_dev > ATOL_ALGEBRAIC:
+        raise ValueError(f"trace differs from 1 by {trace_dev} beyond 1e-12")
+    rho = (rho + adjoint) / 2
+    eigmin = float(np.min(np.linalg.eigvalsh(rho), initial=0.0))
+    if eigmin < PSD_FLOOR:
+        raise ValueError(f"matrix has eigenvalue {eigmin} below the PSD floor")
+    return rho
+
+
+def batch_fidelity(psi: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Overlaps ``<psi|rho|psi>`` row by row, checked real and clamped to [0, 1]."""
+    values = np.einsum("ni,nij,nj->n", psi.conj(), rho, psi)
+    if np.max(np.abs(values.imag), initial=0.0) > ATOL_ALGEBRAIC:
+        raise ValueError("fidelity came out non-real")
+    return np.clip(values.real, 0.0, 1.0)
+
+
+def projector_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius norms of ``|a><a| - |b><b|`` row by row (phase-blind state distance)."""
+    return np.linalg.norm(_outer(a) - _outer(b), axis=(1, 2))
+
+
+def clone_batch(machine: str, amplitudes, phi: float | None = None) -> CloneBatch:
+    """Evaluate a machine on an (N, 2) batch of real or complex input amplitudes.
+
+    Agrees with :func:`clone_output` run row by row (channels and fidelities)
+    up to rounding; see ``tests/test_batch.py``.
+    """
+    psi = qubit_batch(amplitudes)
+    joint = psi @ machine_isometry(machine, phi).T
+    wire_a, wire_b, wire_orig = _CHANNEL_WIRES[machine]
+    rho_a, rho_b = reduced_qubits(joint, wire_a), reduced_qubits(joint, wire_b)
+    rho_o = fid_o = None
+    if wire_orig is not None:
+        rho_o = reduced_qubits(joint, wire_orig)
+        fid_o = batch_fidelity(psi, rho_o)
+    return CloneBatch(
+        joint, rho_a, rho_b, batch_fidelity(psi, rho_a), batch_fidelity(psi, rho_b), rho_o, fid_o
+    )
+
+
+# --- averaging ----------------------------------------------------------------
+
+
 def measure_nodes(measure, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes as equatorial angles plus weights summing to 1.
 
     Both measures produce real-amplitude states ``(cos t, sin t)``; for the
     polar measure the substitution ``u = sin^2 s`` turns the density into the
     smooth weight ``sin(2s)`` on [0, pi/2] and the node state ``(sqrt(u),
-    sqrt(1-u))`` into the angle ``t = pi/2 - s``.
+    sqrt(1-u))`` into the angle ``t = pi/2 - s``.  The arrays are cached per
+    ``(measure, n)`` and read-only.
     """
     measure = _as_measure(measure)
     if n < 2:
         raise ValueError("quadrature order must be at least 2")
+    if n > MAX_QUAD_ORDER:
+        raise ValueError(f"quadrature order must be at most {MAX_QUAD_ORDER}")
+    return _gauss_legendre_nodes(measure, int(n))
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre_nodes(measure: AveragingMeasure, n: int) -> tuple[np.ndarray, np.ndarray]:
     xs, ws = leggauss(n)
     if measure is AveragingMeasure.EQUATORIAL_UNIFORM:
         thetas = (xs + 1.0) * math.pi
@@ -282,6 +450,8 @@ def measure_nodes(measure, n: int) -> tuple[np.ndarray, np.ndarray]:
         s = (xs + 1.0) * math.pi / 4.0
         thetas = math.pi / 2.0 - s
         weights = ws * (math.pi / 4.0) * np.sin(2.0 * s)
+    thetas.setflags(write=False)
+    weights.setflags(write=False)
     return thetas, weights
 
 
@@ -309,7 +479,8 @@ def average_fidelity(
 
     With the default deterministic quadrature, ``n_samples`` is the
     Gauss-Legendre order; with ``method="monte-carlo"`` it is the sample count
-    (use >= 1000) and ``seed`` fixes the stream.
+    (use >= 1000) and ``seed`` fixes the stream.  All nodes are evaluated as
+    one :func:`clone_batch`.
     """
     if method == "quadrature":
         thetas, weights = measure_nodes(measure, n_samples)
@@ -319,10 +490,8 @@ def average_fidelity(
         thetas, weights = _monte_carlo_nodes(measure, n_samples, seed)
     else:
         raise ValueError(f"unknown averaging method {method!r}")
-    fa = np.empty(len(thetas))
-    fb = np.empty(len(thetas))
-    for i, theta in enumerate(thetas):
-        fa[i], fb[i] = pointwise_fidelities(machine, theta, phi)
+    out = clone_batch(machine, equatorial_batch(thetas), phi)
+    fa, fb = out.fidelity_a, out.fidelity_b
     mean_a = float(weights @ fa)
     mean_b = float(weights @ fb)
     var_a = max(float(weights @ (fa - mean_a) ** 2), 0.0)
@@ -355,6 +524,31 @@ def orthogonal_decomposition(rho: DensityMatrix, psi0: PureState) -> Decompositi
             f"state has coherences outside the reference basis (residual {residual:.3e})"
         )
     return DecompositionCoeffs(min(max(f0, 0.0), 1.0), min(max(f2, 0.0), 1.0))
+
+
+def orthogonal_decompositions(rho: np.ndarray, amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`orthogonal_decomposition`: (f0_sq, f2_sq) arrays for (N, 2, 2) ``rho``.
+
+    Raises :class:`NotDecomposable` when any row's off-basis residual exceeds
+    1e-6, and ``ValueError`` when any weight pair fails the
+    :class:`DecompositionCoeffs` checks; the weights are clamped to [0, 1].
+    """
+    psi = qubit_batch(amplitudes)
+    p0 = _outer(psi)
+    p2 = _outer(np.stack([-psi[:, 1].conj(), psi[:, 0].conj()], axis=1))
+    f0 = np.einsum("nij,nji->n", p0, rho).real
+    f2 = np.einsum("nij,nji->n", p2, rho).real
+    residual = np.linalg.norm(rho - f0[:, None, None] * p0 - f2[:, None, None] * p2, axis=(1, 2))
+    worst = float(np.max(residual, initial=0.0))
+    if worst > 1e-6:
+        raise NotDecomposable(
+            f"state has coherences outside the reference basis (residual {worst:.3e})"
+        )
+    if np.any(f0 < -1e-9) or np.any(f2 < -1e-9):
+        raise ValueError("decomposition weights must be non-negative")
+    if np.any(np.abs(f0 + f2 - 1.0) > 1e-9):
+        raise ValueError("decomposition weights must sum to 1 within 1e-9")
+    return np.clip(f0, 0.0, 1.0), np.clip(f2, 0.0, 1.0)
 
 
 def scaling_factor(coeffs: DecompositionCoeffs) -> float:

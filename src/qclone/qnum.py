@@ -27,6 +27,7 @@ __all__ = [
     "equatorial_qubit",
     "basis_state",
     "haar_qubit",
+    "haar_amplitudes",
     "tensor",
     "density_of",
     "partial_trace",
@@ -178,8 +179,14 @@ def basis_state(n_qubits: int, index: int) -> PureState:
 
 def haar_qubit(rng: np.random.Generator) -> PureState:
     """Haar-random one-qubit state (complex Gaussian vector, normalized)."""
-    vec = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return PureState(vec)
+    return PureState(haar_amplitudes(rng, 1)[0])
+
+
+def haar_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 2) unnormalized complex Gaussian rows; row k is the k-th
+    :func:`haar_qubit` the same generator would have drawn."""
+    z = rng.normal(size=(n, 2, 2))
+    return z[:, 0, :] + 1j * z[:, 1, :]
 
 
 def tensor(a: PureState, b: PureState) -> PureState:

@@ -46,14 +46,25 @@ from .gates import (
     format_circuit,
     parse_circuit,
 )
-from .machines import PC_FIDELITY, PC_X, PC_Y, PC_Z
+from .machines import (
+    PC_FIDELITY,
+    PC_X,
+    PC_Y,
+    PC_Z,
+    batch_fidelity,
+    compile_isometry,
+    equatorial_batch,
+    projector_distances,
+    reduced_qubits,
+)
 from .prepsolver import (
     AngleTriple,
     PrepCoeffs,
     simulate_prep,
     solve_prep_angles,
 )
-from .qnum import PureState, equatorial_qubit, fidelity, partial_trace, density_of, tensor
+from .qnum import PureState, tensor
+from .qnum import fidelity  # noqa: F401  (kept importable as qclone.synth.fidelity)
 
 __all__ = [
     "LabelMismatch",
@@ -747,11 +758,6 @@ def _reference_readings(circuit_text: str) -> dict[str, BasisBijection]:
     return readings
 
 
-def _swap_clone_wires(psi: PureState) -> PureState:
-    amps = psi.amplitudes.reshape(2, 2, 2).transpose(0, 2, 1).reshape(8)
-    return PureState(amps)
-
-
 def _wrapped_dev_deg(a_rad: float, b_rad: float) -> float:
     d = math.degrees(a_rad - b_rad) % 360.0
     return min(d, 360.0 - d)
@@ -776,21 +782,19 @@ def verify_table2(row) -> RowReport:
     prep_state = simulate_prep(solutions[best])
 
     circuits = [parse_circuit(text, 3) for text in row.circuits]
-    thetas = [2.0 * math.pi * k / 64.0 for k in range(64)]
-    fid_err = 0.0
-    swap_residual = 0.0
-    for theta in thetas:
-        psi0 = equatorial_qubit(theta)
-        joint_in = tensor(psi0, prep_state)
-        outs = [apply_circuit(joint_in, circ) for circ in circuits]
-        for out in outs:
-            rho = density_of(out)
-            for wire in (1, 2):
-                fid_err = max(fid_err, abs(fidelity(psi0, partial_trace(rho, wire)) - PC_FIDELITY))
-        swapped = _swap_clone_wires(outs[1]).amplitudes
-        a = outs[0].amplitudes
-        proj_diff = np.outer(a, a.conj()) - np.outer(swapped, swapped.conj())
-        swap_residual = max(swap_residual, float(np.linalg.norm(proj_diff)))
+    psi = equatorial_batch(2.0 * math.pi * np.arange(64) / 64.0)
+    joints = [
+        psi @ compile_isometry(lambda psi0: apply_circuit(tensor(psi0, prep_state), circ)).T
+        for circ in circuits
+    ]
+    fid_err = max(
+        float(np.abs(batch_fidelity(psi, reduced_qubits(joint, wire)) - PC_FIDELITY).max())
+        for joint in joints
+        for wire in (1, 2)
+    )
+    # the second circuit's output with clone wires 1 and 2 exchanged
+    swapped = joints[1].reshape(-1, 2, 2, 2).transpose(0, 1, 3, 2).reshape(-1, 8)
+    swap_residual = float(projector_distances(joints[0], swapped).max())
 
     fanout = fan_out_map()
     synth_ok = True

@@ -554,3 +554,48 @@ class TestInfrastructure:
         raw = target.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+PHI_SWEEP = ("sweep", "two-op", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3")
+THETA_SWEEP = ("sweep", "bh", "--param", "theta", "--from", "0", "--to", "1", "--steps", "3")
+
+
+class TestUsageErrors:
+    """Bad values exit 2 with one ``error:`` line, before any work is done."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            PHI_SWEEP + ("--quad", "1"),
+            PHI_SWEEP + ("--quad", "1025"),
+            ("verify", "invariants", "--quad", "1"),
+            ("verify", "all", "--quad", "1025"),
+            ("verify", "table2", "--row", "1", "--quad", "64"),
+            ("run", "bh", "--theta", "nan"),
+            ("run", "two-op", "--theta", "0.1", "--phi", "inf"),
+            ("sweep", "two-op", "--param", "phi", "--from", "0", "--to", "inf", "--steps", "3"),
+            ("sweep", "bh", "--param", "theta", "--from=-1e308", "--to=1e308", "--steps", "3"),
+            ("sweep", "two-op", "--param", "theta", "--from", "0", "--to", "1", "--steps", "3", "--phi", "nan"),
+            ("sweep", "bh", "--param", "theta", "--from", "0", "--to", "1", "--steps", "10001"),
+            THETA_SWEEP + ("--quad", "7", "--measure", "polar"),
+            THETA_SWEEP + ("--quad", "128"),
+            THETA_SWEEP + ("--measure", "equatorial"),
+            PHI_SWEEP + ("--phi", "0.3"),
+        ],
+    )
+    def test_exit_2_with_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bounds_are_inclusive(self, capsys):
+        code, _, _ = run_cli(capsys, *PHI_SWEEP[:-1], "2", "--quad", "2")
+        assert code == 0
+
+    def test_phi_sweep_metadata_keeps_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, *PHI_SWEEP, "--format", "json")
+        assert code == 0
+        meta = json.loads(out)["metadata"]
+        assert meta["measure"] == "equatorial"
+        assert meta["quadrature_order"] == 128
