@@ -4,132 +4,21 @@ Four CNOT-plus-rotation cloning circuits, fidelity statistics under two
 input-averaging measures, a resource-state preparation-angle solver, a
 constrained optimizer for the equatorial cloner, and truth-table-to-CNOT
 synthesis with a built-in twelve-row machine catalog.
-"""
 
-from .qnum import (
-    ATOL_ALGEBRAIC,
-    ATOL_ITERATIVE,
-    MAX_QUBITS,
-    SIGMA,
-    CapacityExceeded,
-    DensityMatrix,
-    DimensionMismatch,
-    IndexOutOfRange,
-    PureState,
-    WrongArity,
-    ZeroVector,
-    amplitude_pairs,
-    apply_one_qubit,
-    basis_state,
-    density_of,
-    equatorial_qubit,
-    fidelity,
-    haar_amplitudes,
-    haar_qubit,
-    make_qubit,
-    orthogonal_state,
-    partial_trace,
-    pauli_apply,
-    same_state,
-    tensor,
-)
-from .gates import (
-    Circuit,
-    CircuitSyntaxError,
-    CnotOp,
-    PauliOp,
-    RotationOp,
-    SameWire,
-    apply_circuit,
-    basis_permutation,
-    circuit_unitary,
-    format_circuit,
-    parse_circuit,
-    rotation_matrix,
-)
-from .machines import (
-    BH_FIDELITY,
-    MACHINE_NAMES,
-    MAX_QUAD_ORDER,
-    PC_FIDELITY,
-    PC_X,
-    PC_Y,
-    PC_Z,
-    AveragingMeasure,
-    CloneBatch,
-    CloneOutput,
-    DecompositionCoeffs,
-    FidelityStats,
-    NotDecomposable,
-    average_fidelity,
-    batch_fidelity,
-    bh_clone,
-    bh_prep,
-    clone_batch,
-    clone_output,
-    compile_isometry,
-    equatorial_batch,
-    machine_isometry,
-    measure_nodes,
-    one_op_clone,
-    orthogonal_decomposition,
-    orthogonal_decompositions,
-    pc_clone,
-    pc_prep,
-    pointwise_fidelities,
-    projector_distances,
-    qubit_batch,
-    reduced_qubits,
-    scaling_factor,
-    two_op_case_report,
-    two_op_clone,
-)
-from .prepsolver import (
-    AngleTriple,
-    DegenerateDenominator,
-    NoSolution,
-    PcSolution,
-    PrepCoeffs,
-    as_prep_coeffs,
-    bh_from_pc_system,
-    coeff_formula,
-    pc_optimize,
-    prep_circuit,
-    reconstruct_coeffs,
-    residual_of,
-    simulate_prep,
-    solve_prep_angles,
-)
-from .synth import (
-    CLONE_MIX_LABELS,
-    TABLE2,
-    AngleConstantCheck,
-    AnfPolynomial,
-    BasisBijection,
-    CnotSequence,
-    LabelMismatch,
-    NonAffine,
-    RowReport,
-    Singular,
-    Table2Row,
-    affine_bijections,
-    angle_constant_check,
-    anf_of,
-    compose,
-    degrees_minutes,
-    derive_machines,
-    extract_bijection,
-    fan_out_map,
-    form_of,
-    identity_bijection,
-    pair_clone_target,
-    parse_form,
-    row_prep_coeffs,
-    stage_input_labels,
-    synthesize_cnots,
-    verify_table2,
-)
+The public surface is the union of the submodules' ``__all__`` lists.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from . import qnum, gates, machines, prepsolver, synth
+from .qnum import *  # noqa: F401,F403
+from .gates import *  # noqa: F401,F403
+from .machines import *  # noqa: F401,F403
+from .prepsolver import *  # noqa: F401,F403
+from .synth import *  # noqa: F401,F403
+
+__all__ = [
+    name
+    for module in (qnum, gates, machines, prepsolver, synth)
+    for name in module.__all__
+]

@@ -77,6 +77,7 @@ from .synth import (
 TOOL_NAME = "qclone"
 
 MAX_STEPS = 10000
+MAX_STARTS = 10000
 DEFAULT_MEASURE = "equatorial"
 DEFAULT_QUAD = 128
 
@@ -134,9 +135,12 @@ def _csv_text(columns, rows) -> str:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
 
 
 def _metadata(**extra) -> dict:
@@ -282,10 +286,7 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         payload = {
             "columns": columns,
-            "rows": [
-                {col: (None if cell is None else cell) for col, cell in zip(columns, row)}
-                for row in rows
-            ],
+            "rows": [dict(zip(columns, row)) for row in rows],
             "metadata": meta,
         }
         _emit(_json_text(payload), args.out)
@@ -344,6 +345,9 @@ def _cmd_solve_prep(args) -> int:
 
 
 def _cmd_optimize_pc(args) -> int:
+    _require_in_range("starts", args.starts, 1, MAX_STARTS)
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, not {args.seed}")
     if args.fix_z0:
         sol = bh_from_pc_system(n_starts=args.starts, seed=11 if args.seed is None else args.seed)
     else:
@@ -376,6 +380,8 @@ def _cmd_synth(args) -> int:
         bij = BasisBijection(images)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if bij.n_bits != 3:
+        raise UsageError(f"--perm must list 8 images (3 wires), not {len(images)}")
     try:
         seq = synthesize_cnots(bij)
     except (NonAffine, Singular) as exc:
@@ -699,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize-pc", help="maximize the equatorial clone weight")
     p_opt.add_argument("--fix-z0", action="store_true", help="constrain z = 0")
-    p_opt.add_argument("--starts", type=int, default=100)
+    p_opt.add_argument("--starts", type=int, default=100, help=f"optimizer starts, 1..{MAX_STARTS}")
     p_opt.add_argument("--seed", type=int, default=None)
     _add_common(p_opt)
     p_opt.set_defaults(func=_cmd_optimize_pc)

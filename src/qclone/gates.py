@@ -39,6 +39,7 @@ __all__ = [
     "apply_cnot",
     "apply_pauli",
     "apply_circuit",
+    "cnot_image",
     "circuit_unitary",
     "basis_permutation",
     "parse_circuit",
@@ -144,18 +145,24 @@ def apply_rotation(psi: PureState, op: RotationOp) -> PureState:
     return apply_one_qubit(psi, rotation_matrix(op.theta, op.phi), op.wire)
 
 
+def cnot_image(index, op: CnotOp, n: int):
+    """Image of a basis index under ``op`` on ``n`` wires (wire 0 = MSB).
+
+    The target bit flips when the control bit is 1 (0 for an inverted CNOT).
+    ``index`` may be a Python int or an integer array.
+    """
+    fires = ((index >> (n - 1 - op.control)) & 1) ^ op.inverted
+    return index ^ (fires << (n - 1 - op.target))
+
+
 def apply_cnot(psi: PureState, op: CnotOp) -> PureState:
     """Permute basis amplitudes: target bit <- control XOR target (XOR 1)."""
     n = psi.n_qubits
     for w in (op.control, op.target):
         if w >= n:
             raise IndexOutOfRange(f"wire {w} out of range for {n} qubits")
-    idx = np.arange(len(psi.amplitudes))
-    control_bit = (idx >> (n - 1 - op.control)) & 1
-    effective = control_bit ^ (1 if op.inverted else 0)
-    images = idx ^ (effective << (n - 1 - op.target))
     out = np.empty_like(psi.amplitudes)
-    out[images] = psi.amplitudes
+    out[cnot_image(np.arange(len(out)), op, n)] = psi.amplitudes
     return PureState(out)
 
 
@@ -185,17 +192,6 @@ def _single_wire_unitary(matrix: np.ndarray, wire: int, n: int) -> np.ndarray:
     return out
 
 
-def _cnot_unitary(op: CnotOp, n: int) -> np.ndarray:
-    dim = 2**n
-    idx = np.arange(dim)
-    control_bit = (idx >> (n - 1 - op.control)) & 1
-    effective = control_bit ^ (1 if op.inverted else 0)
-    images = idx ^ (effective << (n - 1 - op.target))
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[images, idx] = 1.0
-    return mat
-
-
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense matrix product of the ops in application order."""
     n = circuit.n_qubits
@@ -206,12 +202,13 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     total = np.eye(2**n, dtype=np.complex128)
     for op in circuit.ops:
         if isinstance(op, CnotOp):
-            mat = _cnot_unitary(op, n)
+            permuted = np.empty_like(total)
+            permuted[cnot_image(np.arange(2**n), op, n)] = total
+            total = permuted
         elif isinstance(op, RotationOp):
-            mat = _single_wire_unitary(rotation_matrix(op.theta, op.phi), op.wire, n)
+            total = _single_wire_unitary(rotation_matrix(op.theta, op.phi), op.wire, n) @ total
         else:
-            mat = _single_wire_unitary(SIGMA[op.kind], op.wire, n)
-        total = mat @ total
+            total = _single_wire_unitary(SIGMA[op.kind], op.wire, n) @ total
     return total
 
 
@@ -225,9 +222,7 @@ def basis_permutation(circuit: Circuit) -> list[int] | None:
     images = list(range(2**n))
     for op in circuit.ops:
         if isinstance(op, CnotOp):
-            shift_c, shift_t = n - 1 - op.control, n - 1 - op.target
-            inv = 1 if op.inverted else 0
-            images = [v ^ ((((v >> shift_c) & 1) ^ inv) << shift_t) for v in images]
+            images = [cnot_image(v, op, n) for v in images]
         elif isinstance(op, PauliOp) and op.kind == 1:
             shift = n - 1 - op.wire
             images = [v ^ (1 << shift) for v in images]

@@ -1,28 +1,26 @@
 """The four cloning machines as executable pipelines, plus fidelity statistics.
 
-Each machine is a fixed CNOT/rotation network acting on ``psi tensor prep``,
-so it is a linear isometry ``V`` (2^n x 2) of the input qubit.  Two paths
-evaluate it:
+Every machine prepares a resource state on its blank wires and runs a
+CNOT-only network on ``psi tensor prep``; ``two-op``'s rotation lives in its
+resource state R(phi)|0>.  One table, ``_NETWORKS``, holds each machine's
+resource state, its CNOTs in execution order and the output wires of clone
+A, clone B, the degraded original and the ancilla (``None`` where a machine
+has none); the reference and the batched path both read it.
 
-* :func:`clone_output` is the readable reference: it runs the gate sequence
-  on one :class:`PureState` and returns checked :class:`DensityMatrix`
-  channels.  ``run`` and the per-machine functions use it.
+Each network is a linear isometry ``V`` (2^n x 2) of the input qubit, and two
+paths evaluate it:
+
+* :func:`clone_output` is the readable reference: it runs a table row gate
+  by gate on one :class:`PureState` and returns checked
+  :class:`DensityMatrix` channels.  ``run`` and the per-machine functions
+  use it.
 * :func:`clone_batch` is the batched kernel behind every ensemble statistic
   (``average_fidelity``, sweeps, the invariant suite).  It compiles ``V``
-  by running :func:`clone_output` on |0> and |1> (so each gate sequence is
-  written once), maps an (N, 2) batch of inputs with one product, and forms
-  each one-wire channel as ``M M^dagger`` from the reshaped amplitudes.  The
-  checks of the reference path (finite inputs, Hermitian unit-trace channels,
-  the PSD floor, real fidelities) are applied to the whole batch.
-
-Wire layout of the outputs:
-
-* ``one-op`` / ``two-op`` (2 wires): clones live on wires 0 and 1.
-* ``bh`` (3 wires): clones on wires 0 and 1, ancilla on wire 2.  The input
-  qubit itself becomes clone A, so there is no separate original channel.
-* ``pc`` (3 wires): clones on wires 1 and 2; wire 0 carries the degraded
-  original (it ends up with a quarter of orthogonal impurity on equatorial
-  inputs).  No leftover ancilla.
+  by running :func:`clone_output` on |0> and |1>, maps an (N, 2) batch of
+  inputs with one product, and forms each one-wire channel on the row's
+  wires as ``M M^dagger`` from the reshaped amplitudes.  The checks of the
+  reference path (finite inputs, Hermitian unit-trace channels, the PSD
+  floor, real fidelities) are applied to the whole batch.
 
 Averaging is deterministic by default: Gauss-Legendre nodes (cached per
 measure and order, returned read-only), with the polar measure mapped
@@ -37,6 +35,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -107,8 +106,6 @@ PC_FIDELITY = PC_X**2 + PC_Y**2
 
 #: Input-independent clone fidelity of the bh machine.
 BH_FIDELITY = 5.0 / 6.0
-
-MACHINE_NAMES = ("one-op", "two-op", "bh", "pc")
 
 #: Largest Gauss-Legendre order: ``leggauss(n)`` builds a dense n x n matrix.
 MAX_QUAD_ORDER = 1024
@@ -188,55 +185,10 @@ class DecompositionCoeffs:
             raise ValueError("decomposition weights must sum to 1 within 1e-9")
 
 
-def _require_single_qubit(psi0: PureState) -> None:
-    if psi0.n_qubits != 1:
-        raise WrongArity("cloning machines take a single-qubit input")
-
-
-def _reduced(joint: PureState, wire: int) -> DensityMatrix:
-    return partial_trace(density_of(joint), wire)
-
-
-def one_op_clone(psi0: PureState) -> CloneOutput:
-    """Single-CNOT copier: P(0,1) on psi0 tensor |0>."""
-    _require_single_qubit(psi0)
-    joint = apply_cnot(tensor(psi0, basis_state(1, 0)), CnotOp(0, 1))
-    return CloneOutput(joint, _reduced(joint, 0), _reduced(joint, 1))
-
-
-def two_op_clone(psi0: PureState, phi: float) -> CloneOutput:
-    """Rotate the blank by ``phi`` first, then copy: P(0,1) on psi0 tensor R(phi)|0>."""
-    _require_single_qubit(psi0)
-    blank = apply_rotation(basis_state(1, 0), RotationOp(0, phi))
-    joint = apply_cnot(tensor(psi0, blank), CnotOp(0, 1))
-    return CloneOutput(joint, _reduced(joint, 0), _reduced(joint, 1))
-
-
 def bh_prep() -> PureState:
     """Two-wire resource state (sqrt(2/3), sqrt(1/6), sqrt(1/6), 0)."""
     return PureState(
         [math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0), 0.0]
-    )
-
-
-_BH_SEQUENCE = (CnotOp(1, 0), CnotOp(0, 2), CnotOp(2, 1))
-
-
-def bh_clone(psi0: PureState) -> CloneOutput:
-    """Symmetric universal cloner: clone fidelity 5/6 for every input.
-
-    The three CNOTs run in the order P(1,0), P(0,2), P(2,1) on
-    ``psi0 tensor bh_prep()`` (rightmost factor of the operator product first).
-    """
-    _require_single_qubit(psi0)
-    joint = tensor(psi0, bh_prep())
-    for op in _BH_SEQUENCE:
-        joint = apply_cnot(joint, op)
-    return CloneOutput(
-        joint,
-        clone_a=_reduced(joint, 0),
-        clone_b=_reduced(joint, 1),
-        ancilla=_reduced(joint, 2),
     )
 
 
@@ -249,42 +201,78 @@ def pc_prep() -> PureState:
     return PureState([PC_X, PC_Y, PC_Y, PC_Z])
 
 
-_PC_SEQUENCE = (CnotOp(0, 1), CnotOp(0, 2), CnotOp(1, 0), CnotOp(2, 0))
+def _rotated_blank(phi: float | None) -> PureState:
+    if phi is None:
+        raise ValueError("two-op machine requires phi")
+    return apply_rotation(basis_state(1, 0), RotationOp(0, phi))
 
 
-def pc_clone(psi0: PureState) -> CloneOutput:
-    """Equatorial (phase-covariant) cloner: fidelity 1/2 + 1/sqrt(8) on the equator.
+class _Network(NamedTuple):
+    """``psi0 tensor prep(phi)``, then ``cnots`` in order, read on the named wires."""
 
-    The network first copies the input across both working wires
-    (P(0,1), P(0,2)) and then folds them back (P(1,0), P(2,0)); all four
-    CNOTs are required for input-independent equatorial fidelity.  Clones
-    appear on wires 1 and 2; wire 0 keeps the degraded original.
-    """
-    _require_single_qubit(psi0)
-    joint = tensor(psi0, pc_prep())
-    for op in _PC_SEQUENCE:
-        joint = apply_cnot(joint, op)
-    return CloneOutput(
-        joint,
-        clone_a=_reduced(joint, 1),
-        clone_b=_reduced(joint, 2),
-        original_channel=_reduced(joint, 0),
-    )
+    prep: Callable[[float | None], PureState]
+    cnots: tuple[CnotOp, ...]
+    clone_a: int
+    clone_b: int
+    original: int | None = None
+    ancilla: int | None = None
+
+
+_NETWORKS = {
+    "one-op": _Network(lambda _phi: basis_state(1, 0), (CnotOp(0, 1),), 0, 1),
+    "two-op": _Network(_rotated_blank, (CnotOp(0, 1),), 0, 1),
+    # P(2,1) P(0,2) P(1,0) as an operator product, rightmost factor first.  The
+    # input wire itself becomes clone A, so there is no separate original.
+    "bh": _Network(
+        lambda _phi: bh_prep(), (CnotOp(1, 0), CnotOp(0, 2), CnotOp(2, 1)), 0, 1, ancilla=2
+    ),
+    # Copy the input across both working wires, then fold them back; all four
+    # CNOTs are needed for an input-independent equatorial fidelity.  Wire 0
+    # keeps the original with a quarter of orthogonal impurity on the equator.
+    "pc": _Network(
+        lambda _phi: pc_prep(), (CnotOp(0, 1), CnotOp(0, 2), CnotOp(1, 0), CnotOp(2, 0)), 1, 2, original=0
+    ),
+}
+
+MACHINE_NAMES = tuple(_NETWORKS)
 
 
 def clone_output(machine: str, psi0: PureState, phi: float | None = None) -> CloneOutput:
-    """Dispatch by machine name: one-op | two-op | bh | pc."""
-    if machine == "one-op":
-        return one_op_clone(psi0)
-    if machine == "two-op":
-        if phi is None:
-            raise ValueError("two-op machine requires phi")
-        return two_op_clone(psi0, phi)
-    if machine == "bh":
-        return bh_clone(psi0)
-    if machine == "pc":
-        return pc_clone(psi0)
-    raise ValueError(f"unknown machine {machine!r}; expected one of {MACHINE_NAMES}")
+    """Run a machine gate by gate on ``psi0``: one-op | two-op | bh | pc.
+
+    ``phi`` is the rotation of ``two-op``'s blank; the other machines ignore it.
+    """
+    if machine not in _NETWORKS:
+        raise ValueError(f"unknown machine {machine!r}; expected one of {MACHINE_NAMES}")
+    if psi0.n_qubits != 1:
+        raise WrongArity("cloning machines take a single-qubit input")
+    net = _NETWORKS[machine]
+    joint = tensor(psi0, net.prep(phi))
+    for op in net.cnots:
+        joint = apply_cnot(joint, op)
+    rho = density_of(joint)
+    wires = (net.clone_a, net.clone_b, net.original, net.ancilla)
+    return CloneOutput(joint, *(None if w is None else partial_trace(rho, w) for w in wires))
+
+
+def one_op_clone(psi0: PureState) -> CloneOutput:
+    """Single-CNOT copier onto a |0> blank."""
+    return clone_output("one-op", psi0)
+
+
+def two_op_clone(psi0: PureState, phi: float) -> CloneOutput:
+    """Rotate the blank by ``phi`` first, then copy with one CNOT."""
+    return clone_output("two-op", psi0, phi)
+
+
+def bh_clone(psi0: PureState) -> CloneOutput:
+    """Symmetric universal cloner: clone fidelity 5/6 for every input."""
+    return clone_output("bh", psi0)
+
+
+def pc_clone(psi0: PureState) -> CloneOutput:
+    """Equatorial (phase-covariant) cloner: fidelity 1/2 + 1/sqrt(8) on the equator."""
+    return clone_output("pc", psi0)
 
 
 def pointwise_fidelities(
@@ -297,15 +285,6 @@ def pointwise_fidelities(
 
 
 # --- batched kernel -----------------------------------------------------------
-
-#: Output wires of (clone A, clone B, degraded original) for each machine.
-_CHANNEL_WIRES = {
-    "one-op": (0, 1, None),
-    "two-op": (0, 1, None),
-    "bh": (0, 1, None),
-    "pc": (1, 2, 0),
-}
-
 
 @dataclass(frozen=True)
 class CloneBatch:
@@ -409,11 +388,11 @@ def clone_batch(machine: str, amplitudes, phi: float | None = None) -> CloneBatc
     """
     psi = qubit_batch(amplitudes)
     joint = psi @ machine_isometry(machine, phi).T
-    wire_a, wire_b, wire_orig = _CHANNEL_WIRES[machine]
-    rho_a, rho_b = reduced_qubits(joint, wire_a), reduced_qubits(joint, wire_b)
+    net = _NETWORKS[machine]
+    rho_a, rho_b = reduced_qubits(joint, net.clone_a), reduced_qubits(joint, net.clone_b)
     rho_o = fid_o = None
-    if wire_orig is not None:
-        rho_o = reduced_qubits(joint, wire_orig)
+    if net.original is not None:
+        rho_o = reduced_qubits(joint, net.original)
         fid_o = batch_fidelity(psi, rho_o)
     return CloneBatch(
         joint, rho_a, rho_b, batch_fidelity(psi, rho_a), batch_fidelity(psi, rho_b), rho_o, fid_o

@@ -15,6 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "ATOL_ALGEBRAIC",
+    "ATOL_ITERATIVE",
+    "MAX_QUBITS",
     "ZeroVector",
     "CapacityExceeded",
     "IndexOutOfRange",

@@ -43,6 +43,7 @@ from .gates import (
     PauliOp,
     apply_circuit,
     basis_permutation,
+    cnot_image,
     format_circuit,
     parse_circuit,
 )
@@ -245,39 +246,39 @@ def anf_of(bij: BasisBijection, output_bit: int) -> AnfPolynomial:
     return AnfPolynomial(n, tuple(terms))
 
 
+def _affine_images(rows, const: int) -> tuple[int, ...]:
+    """Images of every basis index under the GF(2) affine map ``v -> A v + const``.
+
+    ``rows[i]`` is row ``i`` of ``A`` as a bit mask over the input index and
+    produces output wire ``i``; masks and ``const`` use the index's own bit
+    order (wire 0 = most significant bit).
+    """
+    n = len(rows)
+    return tuple(
+        const ^ sum(((row & v).bit_count() & 1) << (n - 1 - i) for i, row in enumerate(rows))
+        for v in range(2**n)
+    )
+
+
 def parse_form(text: str, n_bits: int = 3) -> BasisBijection:
     """Parse an affine form string like ``"x+y+z, y, z+1"`` into a bijection."""
     comps = [c.strip() for c in text.split(",")]
     if len(comps) != n_bits:
         raise ValueError(f"expected {n_bits} comma-separated expressions in {text!r}")
-    var_index = {name: i for i, name in enumerate(VAR_NAMES[:n_bits])}
-    parsed: list[tuple[set[int], int]] = []
-    for comp in comps:
-        vars_, const = set(), 0
+    var_mask = {name: 1 << (n_bits - 1 - i) for i, name in enumerate(VAR_NAMES[:n_bits])}
+    rows, const = [], 0
+    for i, comp in enumerate(comps):
+        row = 0
         for token in comp.split("+"):
             token = token.strip()
             if token == "1":
-                const ^= 1
-            elif token in var_index:
-                idx = var_index[token]
-                if idx in vars_:
-                    vars_.remove(idx)
-                else:
-                    vars_.add(idx)
+                const ^= 1 << (n_bits - 1 - i)
+            elif token in var_mask:
+                row ^= var_mask[token]
             else:
                 raise ValueError(f"unknown token {token!r} in form {text!r}")
-        parsed.append((vars_, const))
-    images = []
-    for v in range(2**n_bits):
-        bits = [(v >> (n_bits - 1 - k)) & 1 for k in range(n_bits)]
-        out = 0
-        for vars_, const in parsed:
-            val = const
-            for k in vars_:
-                val ^= bits[k]
-            out = (out << 1) | val
-        images.append(out)
-    return BasisBijection(tuple(images))
+        rows.append(row)
+    return BasisBijection(_affine_images(rows, const))
 
 
 def form_of(bij: BasisBijection) -> str:
@@ -292,33 +293,26 @@ def fan_out_map(n_bits: int = 3) -> BasisBijection:
 
 @lru_cache(maxsize=1)
 def affine_bijections() -> tuple[BasisBijection, ...]:
-    """All 1344 affine bijections of 3 bits (168 linear maps x 8 constants)."""
-    out = []
-    for rows in itertools.product(range(1, 8), repeat=3):
-        a, b, c = ([(r >> 2) & 1, (r >> 1) & 1, r & 1] for r in rows)
-        det = (
-            (a[0] & ((b[1] & c[2]) ^ (b[2] & c[1])))
-            ^ (a[1] & ((b[0] & c[2]) ^ (b[2] & c[0])))
-            ^ (a[2] & ((b[0] & c[1]) ^ (b[1] & c[0])))
-        )
-        if not det:
-            continue
-        matrix = (a, b, c)
-        for const in range(8):
-            k = [(const >> 2) & 1, (const >> 1) & 1, const & 1]
-            images = []
-            for v in range(8):
-                bits = [(v >> 2) & 1, (v >> 1) & 1, v & 1]
-                w = 0
-                for i in range(3):
-                    val = k[i]
-                    for j in range(3):
-                        val ^= matrix[i][j] & bits[j]
-                    w = (w << 1) | val
-                images.append(w)
-            out.append(BasisBijection(tuple(images)))
+    """All 1344 affine bijections of 3 bits (168 linear maps x 8 constants).
+
+    A map is invertible exactly when its eight images are distinct.
+    """
+    linear = (
+        rows
+        for rows in itertools.product(range(1, 8), repeat=3)
+        if len(set(_affine_images(rows, 0))) == 8
+    )
+    out = tuple(BasisBijection(_affine_images(rows, const)) for rows in linear for const in range(8))
     assert len(out) == 1344
-    return tuple(out)
+    return out
+
+
+@lru_cache(maxsize=1)
+def _affine_image_table() -> np.ndarray:
+    """Read-only (1344, 8) array of the images of :func:`affine_bijections`."""
+    table = np.array([bij.images for bij in affine_bijections()])
+    table.setflags(write=False)
+    return table
 
 
 def extract_bijection(input_labels, output_labels) -> list[BasisBijection]:
@@ -400,8 +394,7 @@ def synthesize_cnots(bij: BasisBijection) -> CnotSequence:
     """
     if bij.n_bits != 3:
         raise ValueError("synthesis is supported for exactly 3 wires")
-    matrix = []
-    const = []
+    work, want = [], 0  # GF(2) rows as bit masks (wire 0 = MSB), constant vector
     for out_bit in range(3):
         poly = anf_of(bij, out_bit)
         if not poly.is_affine:
@@ -410,40 +403,34 @@ def synthesize_cnots(bij: BasisBijection) -> CnotSequence:
                 f"output wire {out_bit} contains the monomial "
                 f"{''.join(VAR_NAMES[v] for v in bad)}"
             )
-        row = [0, 0, 0]
-        for v in poly.linear_vars:
-            row[v] = 1
-        matrix.append(row)
-        const.append(1 if poly.constant else 0)
+        work.append(sum(1 << (2 - v) for v in poly.linear_vars))
+        want |= poly.constant << (2 - out_bit)
 
     reduction: list[tuple[int, int]] = []  # (target_row, source_row)
-    work = [row[:] for row in matrix]
     for col in range(3):
-        if work[col][col] == 0:
-            donor = next((i for i in range(col + 1, 3) if work[i][col]), None)
+        pivot = 1 << (2 - col)
+        if not work[col] & pivot:
+            donor = next((i for i in range(col + 1, 3) if work[i] & pivot), None)
             if donor is None:
                 raise Singular("linear part is not invertible over GF(2)")
-            work[col] = [a ^ b for a, b in zip(work[col], work[donor])]
+            work[col] ^= work[donor]
             reduction.append((col, donor))
         for row in range(3):
-            if row != col and work[row][col]:
-                work[row] = [a ^ b for a, b in zip(work[row], work[col])]
+            if row != col and work[row] & pivot:
+                work[row] ^= work[col]
                 reduction.append((row, col))
 
-    gates = [(source, target) for (target, source) in reversed(reduction)]
+    gates = [CnotOp(source, target) for (target, source) in reversed(reduction)]
 
     # Flag contribution of gate i: the suffix of the circuit maps a flip of
     # its target wire to some final bit pattern; solve for flags whose XOR of
     # patterns is the constant vector.
     patterns = []
-    for i, (_control, target) in enumerate(gates):
-        vec = [0, 0, 0]
-        vec[target] = 1
-        for control2, target2 in gates[i + 1 :]:
-            if vec[control2]:
-                vec[target2] ^= 1
-        patterns.append(vec[0] * 4 + vec[1] * 2 + vec[2])
-    want = const[0] * 4 + const[1] * 2 + const[2]
+    for i, gate in enumerate(gates):
+        vec = 1 << (2 - gate.target)
+        for later in gates[i + 1 :]:
+            vec = cnot_image(vec, later, 3)
+        patterns.append(vec)
     basis: dict[int, tuple[int, int]] = {}
     for i, vec in enumerate(patterns):
         cur, mask = vec, 1 << i
@@ -460,8 +447,8 @@ def synthesize_cnots(bij: BasisBijection) -> CnotSequence:
             flags ^= basis[b][1]
 
     ops = [
-        CnotOp(control, target, inverted=bool((flags >> i) & 1))
-        for i, (control, target) in enumerate(gates)
+        CnotOp(gate.control, gate.target, inverted=bool((flags >> i) & 1))
+        for i, gate in enumerate(gates)
     ]
     for wire in range(3):
         if (cur >> (2 - wire)) & 1:  # residual constant: net X via a gate pair
@@ -490,7 +477,6 @@ CLONE_MIX_LABELS = (
 )
 
 _COEFF_VALUES = {"C1": PC_X, "C2": PC_Y, "C3": PC_Y, "C4": PC_Z}
-_VALUE_LETTERS = {"C1": "x", "C2": "y", "C3": "y", "C4": "z"}
 
 
 def stage_input_labels(prep_letters) -> list[tuple[int, str]]:
@@ -504,11 +490,9 @@ def stage_input_labels(prep_letters) -> list[tuple[int, str]]:
     letters = tuple(prep_letters)
     if len(letters) != 4:
         raise ValueError("need four resource-state letters")
-    labels = []
-    for v in range(8):
-        x, y, z = (v >> 2) & 1, (v >> 1) & 1, v & 1
-        labels.append((x, letters[((x ^ y) << 1) | (x ^ z)]))
-    return labels
+    # the fan-out is an involution: position v holds the amplitude of input fan(v)
+    fan = fan_out_map().images
+    return [(v >> 2, letters[fan[v] & 0b11]) for v in range(8)]
 
 
 def pair_clone_target(psi0: PureState) -> PureState:
@@ -532,24 +516,15 @@ def derive_machines(prep) -> list[BasisBijection]:
     maps survive — a pair related by swapping the two clone wires.
     """
     prep = PrepCoeffs(tuple(prep)) if not isinstance(prep, PrepCoeffs) else prep
-    probes = (PureState((0.6, 0.8)), PureState((0.28, 0.96)))
-    pairs = []
-    for probe in probes:
+    table = _affine_image_table()
+    ok = np.ones(len(table), dtype=bool)
+    for probe in (PureState((0.6, 0.8)), PureState((0.28, 0.96))):
         joint = tensor(probe, prep.as_state()).amplitudes
         target = pair_clone_target(probe).amplitudes
-        pairs.append((joint, target))
-    found = []
-    for bij in affine_bijections():
-        ok = True
-        for joint, target in pairs:
-            permuted = np.empty_like(joint)
-            permuted[list(bij.images)] = joint
-            if not np.allclose(permuted, target, atol=1e-10):
-                ok = False
-                break
-        if ok:
-            found.append(bij)
-    return found
+        # a map sends amplitude v to position images[v]
+        ok &= np.isclose(joint, target[table], atol=1e-10).all(axis=1)
+    bijections = affine_bijections()
+    return [bijections[k] for k in np.flatnonzero(ok)]
 
 
 @dataclass(frozen=True)
@@ -579,10 +554,6 @@ class Table2Row:
 def row_prep_coeffs(row: Table2Row) -> PrepCoeffs:
     """The row's resource-state coefficients (exact values, not rounded)."""
     return PrepCoeffs(tuple(_COEFF_VALUES[label] for label in row.coeff_perm))
-
-
-def _row_letters(row: Table2Row) -> tuple[str, str, str, str]:
-    return tuple(_VALUE_LETTERS[label] for label in row.coeff_perm)
 
 
 _D40 = 17.0 + 40.0 / 60.0  # printed 17 deg 40 min

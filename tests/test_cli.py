@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -558,6 +559,8 @@ class TestInfrastructure:
 
 PHI_SWEEP = ("sweep", "two-op", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3")
 THETA_SWEEP = ("sweep", "bh", "--param", "theta", "--from", "0", "--to", "1", "--steps", "3")
+#: a path below a non-directory, so opening it for writing always fails
+UNWRITABLE = os.path.join(os.devnull, "x.json")
 
 
 class TestUsageErrors:
@@ -581,6 +584,15 @@ class TestUsageErrors:
             THETA_SWEEP + ("--quad", "128"),
             THETA_SWEEP + ("--measure", "equatorial"),
             PHI_SWEEP + ("--phi", "0.3"),
+            ("optimize-pc", "--starts", "0"),
+            ("optimize-pc", "--starts", "-3"),
+            ("optimize-pc", "--starts", "10001"),
+            ("optimize-pc", "--seed", "-1"),
+            ("synth", "--perm", "0,1,2,3"),
+            ("synth", "--perm", "0,1"),
+            ("run", "bh", "--theta", "0.1", "--out", UNWRITABLE),
+            ("verify", "table2", "--row", "1", "--out", UNWRITABLE),
+            THETA_SWEEP + ("--format", "json", "--out", UNWRITABLE),
         ],
     )
     def test_exit_2_with_one_error_line(self, capsys, argv):

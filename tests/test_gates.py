@@ -19,6 +19,7 @@ from qclone.gates import (
     apply_rotation,
     basis_permutation,
     circuit_unitary,
+    cnot_image,
     format_circuit,
     parse_circuit,
     rotation_matrix,
@@ -133,6 +134,17 @@ class TestApplyCnot:
         psi = tensor(haar_qubit(RNG), haar_qubit(RNG))
         out = apply_cnot(psi, CnotOp(0, 1))
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("inverted", (False, True))
+    def test_index_map_on_ints_and_arrays(self, inverted):
+        """``cnot_image`` gives the same images for a Python int and an array,
+        and flips exactly the target bit when the (possibly inverted) control fires."""
+        for control, target in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)):
+            op = CnotOp(control, target, inverted=inverted)
+            images = cnot_image(np.arange(8), op, 3)
+            for v in range(8):
+                fires = ((v >> (2 - control)) & 1) != inverted
+                assert cnot_image(v, op, 3) == images[v] == v ^ (fires << (2 - target))
 
 
 class TestCircuitUnitary:

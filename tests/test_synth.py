@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from qclone.gates import basis_permutation, parse_circuit
 from qclone.machines import PC_X, PC_Y, PC_Z, pc_clone
-from qclone.qnum import PureState, make_qubit
+from qclone import synth
+from qclone.qnum import PureState, make_qubit, tensor
 from qclone.synth import (
     CLONE_MIX_LABELS,
     TABLE2,
@@ -263,6 +264,24 @@ class TestCatalog:
             }
             assert len(derived) == 2
             assert derived == stored
+
+    def test_derive_machines_matches_a_loop_over_the_affine_maps(self):
+        """The one-array search agrees with permuting the amplitudes map by map."""
+        probes = (make_qubit(0.6, 0.8), make_qubit(0.28, 0.96))
+        preps = [tuple(row_prep_coeffs(row).as_array()) for row in TABLE2] + [(0.5, 0.5, 0.5, 0.5)]
+        for prep in preps:
+            state = PureState(prep)
+            expected = []
+            for bij in affine_bijections():
+                ok = True
+                for probe in probes:
+                    permuted = np.empty(8, dtype=complex)
+                    permuted[list(bij.images)] = tensor(probe, state).amplitudes
+                    ok &= np.allclose(permuted, pair_clone_target(probe).amplitudes, atol=1e-10)
+                if ok:
+                    expected.append(bij)
+            assert derive_machines(prep) == expected
+        assert not synth._affine_image_table().flags.writeable
 
     def test_machines_are_clone_swap_related(self):
         swap = parse_form("x, z, y")
