@@ -3,7 +3,8 @@
 Restricting inputs to real-amplitude (equatorial) qubits allows a better
 cloner: fidelity 1/2 + 1/sqrt(8) ~ 0.8536 for both clones, constant across
 the whole equator. The resource-state coefficients come out of a small
-constrained optimization, and the preparation angles that realize those
+constrained optimization, solved exactly on the two planes its constraint
+factors into, and the preparation angles that realize those
 coefficients in a two-qubit circuit come out of a trigonometric solver.
 """
 
@@ -42,7 +43,7 @@ def main() -> None:
     print(f"  its channel splits as f0^2 = {orig.f0_sq:.6f}, impurity = {orig.f2_sq:.6f}\n")
 
     print("Finding the resource state by constrained optimization")
-    print("(maximize f0^2 subject to the covariance constraints, 40 starts):")
+    print("(maximize f0^2 on the two planes the covariance constraint factors into, 40 starts):")
     best = pc_optimize(n_starts=40, seed=7)
     print(f"  x = {best.x:.9f}   (1/2 + 1/sqrt(8) = {0.5 + 1/math.sqrt(8):.9f})")
     print(f"  y = {best.y:.9f}   (1/sqrt(8)       = {1/math.sqrt(8):.9f})")

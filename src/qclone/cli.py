@@ -50,6 +50,7 @@ from .machines import (
     two_op_case_report,
 )
 from .prepsolver import (
+    ConvergenceFailure,
     NoSolution,
     as_prep_coeffs,
     bh_from_pc_system,
@@ -310,12 +311,7 @@ def _cmd_solve_prep(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    try:
-        solutions = solve_prep_angles(coeffs)
-    except NoSolution as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-
+    solutions = solve_prep_angles(coeffs)
     convert = math.degrees if args.deg else (lambda v: v)
     rows = []
     for sol in solutions:
@@ -382,11 +378,7 @@ def _cmd_synth(args) -> int:
         raise UsageError(str(exc)) from None
     if bij.n_bits != 3:
         raise UsageError(f"--perm must list 8 images (3 wires), not {len(images)}")
-    try:
-        seq = synthesize_cnots(bij)
-    except (NonAffine, Singular) as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 1
+    seq = synthesize_cnots(bij)
     circuit_text = seq.to_string()
     if args.format == "json":
         payload = {
@@ -743,6 +735,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (NoSolution, NonAffine, Singular, ConvergenceFailure) as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

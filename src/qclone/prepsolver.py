@@ -23,7 +23,12 @@ module keeps the full expression.  The closed form fixes cosines squared only;
 both discriminant branches and all sine/cosine sign choices (2 x 4^3 = 128
 candidates) are enumerated and filtered by reconstruction residual.  Near the
 removable singularity cos(2 t2) ~ 0 the module falls back to damped least
-squares from 8 fixed starts.
+squares from 8 fixed starts, the only SciPy use (imported on first call).
+
+The equatorial-cloner constraint 2 (x y + y z) = x^2 - z^2 factors as
+(x + z)(2 y - x + z) = 0 (with z = 0: x (2 y - x) = 0): two planes cut by the
+normalization ellipsoid, on each of which the maximum of f0^2 is the top
+eigenpair of a 2x2 (1x1 with z = 0) pencil, solved exactly with NumPy.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .gates import Circuit, CnotOp, RotationOp, apply_circuit
 from .qnum import PureState, basis_state
@@ -67,6 +71,20 @@ class DegenerateDenominator(ArithmeticError):
 
 class ConvergenceFailure(RuntimeError):
     """Raised when the constrained optimizer produces no feasible candidate."""
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first call."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call (unused; kept for tracers)."""
+    from scipy.optimize import minimize as solve
+
+    return solve(*args, **kwargs)
 
 
 _TWO_PI = 2.0 * math.pi
@@ -307,70 +325,56 @@ def solve_prep_angles(coeffs) -> list[AngleTriple]:
     return [triple for _, triple in accepted]
 
 
-def _project_feasible(point: np.ndarray, constraints) -> np.ndarray:
-    """Nudge a point onto the constraint manifold (small least-squares solve)."""
-    result = least_squares(
-        lambda p: np.array([g(p) for g in constraints]),
-        point,
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-    )
-    return result.x
+def _branch_optimum(normal: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Max of f0^2 = p0^2 + p1^2, with its point, where the plane normal . p = 0
+    cuts the ellipsoid sum(weights p^2) = 1.  On p = basis @ p[1:] both forms
+    restrict to a pencil (A, B); with B = L L^T its top generalized eigenpair
+    is the top eigenpair of the symmetric L^-1 A L^-T."""
+    basis = np.vstack([-normal[1:] / normal[0], np.eye(len(normal) - 1)])
+    a = basis[:2].T @ basis[:2]
+    b = basis.T @ (weights[:, None] * basis)
+    chol = np.linalg.cholesky(b)
+    _, vecs = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, a).T))
+    point = basis @ np.linalg.solve(chol.T, vecs[:, -1])
+    return float(point[0] ** 2 + point[1] ** 2), point
 
 
-def _maximize_f0(constraints, objective_vars: int, n_starts: int, seed: int):
-    """Shared multistart SLSQP driver; returns the best feasible point."""
-    rng = np.random.default_rng(seed)
-    cons = [{"type": "eq", "fun": g} for g in constraints]
-    best = None
-    for _ in range(n_starts):
-        start = _project_feasible(rng.normal(size=objective_vars), constraints)
-        result = minimize(
-            lambda p: -(p[0] ** 2 + p[1] ** 2),
-            start,
-            method="SLSQP",
-            constraints=cons,
-            options={"ftol": 1e-14, "maxiter": 300},
-        )
-        point = _project_feasible(result.x, constraints)
-        if max(abs(g(point)) for g in constraints) > 1e-9:
-            continue
-        value = point[0] ** 2 + point[1] ** 2
-        if best is None or value > best[0] + 1e-15:
-            best = (value, point)
-    if best is None:
+def _maximize_f0(normals, weights, n_starts: int, seed: int) -> PcSolution:
+    """Shared multistart driver over the constraint's branch planes.
+
+    Each seeded start lands on the branch plane nearest to it and takes that
+    branch's optimum; a later start wins only if better by more than 1e-15.
+    The sign-flipped twin of the winner is folded to x > 0.
+    """
+    if n_starts < 1:
         raise ConvergenceFailure("no feasible optimizer candidate")
-    return best
+    normals = np.array(normals, dtype=float)
+    weights = np.array(weights, dtype=float)
+    optima = [_branch_optimum(normal, weights) for normal in normals]
+    starts = np.random.default_rng(seed).normal(size=(n_starts, len(weights)))
+    nearest = np.argmin(np.abs(starts @ normals.T) / np.linalg.norm(normals, axis=1), axis=1)
+    best = None
+    for branch in nearest.tolist():
+        if best is None or optima[branch][0] > best[0] + 1e-15:
+            best = optima[branch]
+    point = best[1] if best[1][0] >= 0 else -best[1]
+    x, y, *z = (point + 0.0).tolist()  # + 0.0 turns -0.0 into 0.0
+    return PcSolution(x, y, z[0] if z else 0.0, x * x + y * y)
 
 
 def pc_optimize(n_starts: int = 100, seed: int = 7) -> PcSolution:
     """Maximize f0^2 = x^2 + y^2 over the equatorial-cloner constraint set.
 
     Constraints: x^2 + 2 y^2 + z^2 = 1 (normalization) and
-    2 (x y + y z) = x^2 - z^2 (equal scaling of both clone channels).
-    Multistart SLSQP from seeded feasible starts; the sign-flipped twin of the
-    optimum is folded to x > 0.
+    2 (x y + y z) = x^2 - z^2 (equal scaling of both clone channels).  Its
+    branches are the planes x + z = 0, where f0^2 = 1/2 throughout, and
+    2 y - x + z = 0, with optimum 1/2 + 1/sqrt(8); a single start may stop
+    at 1/2.
     """
-    constraints = (
-        lambda p: p[0] ** 2 + 2.0 * p[1] ** 2 + p[2] ** 2 - 1.0,
-        lambda p: 2.0 * (p[0] * p[1] + p[1] * p[2]) - (p[0] ** 2 - p[2] ** 2),
-    )
-    value, point = _maximize_f0(constraints, 3, n_starts, seed)
-    x, y, z = (float(v) for v in point)
-    if x < 0:
-        x, y, z = -x, -y, -z
-    return PcSolution(x, y, z, x * x + y * y)
+    return _maximize_f0(((1, 0, 1), (-1, 2, 1)), (1, 2, 1), n_starts, seed)
 
 
 def bh_from_pc_system(n_starts: int = 100, seed: int = 11) -> PcSolution:
-    """Same optimization with z frozen at 0; lands on f0^2 = 5/6."""
-    constraints = (
-        lambda p: p[0] ** 2 + 2.0 * p[1] ** 2 - 1.0,
-        lambda p: 2.0 * p[0] * p[1] - p[0] ** 2,
-    )
-    value, point = _maximize_f0(constraints, 2, n_starts, seed)
-    x, y = (float(v) for v in point)
-    if x < 0:
-        x, y = -x, -y
-    return PcSolution(x, y, 0.0, x * x + y * y)
+    """Same optimization with z frozen at 0: branches x = 0 (f0^2 = 1/2) and
+    2 y - x = 0, whose optimum is 5/6."""
+    return _maximize_f0(((1, 0), (-1, 2)), (1, 2), n_starts, seed)

@@ -6,9 +6,10 @@ import os
 
 import pytest
 
-from qclone import __version__
+from qclone import __version__, cli
 from qclone.cli import main
 from qclone.machines import BH_FIDELITY, PC_FIDELITY
+from qclone.prepsolver import ConvergenceFailure, NoSolution
 
 TWO_THIRDS = 2.0 / 3.0
 
@@ -611,3 +612,25 @@ class TestUsageErrors:
         meta = json.loads(out)["metadata"]
         assert meta["measure"] == "equatorial"
         assert meta["quadrature_order"] == 128
+
+
+class TestDomainErrors:
+    """A library domain error exits 1 with one typed ``error:`` line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "target, exc, argv",
+        [
+            ("solve_prep_angles", NoSolution("no angles"), ("solve-prep", "--coeffs", "1,0,0,0")),
+            ("pc_optimize", ConvergenceFailure("no candidate"), ("optimize-pc", "--starts", "5")),
+        ],
+    )
+    def test_exit_1_with_one_error_line(self, capsys, monkeypatch, target, exc, argv):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, target, fail)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {type(exc).__name__}: {exc}\n"
+        assert "Traceback" not in err

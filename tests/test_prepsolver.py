@@ -1,15 +1,20 @@
 """Preparation-angle solver, its closed form, and the constrained optimizer."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qclone import prepsolver
 from qclone.machines import PC_X, PC_Y, PC_Z, bh_prep, pc_prep
 from qclone.prepsolver import (
     AngleTriple,
+    ConvergenceFailure,
     DegenerateDenominator,
     NoSolution,
     as_prep_coeffs,
@@ -27,6 +32,14 @@ BH_COEFFS = tuple(bh_prep().amplitudes.real)
 PC_COEFFS = (PC_X, PC_Y, PC_Y, PC_Z)
 
 angle = st.floats(-math.pi, math.pi, allow_nan=False, allow_infinity=False)
+
+#: the closed-form optima, pc (Bruss et al.) and z = 0 (Buzek-Hillery)
+PC_EXACT = (0.5 + 1.0 / math.sqrt(8.0), 1.0 / math.sqrt(8.0), 0.5 - 1.0 / math.sqrt(8.0))
+BH_EXACT = (2.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0), 0.0)
+#: f0^2 at the optimum of each branch plane: x = -z, then x = z + 2 y
+PC_BRANCH_OPTIMA = (0.5, 0.5 + 1.0 / math.sqrt(8.0))
+#: with z = 0: x = 0, then x = 2 y
+BH_BRANCH_OPTIMA = (0.5, 5.0 / 6.0)
 
 
 def best_residual(coeffs) -> float:
@@ -207,3 +220,88 @@ class TestOptimizers:
         assert np.allclose(
             [sol.x, sol.y, sol.y, sol.z], pc_prep().amplitudes.real, atol=1e-6
         )
+
+
+def max_dev(sol, exact) -> float:
+    return max(abs(got - want) for got, want in zip((sol.x, sol.y, sol.z), exact))
+
+
+class TestBranchSolve:
+    """The optimizers against the closed form, and SciPy's pencil eigensolver."""
+
+    @pytest.mark.parametrize("n_starts", (10, 25, 100))
+    @pytest.mark.parametrize("seed", (0, 3, 7, 11, 2024))
+    def test_pc_optimize_is_the_closed_form(self, n_starts, seed):
+        assert max_dev(pc_optimize(n_starts=n_starts, seed=seed), PC_EXACT) <= 1e-15
+
+    @pytest.mark.parametrize("seed", (0, 3, 11, 2024))
+    def test_bh_from_pc_system_is_the_closed_form(self, seed):
+        sol = bh_from_pc_system(n_starts=25, seed=seed)
+        assert sol.z == 0.0
+        assert max_dev(sol, BH_EXACT) <= 1e-15
+
+    def test_branch_optima_match_scipy_generalized_eigh(self):
+        from scipy.linalg import eigh
+
+        # f0^2 and the normalization restricted to each branch plane
+        pencils = {
+            "x = z + 2y, in (y, z)": ([[5.0, 2.0], [2.0, 1.0]], [[6.0, 2.0], [2.0, 2.0]]),
+            "x = -z, in (y, z)": ([[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]),
+            "x = 2y, z = 0, in y": ([[5.0]], [[6.0]]),
+            "x = 0, z = 0, in y": ([[1.0]], [[2.0]]),
+        }
+        top = {name: eigh(a, b, eigvals_only=True)[-1] for name, (a, b) in pencils.items()}
+        assert abs(pc_optimize(n_starts=25, seed=7).f0_sq - top["x = z + 2y, in (y, z)"]) <= 1e-15
+        assert abs(bh_from_pc_system(n_starts=25, seed=11).f0_sq - top["x = 2y, z = 0, in y"]) <= 1e-15
+        assert np.allclose(sorted(top.values()), sorted(PC_BRANCH_OPTIMA + BH_BRANCH_OPTIMA), rtol=0, atol=1e-15)
+
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_result_is_a_feasible_branch_optimum(self, n_starts, seed):
+        for sol, optima in (
+            (pc_optimize(n_starts, seed), PC_BRANCH_OPTIMA),
+            (bh_from_pc_system(n_starts, seed), BH_BRANCH_OPTIMA),
+        ):
+            assert min(abs(sol.f0_sq - value) for value in optima) <= 1e-15
+            assert abs(sol.x**2 + 2 * sol.y**2 + sol.z**2 - 1.0) <= 1e-15
+            assert abs(2 * (sol.x * sol.y + sol.y * sol.z) - (sol.x**2 - sol.z**2)) <= 1e-15
+            assert sol.x >= 0.0
+
+    def test_one_start_reaches_each_branch_for_some_seed(self):
+        for optimize, optima in ((pc_optimize, PC_BRANCH_OPTIMA), (bh_from_pc_system, BH_BRANCH_OPTIMA)):
+            reached = {min(optima, key=lambda v: abs(optimize(1, seed).f0_sq - v)) for seed in range(40)}
+            assert reached == set(optima)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_start_takes_the_branch_nearest_to_it(self, seed):
+        start = np.random.default_rng(seed).normal(size=3)
+        normals = np.array([[1.0, 0.0, 1.0], [-1.0, 2.0, 1.0]])  # x + z = 0, 2y - x + z = 0
+        nearest = np.argmin(np.abs(normals @ start) / np.linalg.norm(normals, axis=1))
+        assert abs(pc_optimize(1, seed).f0_sq - PC_BRANCH_OPTIMA[nearest]) <= 1e-15
+
+    def test_no_start_is_a_convergence_failure(self):
+        with pytest.raises(ConvergenceFailure):
+            pc_optimize(n_starts=0)
+
+
+class TestLazyScipy:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        probe = "import sys, qclone, qclone.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "False\n"
+
+    def test_degenerate_target_still_takes_the_least_squares_path(self, monkeypatch):
+        calls = []
+        real = prepsolver.least_squares
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(prepsolver, "least_squares", counting)
+        coeffs = as_prep_coeffs(coeff_formula(0.3, math.pi / 4, 0.5))
+        sols = solve_prep_angles(coeffs)
+        assert calls
+        assert min(residual_of(s, coeffs) for s in sols) < 1e-6
