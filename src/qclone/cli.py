@@ -37,7 +37,7 @@ from .machines import (
     PC_Z,
     AveragingMeasure,
     NotDecomposable,
-    average_fidelity,
+    average_fidelities,
     clone_batch,
     clone_output,
     equatorial_batch,
@@ -261,10 +261,11 @@ def _cmd_sweep(args) -> int:
         measure = args.measure or DEFAULT_MEASURE
         quad = _quad_order(args)
         columns = ["param", "mean_a", "mean_b", "var_a", "var_b", "correlation"]
-        rows = []
-        for phi in grid:
-            st = average_fidelity(machine, measure, quad, phi=float(phi))
-            rows.append([float(phi), st.mean_a, st.mean_b, st.var_a, st.var_b, st.correlation])
+        stats = average_fidelities(machine, measure, quad, grid.tolist())
+        rows = [
+            [phi, st.mean_a, st.mean_b, st.var_a, st.var_b, st.correlation]
+            for phi, st in zip(grid.tolist(), stats)
+        ]
         meta = _metadata(machine=machine, measure=measure, quadrature_order=quad)
     else:
         for flag in ("measure", "quad"):
@@ -506,10 +507,9 @@ def _invariant_lines(quad: int) -> list[tuple[str, bool]]:
 
     psi = equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0)
     phi = math.pi / 4.0
-    var_max = max(
-        average_fidelity("two-op", m, quad, phi=phi).var_a
-        for m in AveragingMeasure
-    )
+    # per measure: the identity case at pi/4 and the anticorrelated case at pi/2
+    averages = [average_fidelities("two-op", m, quad, [phi, math.pi / 2.0]) for m in AveragingMeasure]
+    var_max = max(identity.var_a for identity, _ in averages)
     # the input passes through untouched and the ancilla ends up rotated
     target = (psi[:, :, None] * equatorial_qubit(phi).amplitudes).reshape(-1, 4)
     joint_dev = float(projector_distances(clone_batch("two-op", psi, phi).joint, target).max())
@@ -527,10 +527,7 @@ def _invariant_lines(quad: int) -> list[tuple[str, bool]]:
     phi = math.pi / 2.0
     two = clone_batch("two-op", psi, phi)
     sum_dev = float(np.abs(two.fidelity_a + two.fidelity_b - 1.0).max())
-    corr_dev = max(
-        abs(average_fidelity("two-op", m, quad, phi=phi).correlation + 1.0)
-        for m in AveragingMeasure
-    )
+    corr_dev = max(abs(anti.correlation + 1.0) for _, anti in averages)
     lines.append(
         _check_line(
             "invariants",

@@ -14,19 +14,27 @@ paths evaluate it:
   by gate on one :class:`PureState` and returns checked
   :class:`DensityMatrix` channels.  ``run`` and the per-machine functions
   use it.
-* :func:`clone_batch` is the batched kernel behind every ensemble statistic
-  (``average_fidelity``, sweeps, the invariant suite).  It compiles ``V``
-  by running :func:`clone_output` on |0> and |1>, maps an (N, 2) batch of
-  inputs with one product, and forms each one-wire channel on the row's
-  wires as ``M M^dagger`` from the reshaped amplitudes.  The checks of the
-  reference path (finite inputs, Hermitian unit-trace channels, the PSD
-  floor, real fidelities) are applied to the whole batch.
+* :func:`machine_isometries` compiles ``V`` straight from the table row for
+  a whole phi grid: the resource state behind |0> and |1>, each CNOT as an
+  index permutation, each column renormalized as :class:`PureState` does.
+  Tests hold it bit for bit to ``V`` compiled through :func:`clone_output`.
+  :func:`clone_batch` maps an (N, 2) batch of inputs through one ``V`` with
+  one product and forms each one-wire channel on the row's wires as
+  ``M M^dagger`` from the reshaped amplitudes.  The checks of the reference
+  path (finite inputs, Hermitian unit-trace channels, the PSD floor, real
+  fidelities) are applied to the whole batch.
+* :func:`average_fidelities` is the one averaging kernel: it maps the whole
+  phi x node grid through the stack of isometries as one batch (in blocks
+  of at most ``_BATCH_ROWS`` rows) and reduces the statistics phi by phi.
+  ``average_fidelity``, the phi sweep, the case report and the invariant
+  suite all use it.
 
 Averaging is deterministic by default: Gauss-Legendre nodes (cached per
 measure and order, returned read-only), with the polar measure mapped
 through ``u = sin^2 t`` so that every fidelity curve in this package
-integrates as a trigonometric polynomial (machine precision at order 128).  Monte Carlo sampling is available behind ``method="monte-carlo"``
-for cross-checks.
+integrates as a trigonometric polynomial (machine precision at order 128).
+Monte Carlo sampling is available behind ``method="monte-carlo"`` for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .gates import CnotOp, RotationOp, apply_cnot, apply_rotation
+from .gates import CnotOp, RotationOp, apply_cnot, apply_rotation, cnot_image
 from .qnum import (
     ATOL_ALGEBRAIC,
     PSD_FLOOR,
@@ -81,6 +89,7 @@ __all__ = [
     "pointwise_fidelities",
     "compile_isometry",
     "machine_isometry",
+    "machine_isometries",
     "qubit_batch",
     "equatorial_batch",
     "reduced_qubits",
@@ -89,6 +98,7 @@ __all__ = [
     "clone_batch",
     "measure_nodes",
     "average_fidelity",
+    "average_fidelities",
     "orthogonal_decomposition",
     "orthogonal_decompositions",
     "scaling_factor",
@@ -237,16 +247,20 @@ _NETWORKS = {
 MACHINE_NAMES = tuple(_NETWORKS)
 
 
+def _network(machine: str) -> _Network:
+    if machine not in _NETWORKS:
+        raise ValueError(f"unknown machine {machine!r}; expected one of {MACHINE_NAMES}")
+    return _NETWORKS[machine]
+
+
 def clone_output(machine: str, psi0: PureState, phi: float | None = None) -> CloneOutput:
     """Run a machine gate by gate on ``psi0``: one-op | two-op | bh | pc.
 
     ``phi`` is the rotation of ``two-op``'s blank; the other machines ignore it.
     """
-    if machine not in _NETWORKS:
-        raise ValueError(f"unknown machine {machine!r}; expected one of {MACHINE_NAMES}")
+    net = _network(machine)
     if psi0.n_qubits != 1:
         raise WrongArity("cloning machines take a single-qubit input")
-    net = _NETWORKS[machine]
     joint = tensor(psi0, net.prep(phi))
     for op in net.cnots:
         joint = apply_cnot(joint, op)
@@ -313,8 +327,39 @@ def compile_isometry(network) -> np.ndarray:
 
 
 def machine_isometry(machine: str, phi: float | None = None) -> np.ndarray:
-    """Isometry of a named machine, compiled from the reference :func:`clone_output`."""
-    return compile_isometry(lambda psi0: clone_output(machine, psi0, phi).joint)
+    """Isometry of a named machine: the single row of :func:`machine_isometries`."""
+    return machine_isometries(machine, [phi])[0]
+
+
+def machine_isometries(machine: str, phis) -> np.ndarray:
+    """(P, 2^n, 2) isometries of a named machine, one per ``phi``, from ``_NETWORKS``.
+
+    Column k of a row is what :func:`clone_output` makes of |k>: the row's
+    resource state ``prep(phi)`` behind the basis input, then each CNOT as a
+    permutation of basis indices (:func:`cnot_image`).  Every column is
+    renormalized with ``np.vdot`` after each step, as :class:`PureState`
+    does, so the stack equals the reference compile bit for bit
+    (``tests/test_batch.py``).  No density matrix is formed.
+    """
+    net = _network(machine)
+    preps = np.stack([net.prep(phi).amplitudes for phi in phis])
+    dim = 2 * preps.shape[1]
+    n = dim.bit_length() - 1
+    # (P, 2, dim): row p, column k holds |k> tensor prep(phi_p), laid out as np.kron does
+    kron = np.eye(2, dtype=np.complex128)[None, :, :, None] * preps[:, None, None, :]
+    cols = _renormalized(kron.reshape(len(preps), 2, dim))
+    index = np.arange(dim)
+    for op in net.cnots:
+        # a CNOT is an involution, so its index map is its own inverse
+        cols = _renormalized(cols[:, :, cnot_image(index, op, n)])
+    return np.ascontiguousarray(cols.transpose(0, 2, 1))
+
+
+def _renormalized(cols: np.ndarray) -> np.ndarray:
+    # np.vdot on each contiguous column, exactly as PureState normalizes
+    rows = np.ascontiguousarray(cols).reshape(-1, cols.shape[-1])
+    norm_sq = np.array([np.vdot(row, row).real for row in rows])
+    return (rows / np.sqrt(norm_sq)[:, None]).reshape(cols.shape)
 
 
 def qubit_batch(amplitudes) -> np.ndarray:
@@ -347,8 +392,9 @@ def reduced_qubits(joint: np.ndarray, wire: int) -> np.ndarray:
 
     ``M`` is each row's amplitudes reshaped to (2, 2**(n-1)) with ``wire``
     first, so no 2^n x 2^n density matrix is formed.  The stack is checked
-    like :class:`DensityMatrix` (Hermitian and unit trace within 1e-12, one
-    batched ``eigvalsh`` against the PSD floor) and returned symmetrized.
+    like :class:`DensityMatrix` (Hermitian and unit trace within 1e-12, the
+    closed-form smaller eigenvalue against the PSD floor) and returned
+    symmetrized.
     """
     rows, dim = joint.shape
     n = dim.bit_length() - 1
@@ -361,10 +407,23 @@ def reduced_qubits(joint: np.ndarray, wire: int) -> np.ndarray:
     if trace_dev > ATOL_ALGEBRAIC:
         raise ValueError(f"trace differs from 1 by {trace_dev} beyond 1e-12")
     rho = (rho + adjoint) / 2
-    eigmin = float(np.min(np.linalg.eigvalsh(rho), initial=0.0))
+    _require_psd(rho)
+    return rho
+
+
+def _qubit_min_eigenvalues(rho: np.ndarray) -> np.ndarray:
+    """Smaller eigenvalue of each Hermitian 2 x 2 matrix in an (N, 2, 2) stack.
+
+    The closed form ``(a + d)/2 - hypot((a - d)/2, |b|)`` of ``[[a, b], [b*, d]]``.
+    """
+    a, d = rho[:, 0, 0].real, rho[:, 1, 1].real
+    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(rho[:, 0, 1]))
+
+
+def _require_psd(rho: np.ndarray) -> None:
+    eigmin = float(np.min(_qubit_min_eigenvalues(rho), initial=0.0))
     if eigmin < PSD_FLOOR:
         raise ValueError(f"matrix has eigenvalue {eigmin} below the PSD floor")
-    return rho
 
 
 def batch_fidelity(psi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -387,8 +446,11 @@ def clone_batch(machine: str, amplitudes, phi: float | None = None) -> CloneBatc
     up to rounding; see ``tests/test_batch.py``.
     """
     psi = qubit_batch(amplitudes)
-    joint = psi @ machine_isometry(machine, phi).T
-    net = _NETWORKS[machine]
+    return _clone_channels(_network(machine), psi, psi @ machine_isometry(machine, phi).T)
+
+
+def _clone_channels(net: _Network, psi: np.ndarray, joint: np.ndarray) -> CloneBatch:
+    """Channels and fidelities on ``net``'s wires for input rows ``psi`` and outputs ``joint``."""
     rho_a, rho_b = reduced_qubits(joint, net.clone_a), reduced_qubits(joint, net.clone_b)
     rho_o = fid_o = None
     if net.original is not None:
@@ -458,8 +520,31 @@ def average_fidelity(
 
     With the default deterministic quadrature, ``n_samples`` is the
     Gauss-Legendre order; with ``method="monte-carlo"`` it is the sample count
-    (use >= 1000) and ``seed`` fixes the stream.  All nodes are evaluated as
-    one :func:`clone_batch`.
+    (use >= 1000) and ``seed`` fixes the stream.  The single row of
+    :func:`average_fidelities`.
+    """
+    return average_fidelities(machine, measure, n_samples, [phi], method=method, seed=seed)[0]
+
+
+#: Most (phi, node) rows that :func:`average_fidelities` evaluates as one batch.
+_BATCH_ROWS = 2**16
+
+
+def average_fidelities(
+    machine: str,
+    measure,
+    n_samples: int,
+    phis,
+    *,
+    method: str = "quadrature",
+    seed: int = 20240901,
+) -> list[FidelityStats]:
+    """:func:`average_fidelity` at every ``phi`` of ``phis``, in order.
+
+    The nodes x phi grid goes through a stack of isometries
+    (:func:`machine_isometries`) as one product, in blocks of at most
+    ``_BATCH_ROWS`` rows, and each clone channel of a block is one
+    :func:`reduced_qubits` call.  The statistics are then reduced phi by phi.
     """
     if method == "quadrature":
         thetas, weights = measure_nodes(measure, n_samples)
@@ -469,8 +554,22 @@ def average_fidelity(
         thetas, weights = _monte_carlo_nodes(measure, n_samples, seed)
     else:
         raise ValueError(f"unknown averaging method {method!r}")
-    out = clone_batch(machine, equatorial_batch(thetas), phi)
-    fa, fb = out.fidelity_a, out.fidelity_b
+    net = _network(machine)
+    # the same two normalization passes as clone_batch(machine, equatorial_batch(thetas))
+    psi = qubit_batch(equatorial_batch(thetas))
+    phis = list(phis)
+    block = max(1, _BATCH_ROWS // len(psi))
+    stats = []
+    for start in range(0, len(phis), block):
+        v = machine_isometries(machine, phis[start:start + block])
+        joint = (psi @ v.transpose(0, 2, 1)).reshape(-1, v.shape[1])
+        out = _clone_channels(net, np.tile(psi, (len(v), 1)), joint)
+        fa, fb = out.fidelity_a.reshape(len(v), -1), out.fidelity_b.reshape(len(v), -1)
+        stats.extend(_fidelity_stats(weights, a, b) for a, b in zip(fa, fb))
+    return stats
+
+
+def _fidelity_stats(weights: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> FidelityStats:
     mean_a = float(weights @ fa)
     mean_b = float(weights @ fb)
     var_a = max(float(weights @ (fa - mean_a) ** 2), 0.0)
@@ -552,14 +651,11 @@ def two_op_case_report(quad_order: int = 128) -> list[dict]:
     means are (2/3, 1/3) — an asymmetric pair whose midpoint 1/2 is *not*
     attained by either clone individually under either measure.
     """
+    phis = [phi for _, phi in _CASE_PHIS]
+    equatorial = average_fidelities("two-op", AveragingMeasure.EQUATORIAL_UNIFORM, quad_order, phis)
+    polar = average_fidelities("two-op", AveragingMeasure.POLAR_UNIFORM, quad_order, phis)
     report = []
-    for label, phi in _CASE_PHIS:
-        eq = average_fidelity(
-            "two-op", AveragingMeasure.EQUATORIAL_UNIFORM, quad_order, phi=phi
-        )
-        po = average_fidelity(
-            "two-op", AveragingMeasure.POLAR_UNIFORM, quad_order, phi=phi
-        )
+    for (label, phi), eq, po in zip(_CASE_PHIS, equatorial, polar):
         entry = {
             "phi": phi,
             "phi_label": label,

@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qclone.machines as machines
 from qclone.machines import (
     MACHINE_NAMES,
+    FidelityStats,
     NotDecomposable,
+    average_fidelities,
     average_fidelity,
     clone_batch,
     clone_output,
+    compile_isometry,
     equatorial_batch,
+    machine_isometries,
     machine_isometry,
     measure_nodes,
     orthogonal_decomposition,
@@ -21,6 +26,8 @@ from qclone.machines import (
     pointwise_fidelities,
     qubit_batch,
     _monte_carlo_nodes,
+    _qubit_min_eigenvalues,
+    _require_psd,
 )
 from qclone.qnum import (
     DensityMatrix,
@@ -167,3 +174,123 @@ def test_input_batch_validation():
         clone_batch("two-op", [[1.0, 0.0]])  # phi missing
     with pytest.raises(ValueError):
         clone_batch("three-op", [[1.0, 0.0]])
+
+
+# --- the phi x node kernel -----------------------------------------------------
+
+#: the 65-step phi grid of the golden sweeps; node 40 is 3.927, next to 5pi/4
+GOLDEN_PHIS = np.linspace(0.0, 6.2832, 65).tolist()
+NOTABLE_PHIS = [math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 2.0]
+
+
+def _reference_isometry(machine, phi):
+    return compile_isometry(lambda psi0: clone_output(machine, psi0, phi).joint)
+
+
+@pytest.mark.parametrize("machine", MACHINE_NAMES)
+def test_table_compiled_isometries_equal_the_reference_compile_exactly(machine):
+    phis = np.random.default_rng(5082).uniform(-10.0, 10.0, 1000).tolist() + GOLDEN_PHIS
+    stack = machine_isometries(machine, phis)
+    assert stack.shape[0] == len(phis)
+    for phi, v in zip(phis, stack):
+        assert np.array_equal(v, _reference_isometry(machine, phi))
+    assert np.array_equal(machine_isometry(machine, phis[0]), stack[0])
+
+
+def _same_stats(got: FidelityStats, want: FidelityStats) -> bool:
+    """Field-by-field equality; a NaN correlation equals only a NaN."""
+    return all(
+        a == b or (math.isnan(a) and math.isnan(b))
+        for a, b in zip(vars(got).values(), vars(want).values())
+    )
+
+
+def _one_batch_stats(machine, measure, n, phi):
+    """Statistics of one phi through ``clone_batch``, with the arithmetic of the per-phi loop."""
+    thetas, weights = measure_nodes(measure, n)
+    out = clone_batch(machine, equatorial_batch(thetas), phi)
+    return machines._fidelity_stats(weights, out.fidelity_a, out.fidelity_b)
+
+
+@pytest.mark.parametrize("measure", ["equatorial", "polar"])
+@pytest.mark.parametrize("n", [33, 128])
+def test_grid_equals_a_loop_of_one_phi_calls_exactly(measure, n):
+    phis = GOLDEN_PHIS + NOTABLE_PHIS
+    grid = average_fidelities("two-op", measure, n, phis)
+    assert len(grid) == len(phis)
+    for phi, st in zip(phis, grid):
+        assert _same_stats(st, average_fidelity("two-op", measure, n, phi=phi))
+        assert _same_stats(st, _one_batch_stats("two-op", measure, n, phi))
+    thetas, weights = measure_nodes(measure, n)
+    for phi, st in zip(phis[::8] + NOTABLE_PHIS, grid[::8] + grid[-3:]):
+        want = _reference_stats("two-op", thetas, weights, phi)
+        got = (st.mean_a, st.mean_b, st.var_a, st.var_b)
+        assert np.abs(np.subtract(got, want)).max() <= TOL
+
+
+@pytest.mark.parametrize("machine", MACHINE_NAMES)
+def test_grid_covers_every_machine(machine):
+    phis = [0.3, 2.0] if machine == "two-op" else [None, None]
+    grid = average_fidelities(machine, "polar", 40, phis)
+    for phi, st in zip(phis, grid):
+        assert _same_stats(st, _one_batch_stats(machine, "polar", 40, phi))
+
+
+def test_monte_carlo_grid_equals_one_phi_calls():
+    phis = [0.4, 1.3]
+    grid = average_fidelities("two-op", "equatorial", 1000, phis, method="monte-carlo", seed=7)
+    for phi, st in zip(phis, grid):
+        want = average_fidelity("two-op", "equatorial", 1000, phi=phi, method="monte-carlo", seed=7)
+        assert _same_stats(st, want)
+
+
+@pytest.mark.parametrize("rows", [1, 127, 128, 3 * 128, 5 * 128 + 1])
+def test_blocking_does_not_change_the_result(monkeypatch, rows):
+    phis = GOLDEN_PHIS[:23]
+    whole = average_fidelities("two-op", "equatorial", 128, phis)
+    monkeypatch.setattr(machines, "_BATCH_ROWS", rows)
+    blocked = average_fidelities("two-op", "equatorial", 128, phis)
+    assert len(blocked) == len(whole)
+    assert all(_same_stats(a, b) for a, b in zip(blocked, whole))
+
+
+def test_empty_grid_and_bad_arguments():
+    assert average_fidelities("two-op", "polar", 16, []) == []
+    with pytest.raises(ValueError):
+        average_fidelities("three-op", "polar", 16, [0.1])
+    with pytest.raises(ValueError):
+        average_fidelities("two-op", "polar", 16, [0.1, None])  # two-op needs phi
+    with pytest.raises(ValueError):
+        average_fidelities("two-op", "polar", 16, [0.1], method="simpson")
+
+
+# --- the closed-form PSD floor -------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16), rank_one=st.booleans())
+def test_closed_form_min_eigenvalue_matches_eigvalsh(seed, n, rank_one):
+    rng = np.random.default_rng(seed)
+    if rank_one:  # channels of pure two-wire states: one eigenvalue near 0
+        rho = clone_batch("two-op", haar_amplitudes(rng, n), rng.uniform(-4.0, 4.0)).clone_a
+    else:
+        z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        rho = z @ z.conj().transpose(0, 2, 1)
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    assert np.abs(_qubit_min_eigenvalues(rho) - np.linalg.eigvalsh(rho)[:, 0]).max() <= 1e-15
+
+
+def _stack_with_eigenvalue(low):
+    """Three unit-trace Hermitian matrices; the middle one has eigenvalue ``low``."""
+    rng = np.random.default_rng(11)
+    stack = []
+    for eig in (0.25, low, 0.5):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        stack.append(q @ np.diag([eig, 1.0 - eig]) @ q.conj().T)
+    return np.array(stack)
+
+
+def test_psd_floor_rejects_minus_2e_10_and_accepts_minus_5e_11():
+    with pytest.raises(ValueError, match="below the PSD floor"):
+        _require_psd(_stack_with_eigenvalue(-2e-10))
+    _require_psd(_stack_with_eigenvalue(-5e-11))

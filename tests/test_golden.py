@@ -4,8 +4,10 @@ Each case runs ``qclone.cli.main(argv)`` in process and compares the exit
 code and stderr exactly, and stdout token by token: text exactly, numbers to
 1e-12 relative (batching may reorder sums), with an absolute floor of 1e-14
 for rounding-level values such as 1e-16 residuals, which carry no relative
-precision.  The ``derive_machines`` images of all twelve catalog rows are
-compared exactly.
+precision.  The stdout of every ``sweep`` and ``verify`` case must also be
+byte-identical: the batched kernels behind them evaluate the same arithmetic
+as when the corpus was captured.  The ``derive_machines`` images of all
+twelve catalog rows are compared exactly.
 
 Regenerate (and record why in CHANGES.md) with:
     PYTHONPATH=src python tests/test_golden.py --write
@@ -77,6 +79,9 @@ CASES = (
     ("verify", "table2", "--row", "13"),
 )
 
+#: commands whose stdout must match the corpus byte for byte
+BYTE_EXACT = ("sweep", "verify")
+
 _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
@@ -124,6 +129,8 @@ def test_cli_matches_golden(case):
     assert got["exit"] == want["exit"]
     assert got["stderr"] == want["stderr"]
     assert_same_text(got["stdout"], want["stdout"])
+    if CASES[case][0] in BYTE_EXACT:
+        assert got["stdout"] == want["stdout"]
 
 
 def test_derive_machines_matches_golden():
