@@ -30,7 +30,7 @@ def main() -> None:
 
     eq = average_fidelity("one-op", "equatorial")
     po = average_fidelity("one-op", "polar")
-    print("\nAveraged over input ensembles (Gauss-Legendre quadrature):")
+    print("\nAveraged over input ensembles (exact 17-node rule):")
     print(f"  uniform equatorial angle : mean F = {eq.mean_a:.9f}  (exact 3/4)")
     print(f"  uniform |alpha|^2        : mean F = {po.mean_a:.9f}  (exact 2/3)")
 

@@ -11,8 +11,11 @@ synth        CNOT network for a basis permutation given as its image list
 verify       re-run the machine-catalog checks and the invariant suite
 constants    evaluate the catalog's angle constants and named values
 
-Reports are deterministic: fixed quadrature orders and seeds, sorted JSON
-keys, 15-significant-digit CSV with LF line endings, no timestamps.  Exit
+Reports are deterministic: fixed quadrature rules and seeds, sorted JSON
+keys, 15-significant-digit CSV with LF line endings, no timestamps.  Ensemble
+averages (``sweep --param phi``, ``verify invariants``) use the exact 17-node
+rule unless ``--quad N`` asks for Gauss-Legendre order N; a phi sweep's JSON
+metadata records ``"quadrature": "exact"`` or ``"quadrature_order": N``.  Exit
 codes: 0 success, 1 failed verification or unrealizable request, 2 usage
 error.  Angles are radians unless ``--deg`` is given.
 """
@@ -80,7 +83,6 @@ TOOL_NAME = "qclone"
 MAX_STEPS = 10000
 MAX_STARTS = 10000
 DEFAULT_MEASURE = "equatorial"
-DEFAULT_QUAD = 128
 
 
 class UsageError(Exception):
@@ -166,9 +168,10 @@ def _require_in_range(flag: str, value: int, lo: int, hi: int) -> None:
         raise UsageError(f"--{flag} must be in {lo}..{hi}, not {value}")
 
 
-def _quad_order(args) -> int:
+def _quad_order(args) -> int | None:
+    """``--quad N``, bounded, or ``None`` for the exact 17-node rule."""
     if args.quad is None:
-        return DEFAULT_QUAD
+        return None
     _require_in_range("quad", args.quad, 2, MAX_QUAD_ORDER)
     return args.quad
 
@@ -266,7 +269,8 @@ def _cmd_sweep(args) -> int:
             [phi, st.mean_a, st.mean_b, st.var_a, st.var_b, st.correlation]
             for phi, st in zip(grid.tolist(), stats)
         ]
-        meta = _metadata(machine=machine, measure=measure, quadrature_order=quad)
+        rule = {"quadrature": "exact"} if quad is None else {"quadrature_order": quad}
+        meta = _metadata(machine=machine, measure=measure, **rule)
     else:
         for flag in ("measure", "quad"):
             if getattr(args, flag) is not None:
@@ -463,7 +467,7 @@ def _scaling_residual(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(np.linalg.norm(resid, axis=(1, 2)).max())
 
 
-def _invariant_lines(quad: int) -> list[tuple[str, bool]]:
+def _invariant_lines(quad: int | None) -> list[tuple[str, bool]]:
     lines = []
 
     psi = qubit_batch(haar_amplitudes(np.random.default_rng(20240901), 1000))
@@ -681,7 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help=f"Gauss-Legendre order for --param phi sweeps, 2..{MAX_QUAD_ORDER} (default {DEFAULT_QUAD})",
+        help=f"Gauss-Legendre order for --param phi sweeps, 2..{MAX_QUAD_ORDER} "
+        "(default: exact 17-node rule)",
     )
     p_sweep.add_argument("--phi", type=float, default=None, help="fixed phi for theta sweeps")
     _add_common(p_sweep, fmt_default="csv")
@@ -712,7 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help=f"Gauss-Legendre order for the invariants, 2..{MAX_QUAD_ORDER} (default {DEFAULT_QUAD})",
+        help=f"Gauss-Legendre order for the invariants, 2..{MAX_QUAD_ORDER} "
+        "(default: exact 17-node rule)",
     )
     p_verify.add_argument("--out", metavar="FILE", default=None)
     p_verify.set_defaults(func=_cmd_verify)

@@ -29,12 +29,18 @@ paths evaluate it:
   ``average_fidelity``, the phi sweep, the case report and the invariant
   suite all use it.
 
-Averaging is deterministic by default: Gauss-Legendre nodes (cached per
-measure and order, returned read-only), with the polar measure mapped
-through ``u = sin^2 t`` so that every fidelity curve in this package
-integrates as a trigonometric polynomial (machine precision at order 128).
-Monte Carlo sampling is available behind ``method="monte-carlo"`` for
-cross-checks.
+Averaging is exact by default.  Both measures draw real inputs (cos t,
+sin t), and a copy is a few CNOTs on a fixed resource state, so each clone
+fidelity is a trigonometric polynomial of degree <= 4 in t and every
+reported statistic (means, variances, covariance) has degree <= 8.  The
+default rule takes the 17 equispaced nodes t_j = 2 pi j / 17 with weights
+w_j = (1/17) sum_{|k|<=8} I_k e^{-ik t_j}, where I_k is the measure's k-th
+moment; it integrates every trigonometric polynomial of degree <= 8
+exactly.  An explicit order selects Gauss-Legendre nodes instead, with the
+polar measure mapped through ``u = sin^2 t`` (machine precision at order
+128).  Both rules are cached per measure (and order) and returned
+read-only.  Monte Carlo sampling is available behind
+``method="monte-carlo"`` for cross-checks.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ __all__ = [
     "PC_FIDELITY",
     "BH_FIDELITY",
     "MAX_QUAD_ORDER",
+    "EXACT_NODES",
     "one_op_clone",
     "two_op_clone",
     "bh_prep",
@@ -119,6 +126,9 @@ BH_FIDELITY = 5.0 / 6.0
 
 #: Largest Gauss-Legendre order: ``leggauss(n)`` builds a dense n x n matrix.
 MAX_QUAD_ORDER = 1024
+
+#: Nodes of the default rule, exact for trigonometric polynomials of degree <= 8.
+EXACT_NODES = 17
 
 
 class NotDecomposable(ValueError):
@@ -211,10 +221,30 @@ def pc_prep() -> PureState:
     return PureState([PC_X, PC_Y, PC_Y, PC_Z])
 
 
-def _rotated_blank(phi: float | None) -> PureState:
+def _blank_rotation(phi: float | None) -> RotationOp:
     if phi is None:
         raise ValueError("two-op machine requires phi")
-    return apply_rotation(basis_state(1, 0), RotationOp(0, phi))
+    return RotationOp(0, phi)  # rejects a non-finite phi
+
+
+def _rotated_blank(phi: float | None) -> PureState:
+    return apply_rotation(basis_state(1, 0), _blank_rotation(phi))
+
+
+#: -i e^{i pi/2}, the lower-left factor of ``rotation_matrix``, computed as it is there
+_BLANK_PHASE = -1j * np.exp(1j * (math.pi / 2))
+
+
+def _rotated_blanks(phis) -> np.ndarray:
+    """(P, 2) rows R(phi)|0> = (cos phi, -i e^{i pi/2} sin phi): :func:`_rotated_blank` per phi.
+
+    The same products and the same renormalization, so each row equals the
+    reference's amplitudes bit for bit, and the same rejections.
+    """
+    ops = [_blank_rotation(phi) for phi in phis]
+    cos = np.array([math.cos(op.theta) for op in ops], dtype=np.complex128)
+    sin = np.array([math.sin(op.theta) for op in ops])
+    return _renormalized(np.stack([cos, _BLANK_PHASE * sin], axis=1))
 
 
 class _Network(NamedTuple):
@@ -336,13 +366,19 @@ def machine_isometries(machine: str, phis) -> np.ndarray:
 
     Column k of a row is what :func:`clone_output` makes of |k>: the row's
     resource state ``prep(phi)`` behind the basis input, then each CNOT as a
-    permutation of basis indices (:func:`cnot_image`).  Every column is
-    renormalized with ``np.vdot`` after each step, as :class:`PureState`
+    permutation of basis indices (:func:`cnot_image`).  ``two-op``'s
+    resource states R(phi)|0> are built for the whole grid as one array
+    (:func:`_rotated_blanks`); the other machines' are fixed.  Every column
+    is renormalized with ``np.vdot`` after each step, as :class:`PureState`
     does, so the stack equals the reference compile bit for bit
     (``tests/test_batch.py``).  No density matrix is formed.
     """
     net = _network(machine)
-    preps = np.stack([net.prep(phi).amplitudes for phi in phis])
+    phis = list(phis)
+    if net.prep is _rotated_blank:
+        preps = _rotated_blanks(phis)
+    else:
+        preps = np.tile(net.prep(None).amplitudes, (len(phis), 1))
     dim = 2 * preps.shape[1]
     n = dim.bit_length() - 1
     # (P, 2, dim): row p, column k holds |k> tensor prep(phi_p), laid out as np.kron does
@@ -464,16 +500,26 @@ def _clone_channels(net: _Network, psi: np.ndarray, joint: np.ndarray) -> CloneB
 # --- averaging ----------------------------------------------------------------
 
 
-def measure_nodes(measure, n: int) -> tuple[np.ndarray, np.ndarray]:
+def measure_nodes(measure, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes as equatorial angles plus weights summing to 1.
 
-    Both measures produce real-amplitude states ``(cos t, sin t)``; for the
-    polar measure the substitution ``u = sin^2 s`` turns the density into the
-    smooth weight ``sin(2s)`` on [0, pi/2] and the node state ``(sqrt(u),
-    sqrt(1-u))`` into the angle ``t = pi/2 - s``.  The arrays are cached per
+    Both measures produce real-amplitude states ``(cos t, sin t)``; the polar
+    measure, u = alpha^2 uniform, is the weight ``sin 2t`` on [0, pi/2] in t.
+    With ``n=None`` the rule is the exact one: the :data:`EXACT_NODES`
+    equispaced angles ``t_j = 2 pi j / 17`` with weights
+    ``(1/17) sum_{|k|<=8} I_k e^{-ik t_j}``, I_k the measure's k-th moment
+    (``delta_k0`` equatorial, ``int_0^{pi/2} e^{ikt} sin 2t dt`` polar).  It
+    integrates every trigonometric polynomial of degree <= 8 exactly; the
+    polar weights are not all positive.  An integer ``n`` selects
+    Gauss-Legendre nodes of that order; for the polar measure the
+    substitution ``u = sin^2 s`` turns the density into the smooth weight
+    ``sin(2s)`` on [0, pi/2] and the node state ``(sqrt(u), sqrt(1-u))``
+    into the angle ``t = pi/2 - s``.  The arrays are cached per
     ``(measure, n)`` and read-only.
     """
     measure = _as_measure(measure)
+    if n is None:
+        return _exact_nodes(measure)
     if n < 2:
         raise ValueError("quadrature order must be at least 2")
     if n > MAX_QUAD_ORDER:
@@ -496,6 +542,29 @@ def _gauss_legendre_nodes(measure: AveragingMeasure, n: int) -> tuple[np.ndarray
     return thetas, weights
 
 
+def _polar_moment(k: int) -> complex:
+    """``int_0^{pi/2} e^{ikt} sin 2t dt``, by parts: ``2 (i^k + 1) / (4 - k^2)`` off k = +-2."""
+    if abs(k) == 2:
+        return complex(0.0, math.copysign(math.pi / 4.0, k))
+    return 2.0 * ((1, 1j, -1, -1j)[k % 4] + 1.0) / (4.0 - k * k)
+
+
+@lru_cache(maxsize=2)
+def _exact_nodes(measure: AveragingMeasure) -> tuple[np.ndarray, np.ndarray]:
+    j = np.arange(EXACT_NODES)
+    thetas = 2.0 * math.pi * j / EXACT_NODES
+    if measure is AveragingMeasure.EQUATORIAL_UNIFORM:
+        weights = np.full(EXACT_NODES, 1.0 / EXACT_NODES)
+    else:
+        ks = np.arange(-(EXACT_NODES // 2), EXACT_NODES // 2 + 1)  # |k| <= 8
+        moments = np.array([_polar_moment(int(k)) for k in ks])
+        phases = np.exp(-2j * math.pi * np.outer(j, ks) / EXACT_NODES)
+        weights = (phases @ moments).real / EXACT_NODES
+    thetas.setflags(write=False)
+    weights.setflags(write=False)
+    return thetas, weights
+
+
 def _monte_carlo_nodes(measure, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     measure = _as_measure(measure)
     rng = np.random.default_rng(seed)
@@ -510,7 +579,7 @@ def _monte_carlo_nodes(measure, n: int, seed: int) -> tuple[np.ndarray, np.ndarr
 def average_fidelity(
     machine: str,
     measure,
-    n_samples: int = 128,
+    n_samples: int | None = None,
     *,
     phi: float | None = None,
     method: str = "quadrature",
@@ -518,9 +587,10 @@ def average_fidelity(
 ) -> FidelityStats:
     """Means/variances/correlation of (F_a, F_b) under the given measure.
 
-    With the default deterministic quadrature, ``n_samples`` is the
-    Gauss-Legendre order; with ``method="monte-carlo"`` it is the sample count
-    (use >= 1000) and ``seed`` fixes the stream.  The single row of
+    With the default deterministic quadrature, ``n_samples=None`` selects the
+    exact 17-node rule of :func:`measure_nodes` and an integer the
+    Gauss-Legendre order; with ``method="monte-carlo"`` it is the sample
+    count (use >= 1000) and ``seed`` fixes the stream.  The single row of
     :func:`average_fidelities`.
     """
     return average_fidelities(machine, measure, n_samples, [phi], method=method, seed=seed)[0]
@@ -533,23 +603,25 @@ _BATCH_ROWS = 2**16
 def average_fidelities(
     machine: str,
     measure,
-    n_samples: int,
-    phis,
+    n_samples: int | None = None,
+    phis=(None,),
     *,
     method: str = "quadrature",
     seed: int = 20240901,
 ) -> list[FidelityStats]:
     """:func:`average_fidelity` at every ``phi`` of ``phis``, in order.
 
-    The nodes x phi grid goes through a stack of isometries
-    (:func:`machine_isometries`) as one product, in blocks of at most
-    ``_BATCH_ROWS`` rows, and each clone channel of a block is one
+    ``n_samples`` is read as by :func:`average_fidelity`: ``None`` is the
+    exact 17-node rule.  The default ``phis`` is the one phi-free row of a
+    machine without a rotation.  The nodes x phi grid goes through a stack of
+    isometries (:func:`machine_isometries`) as one product, in blocks of at
+    most ``_BATCH_ROWS`` rows, and each clone channel of a block is one
     :func:`reduced_qubits` call.  The statistics are then reduced phi by phi.
     """
     if method == "quadrature":
         thetas, weights = measure_nodes(measure, n_samples)
     elif method == "monte-carlo":
-        if n_samples < 1000:
+        if n_samples is None or n_samples < 1000:
             raise ValueError("monte-carlo averaging needs n_samples >= 1000")
         thetas, weights = _monte_carlo_nodes(measure, n_samples, seed)
     else:
@@ -642,11 +714,12 @@ _CASE_PHIS = (
 )
 
 
-def two_op_case_report(quad_order: int = 128) -> list[dict]:
+def two_op_case_report(quad_order: int | None = None) -> list[dict]:
     """Computed statistics of the two-op machine at its four notable angles.
 
     Every value is produced by simulation + quadrature (no closed forms), so
     the report is an independent record of what the machine actually does.
+    ``quad_order`` is read as by :func:`average_fidelity`.
     The 3pi/2 entry carries a non-null ``anomaly`` field: its polar-measure
     means are (2/3, 1/3) — an asymmetric pair whose midpoint 1/2 is *not*
     attained by either clone individually under either measure.

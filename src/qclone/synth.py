@@ -390,7 +390,8 @@ def synthesize_cnots(bij: BasisBijection) -> CnotSequence:
     affine constant vector is absorbed by solving, over GF(2), for a set of
     inversion flags whose propagated effect equals it; any remainder outside
     that span costs one inverted+plain gate pair per wire (a net X).  At most
-    9 gates result for 3 wires; the exhaustive property test observes 8.
+    8 gates result for 3 wires: over all 1,344 affine maps the counts 0..8
+    occur 1/12/69/212/371/380/223/68/8 times (an exhaustive test holds the 8).
     """
     if bij.n_bits != 3:
         raise ValueError("synthesis is supported for exactly 3 wires")

@@ -126,13 +126,21 @@ def test_isometry_is_an_isometry(machine):
     assert np.abs(v.conj().T @ v - np.eye(2)).max() <= TOL
 
 
-def test_measure_nodes_are_cached_read_only():
-    thetas, weights = measure_nodes("polar", 33)
+def _assert_cached_read_only(n):
+    thetas, weights = measure_nodes("polar", n)
     for array in (thetas, weights):
         with pytest.raises(ValueError):
             array[0] = 0.0
-    again = measure_nodes("PolarUniform", 33)
+    again = measure_nodes("PolarUniform", n)
     assert again[0] is thetas and again[1] is weights
+
+
+def test_measure_nodes_are_cached_read_only():
+    _assert_cached_read_only(33)
+
+
+def test_exact_rule_is_cached_read_only():
+    _assert_cached_read_only(None)
 
 
 def test_quadrature_order_is_bounded():
@@ -190,11 +198,22 @@ def _reference_isometry(machine, phi):
 @pytest.mark.parametrize("machine", MACHINE_NAMES)
 def test_table_compiled_isometries_equal_the_reference_compile_exactly(machine):
     phis = np.random.default_rng(5082).uniform(-10.0, 10.0, 1000).tolist() + GOLDEN_PHIS
+    phis += [0.0] + NOTABLE_PHIS
     stack = machine_isometries(machine, phis)
     assert stack.shape[0] == len(phis)
     for phi, v in zip(phis, stack):
         assert np.array_equal(v, _reference_isometry(machine, phi))
     assert np.array_equal(machine_isometry(machine, phis[0]), stack[0])
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, None])
+def test_batched_resource_states_keep_the_reference_rejections(phi):
+    with pytest.raises(ValueError):
+        clone_output("two-op", PureState([1.0, 0.0]), phi)
+    with pytest.raises(ValueError):
+        machine_isometries("two-op", [phi])
+    with pytest.raises(ValueError):
+        machine_isometries("two-op", [0.3, phi])
 
 
 def _same_stats(got: FidelityStats, want: FidelityStats) -> bool:
@@ -262,6 +281,89 @@ def test_empty_grid_and_bad_arguments():
         average_fidelities("two-op", "polar", 16, [0.1, None])  # two-op needs phi
     with pytest.raises(ValueError):
         average_fidelities("two-op", "polar", 16, [0.1], method="simpson")
+
+
+# --- the exact 17-node rule ----------------------------------------------------
+
+EPS = np.finfo(np.float64).eps
+
+
+def _moment(measure, k):
+    """``E[e^{ikt}]``: ``delta_k0`` equatorial; polar splits ``sin 2t`` into two exponentials."""
+    if measure == "equatorial":
+        return complex(k == 0)
+
+    def arc(m):  # int_0^{pi/2} e^{imt} dt
+        return math.pi / 2.0 if m == 0 else (1j**m - 1.0) / (1j * m)
+
+    return (arc(k + 2) - arc(k - 2)) / 2j
+
+
+def _rule_integral(measure, k):
+    thetas, weights = measure_nodes(measure)
+    return complex(weights @ np.exp(1j * k * thetas))
+
+
+@pytest.mark.parametrize("measure", ["equatorial", "polar"])
+def test_exact_rule_integrates_every_frequency_up_to_8(measure):
+    thetas, weights = measure_nodes(measure)
+    assert len(thetas) == len(weights) == 17
+    for k in range(-8, 9):
+        assert abs(_rule_integral(measure, k) - _moment(measure, k)) <= 1e-15
+
+
+def test_exact_rule_needs_17_nodes_under_polar():
+    # the alias e^{9it} = e^{-8it} on 17 nodes: a rule of degree 8 is all 17 nodes buy
+    assert max(abs(_rule_integral("polar", k) - _moment("polar", k)) for k in (-9, 9)) > 1e-2
+
+
+def _two_op_means(measure, phi):
+    """Closed-form clone means of two-op, derived from its pointwise fidelities.
+
+    With (a, b) = (cos t, sin t): F_a = a^4 + b^4 + 2a^2b^2 sin 2p and
+    F_b = cos^2 p (a^4 + b^4) + 2a^2b^2 sin^2 p + ab sin 2p.  Equatorially
+    E[a^4 + b^4] = 3/4, E[2a^2b^2] = 1/4, E[ab] = 0; under the polar weight
+    sin 2t on [0, pi/2] they are 2/3, 1/3 and pi/8.
+    """
+    quartic, cross, ab = (0.75, 0.25, 0.0) if measure == "equatorial" else (2 / 3, 1 / 3, math.pi / 8)
+    s2 = math.sin(2.0 * phi)
+    return (
+        quartic + cross * s2,
+        math.cos(phi) ** 2 * quartic + cross * math.sin(phi) ** 2 + ab * s2,
+    )
+
+
+@pytest.mark.parametrize("measure", ["equatorial", "polar"])
+def test_two_op_means_equal_the_closed_form(measure):
+    phis = GOLDEN_PHIS + NOTABLE_PHIS
+    for phi, st in zip(phis, average_fidelities("two-op", measure, None, phis)):
+        want_a, want_b = _two_op_means(measure, phi)
+        assert abs(st.mean_a - want_a) <= 1e-14 and abs(st.mean_b - want_b) <= 1e-14
+
+
+@pytest.mark.parametrize("machine", MACHINE_NAMES)
+@pytest.mark.parametrize("measure", ["equatorial", "polar"])
+@settings(max_examples=20, deadline=None)
+@given(phi=angles)
+def test_exact_rule_matches_gauss_legendre_256(machine, measure, phi):
+    phi = _phi_for(machine, phi)
+    got = average_fidelity(machine, measure, phi=phi)
+    want = average_fidelity(machine, measure, 256, phi=phi)
+    for field in ("mean_a", "mean_b", "var_a", "var_b"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-13
+    if got.var_a * got.var_b > 1e-20:
+        # each rule's deviations carry about eps of rounding, so a correlation
+        # is good to about eps / sd of the flatter clone
+        tol = 1e-13 + 8.0 * EPS / math.sqrt(min(got.var_a, got.var_b))
+        assert abs(got.correlation - want.correlation) <= tol
+
+
+def test_default_arguments_select_the_exact_rule():
+    want = average_fidelities("one-op", "polar", None, [None])
+    assert average_fidelities("one-op", "polar") == want
+    assert average_fidelity("one-op", "polar") == want[0]
+    with pytest.raises(ValueError):
+        average_fidelity("one-op", "polar", method="monte-carlo")
 
 
 # --- the closed-form PSD floor -------------------------------------------------

@@ -611,7 +611,13 @@ class TestUsageErrors:
         assert code == 0
         meta = json.loads(out)["metadata"]
         assert meta["measure"] == "equatorial"
-        assert meta["quadrature_order"] == 128
+        assert meta["quadrature"] == "exact" and "quadrature_order" not in meta
+
+    def test_phi_sweep_metadata_records_an_explicit_order(self, capsys):
+        code, out, _ = run_cli(capsys, *PHI_SWEEP, "--quad", "64", "--format", "json")
+        assert code == 0
+        meta = json.loads(out)["metadata"]
+        assert meta["quadrature_order"] == 64 and "quadrature" not in meta
 
 
 class TestDomainErrors:

@@ -196,7 +196,7 @@ class TestSynthesize:
             assert tuple(basis_permutation(seq.as_circuit())) == bij.images
             lengths.append(len(seq))
         assert len(lengths) == 1344
-        assert max(lengths) <= 9
+        assert max(lengths) <= 8
 
     def test_toffoli_rejected(self):
         with pytest.raises(NonAffine):
@@ -229,7 +229,7 @@ class TestSynthesize:
         if affine:
             seq = synthesize_cnots(bij)
             assert tuple(basis_permutation(seq.as_circuit())) == bij.images
-            assert len(seq) <= 9
+            assert len(seq) <= 8
         else:
             with pytest.raises(NonAffine):
                 synthesize_cnots(bij)
