@@ -9,21 +9,22 @@ produces the real coefficient vector
     C1 = c1 c2 c3 + s1 s2 s3        C2 = s1 c2 c3 - c1 s2 s3
     C3 = c1 c2 s3 - s1 s2 c3        C4 = c1 s2 c3 + s1 c2 s3
 
-with ci = cos(ti), si = sin(ti); the squared sum is identically 1.  Inverting
-it uses three exact identities (A = 1 - 2 C3^2 - 2 C4^2, B = 1 - 2 C2^2 - 2 C4^2,
-P = C1^2 C4^2 + C2^2 C3^2, Q = C1 C2 C3 C4):
+with ci = cos(ti), si = sin(ti); the squared sum is identically 1.  With
+p = c2 + s2 and m = c2 - s2 the map factors into sums and differences:
 
-    cos(2 t2)^2 = 1 - 4 P + 8 Q        (= A^2 + 4 (C1 C3 + C2 C4)^2 >= 0)
-    cos(2 t3)   = A / cos(2 t2)
-    cos(2 t1)   = B / cos(2 t2)
+    C1 + C4 = p cos(t1 - t3)        C2 - C3 = p sin(t1 - t3)
+    C1 - C4 = m cos(t1 + t3)        C2 + C3 = m sin(t1 + t3)
 
-Note the discriminant: dividing by sqrt(1 - 4 P) instead -- i.e. dropping the
-8 Q term -- is only correct when Q = 0 and silently breaks otherwise, so this
-module keeps the full expression.  The closed form fixes cosines squared only;
-both discriminant branches and all sine/cosine sign choices (2 x 4^3 = 128
-candidates) are enumerated and filtered by reconstruction residual.  Near the
-removable singularity cos(2 t2) ~ 0 the module falls back to damped least
-squares from 8 fixed starts, the only SciPy use (imported on first call).
+so |p| and |m| are two ``hypot``s, and each sign choice (+-|p|, +-|m|) fixes
+t2 = atan2(p - m, p + m) and t1 -+ t3 by one ``atan2`` each.  Halving t1 + t3
+leaves (t1 + pi, t3 + pi) as a second solution, so there are 8 exact
+candidates; since p^2 + m^2 = 2, every real unit 4-vector is reached.  Each
+candidate is still checked by its reconstruction residual.
+
+Singular planes: on c2 = s2 or c2 = -s2 (t2 = pi/4 or -3pi/4, resp. -pi/4 or
+3pi/4) the state fixes only t1 - t3, resp. t1 + t3, and the free combination
+is whatever ``atan2`` makes of the rounding-level pair it is given.  Every
+triple reported there still rebuilds the coefficients to rounding level.
 
 The equatorial-cloner constraint 2 (x y + y z) = x^2 - z^2 factors as
 (x + z)(2 y - x + z) = 0 (with z = 0: x (2 y - x) = 0): two planes cut by the
@@ -33,7 +34,6 @@ eigenpair of a 2x2 (1x1 with z = 0) pencil, solved exactly with NumPy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +44,6 @@ from .qnum import PureState, basis_state
 
 __all__ = [
     "NoSolution",
-    "DegenerateDenominator",
     "ConvergenceFailure",
     "PrepCoeffs",
     "AngleTriple",
@@ -65,16 +64,12 @@ class NoSolution(ValueError):
     """Raised when no branch/sign combination reconstructs the coefficients."""
 
 
-class DegenerateDenominator(ArithmeticError):
-    """Signals the removable singularity cos(2 t2) ~ 0 of the closed form."""
-
-
 class ConvergenceFailure(RuntimeError):
     """Raised when the constrained optimizer produces no feasible candidate."""
 
 
 def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first call."""
+    """``scipy.optimize.least_squares``, imported on first call (unused; kept for tracers)."""
     from scipy.optimize import least_squares as solve
 
     return solve(*args, **kwargs)
@@ -217,74 +212,24 @@ def residual_of(angles: AngleTriple, coeffs: PrepCoeffs) -> float:
     return float(np.abs(coeff_formula(*angles.as_tuple()) - coeffs.as_array()).max())
 
 
-_DEGENERATE_U = 1e-7
-_CLOSED_TOL = 1e-9
-_ACCEPT_TOL = 1e-6
-
-_FALLBACK_STARTS = (
-    (0.0, 0.0, 0.0),
-    (math.pi / 8, 0.0, math.pi / 8),
-    (math.pi / 4, math.pi / 4, math.pi / 4),
-    (-math.pi / 8, math.pi / 3, -math.pi / 8),
-    (math.pi / 3, -math.pi / 4, math.pi / 6),
-    (1.0, 1.0, -1.0),
-    (-1.0, 0.5, 1.0),
-    (0.3, -0.3, 0.9),
-)
+_ACCEPT_TOL = 1e-9
 
 
-def _angle_candidates(cos_sq: float) -> list[float]:
-    """All quadrant placements of an angle with the given squared cosine."""
-    cos_sq = min(max(cos_sq, 0.0), 1.0)
-    ca = math.sqrt(cos_sq)
-    sa = math.sqrt(1.0 - cos_sq)
-    cands = []
-    for sc, ss in itertools.product((1.0, -1.0), repeat=2):
-        angle = math.atan2(ss * sa, sc * ca)
-        if not any(abs(angle - other) < 1e-12 for other in cands):
-            cands.append(angle)
-    return cands
-
-
-def _closed_form_candidates(c: np.ndarray) -> list[tuple[float, float, float]]:
-    c1, c2, c3, c4 = c
-    big_a = 1.0 - 2.0 * c3 * c3 - 2.0 * c4 * c4
-    big_b = 1.0 - 2.0 * c2 * c2 - 2.0 * c4 * c4
-    disc = (
-        1.0
-        - 4.0 * (c1 * c1 * c4 * c4 + c2 * c2 * c3 * c3)
-        + 8.0 * c1 * c2 * c3 * c4
-    )
-    if disc < -1e-12:
-        raise NoSolution(f"negative discriminant {disc}")
-    disc = max(disc, 0.0)
-    u_mag = math.sqrt(disc)
-    if u_mag < _DEGENERATE_U:
-        raise DegenerateDenominator(
-            f"cos(2 t2) magnitude {u_mag:.2e} too small for the closed form"
-        )
+def _exact_candidates(c: np.ndarray) -> list[tuple[float, float, float]]:
+    """The 8 triples of the sum/difference inversion (module docstring)."""
+    c1, c2, c3, c4 = c.tolist()
+    plus = math.hypot(c1 + c4, c2 - c3)  # |cos t2 + sin t2|
+    minus = math.hypot(c1 - c4, c2 + c3)  # |cos t2 - sin t2|
     out = []
-    for u in (u_mag, -u_mag):
-        v = big_a / u
-        w = big_b / u
-        if max(abs(v), abs(w)) > 1.0 + 1e-9:
-            continue
-        t1s = _angle_candidates((1.0 + w) / 2.0)
-        t2s = _angle_candidates((1.0 + u) / 2.0)
-        t3s = _angle_candidates((1.0 + v) / 2.0)
-        out.extend(itertools.product(t1s, t2s, t3s))
+    for sp, sm in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        p, m = sp * plus, sm * minus
+        t2 = math.atan2(p - m, p + m)
+        diff = math.atan2(sp * (c2 - c3), sp * (c1 + c4))
+        total = math.atan2(sm * (c2 + c3), sm * (c1 - c4))
+        t1, t3 = (total + diff) / 2.0, (total - diff) / 2.0
+        out.append((t1, t2, t3))
+        out.append((t1 + math.pi, t2, t3 + math.pi))
     return out
-
-
-def _fallback_candidates(c: np.ndarray) -> list[tuple[float, float, float]]:
-    found = []
-    for start in _FALLBACK_STARTS:
-        result = least_squares(
-            lambda t: coeff_formula(*t) - c, start, xtol=1e-14, ftol=1e-14
-        )
-        if np.abs(result.fun).max() < _ACCEPT_TOL:
-            found.append(tuple(result.x))
-    return found
 
 
 def _angles_close(a: AngleTriple, b: AngleTriple, tol: float = 1e-7) -> bool:
@@ -297,28 +242,16 @@ def _angles_close(a: AngleTriple, b: AngleTriple, tol: float = 1e-7) -> bool:
 def solve_prep_angles(coeffs) -> list[AngleTriple]:
     """All angle triples reproducing the coefficients, verified and deduplicated.
 
-    Closed-form candidates are filtered at residual 1e-9; when the closed form
-    degenerates (or unexpectedly yields nothing) the least-squares fallback is
-    accepted at 1e-6.  Results are sorted by residual, then lexicographically.
+    The 8 exact candidates are filtered at residual 1e-9 and deduplicated at
+    1e-7 per angle; results are sorted by residual, then lexicographically.
     """
     coeffs = as_prep_coeffs(coeffs)
-    target = coeffs.as_array()
     accepted: list[tuple[float, AngleTriple]] = []
-
-    def consider(raw_triple, tol):
-        triple = AngleTriple(*raw_triple)
+    for cand in _exact_candidates(coeffs.as_array()):
+        triple = AngleTriple(*cand)
         res = residual_of(triple, coeffs)
-        if res < tol and not any(_angles_close(triple, t) for _, t in accepted):
+        if res < _ACCEPT_TOL and not any(_angles_close(triple, t) for _, t in accepted):
             accepted.append((res, triple))
-
-    try:
-        for cand in _closed_form_candidates(target):
-            consider(cand, _CLOSED_TOL)
-    except DegenerateDenominator:
-        pass
-    if not accepted:
-        for cand in _fallback_candidates(target):
-            consider(cand, _ACCEPT_TOL)
     if not accepted:
         raise NoSolution("no branch or sign assignment reconstructs the coefficients")
     accepted.sort(key=lambda item: (item[0], item[1].as_tuple()))

@@ -41,7 +41,6 @@ from .gates import (
     Circuit,
     CnotOp,
     PauliOp,
-    apply_circuit,
     basis_permutation,
     cnot_image,
     format_circuit,
@@ -53,7 +52,6 @@ from .machines import (
     PC_Y,
     PC_Z,
     batch_fidelity,
-    compile_isometry,
     equatorial_batch,
     projector_distances,
     reduced_qubits,
@@ -735,6 +733,23 @@ def _wrapped_dev_deg(a_rad: float, b_rad: float) -> float:
     return min(d, 360.0 - d)
 
 
+def _permuted_isometry(prep: PureState, images) -> np.ndarray:
+    """The 2^n x 2 isometry of a basis permutation behind ``|k> (x) prep``.
+
+    Column k is ``prep``, renormalized once with ``np.vdot`` as the tensor
+    product is, scattered to the images of the basis states ``k 2^(n-1) + j``.
+    For a CNOT-only circuit this is ``compile_isometry`` over
+    ``apply_circuit`` without its renormalization after every gate, so the
+    two agree to 2 ulps (``tests/test_synth.py``).
+    """
+    amps = prep.amplitudes
+    amps = amps / np.sqrt(np.vdot(amps, amps).real)
+    images = np.asarray(images).reshape(2, -1)
+    iso = np.zeros((images.size, 2), dtype=np.complex128)
+    iso[images.T, [0, 1]] = amps[:, None]
+    return iso
+
+
 def verify_table2(row) -> RowReport:
     """Run the four-part verification of one catalog row; never raises."""
     row = _as_row(row)
@@ -754,11 +769,9 @@ def verify_table2(row) -> RowReport:
     prep_state = simulate_prep(solutions[best])
 
     circuits = [parse_circuit(text, 3) for text in row.circuits]
+    perms = [basis_permutation(circ) for circ in circuits]
     psi = equatorial_batch(2.0 * math.pi * np.arange(64) / 64.0)
-    joints = [
-        psi @ compile_isometry(lambda psi0: apply_circuit(tensor(psi0, prep_state), circ)).T
-        for circ in circuits
-    ]
+    joints = [psi @ _permuted_isometry(prep_state, images).T for images in perms]
     fid_err = max(
         float(np.abs(batch_fidelity(psi, reduced_qubits(joint, wire)) - PC_FIDELITY).max())
         for joint in joints
@@ -770,16 +783,13 @@ def verify_table2(row) -> RowReport:
 
     fanout = fan_out_map()
     synth_ok = True
-    for form_text, circuit in zip(row.output_forms, circuits):
+    for form_text, stored in zip(row.output_forms, perms):
         machine = compose(parse_form(form_text), fanout)
         emitted = synthesize_cnots(machine)
-        stored = basis_permutation(circuit)
-        if stored is None or tuple(stored) != tuple(
-            basis_permutation(emitted.as_circuit())
-        ):
+        if tuple(stored) != tuple(basis_permutation(emitted.as_circuit())):
             synth_ok = False
 
-    valid_images = {tuple(basis_permutation(circ)) for circ in circuits}
+    valid_images = {tuple(images) for images in perms}
     ref_valid = tuple(
         compose(parse_form(text), fanout).images in valid_images
         for text in row.reference_forms

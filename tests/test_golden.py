@@ -31,8 +31,8 @@ GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 
 PHI_FULL = ("sweep", "two-op", "--param", "phi", "--from", "0", "--to", "6.2832", "--steps", "65")
 THETA = ("--param", "theta", "--from", "0", "--to", "6.2832", "--steps", "17")
-#: ``prep_coeffs(0.3, pi/4, 0.5)``: cos(2 t2) = 0, so the closed form degenerates
-FALLBACK_COEFFS = "0.6930117232058353,-0.14048043101898117,0.14048043101898125,0.6930117232058353"
+#: ``prep_coeffs(0.3, pi/4, 0.5)``: on the singular plane cos t2 = sin t2, t1 + t3 is free
+SINGULAR_COEFFS = "0.6930117232058353,-0.14048043101898117,0.14048043101898125,0.6930117232058353"
 
 CASES = (
     ("run", "one-op", "--theta", "0.3"),
@@ -59,7 +59,7 @@ CASES = (
     ("solve-prep", "--coeffs", "0.853553390593274,0.353553390593274,0.353553390593274,0.146446609406726"),
     ("solve-prep", "--coeffs", "0.5,0.5,0.5,0.5", "--format", "csv"),
     ("solve-prep", "--coeffs", "0.5,0.5,0.5,0.5", "--deg"),
-    ("solve-prep", f"--coeffs={FALLBACK_COEFFS}"),
+    ("solve-prep", f"--coeffs={SINGULAR_COEFFS}"),
     ("solve-prep", "--coeffs", "1,0,0,1"),
     ("optimize-pc", "--starts", "10"),
     ("optimize-pc", "--starts", "10", "--seed", "3", "--format", "csv"),

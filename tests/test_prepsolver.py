@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qclone import prepsolver
@@ -15,7 +15,6 @@ from qclone.machines import PC_X, PC_Y, PC_Z, bh_prep, pc_prep
 from qclone.prepsolver import (
     AngleTriple,
     ConvergenceFailure,
-    DegenerateDenominator,
     NoSolution,
     as_prep_coeffs,
     bh_from_pc_system,
@@ -32,6 +31,12 @@ BH_COEFFS = tuple(bh_prep().amplitudes.real)
 PC_COEFFS = (PC_X, PC_Y, PC_Y, PC_Z)
 
 angle = st.floats(-math.pi, math.pi, allow_nan=False, allow_infinity=False)
+
+EPS = np.finfo(float).eps
+#: ``coeff_formula(0.3, pi/4, 0.5)``, on the singular plane cos t2 = sin t2
+SINGULAR_COEFFS = "0.6930117232058353,-0.14048043101898117,0.14048043101898125,0.6930117232058353"
+#: the planes cos t2 = +/- sin t2, where one of t1 -+ t3 is free
+SINGULAR_T2 = (math.pi / 4, -math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4)
 
 #: the closed-form optima, pc (Bruss et al.) and z = 0 (Buzek-Hillery)
 PC_EXACT = (0.5 + 1.0 / math.sqrt(8.0), 1.0 / math.sqrt(8.0), 0.5 - 1.0 / math.sqrt(8.0))
@@ -159,14 +164,14 @@ class TestSolveKnownTargets:
         residuals = [residual_of(s, as_prep_coeffs(BH_COEFFS)) for s in sols]
         assert residuals == sorted(residuals)
 
-    def test_degenerate_denominator_falls_back(self):
-        """theta2 = +/- pi/4 zeroes the closed form's divisor; the iterative
-        fallback must still solve these."""
-        for t2 in (math.pi / 4, -math.pi / 4):
+    def test_singular_planes_rebuild_to_rounding(self):
+        """theta2 = +/- pi/4, +/- 3pi/4 leaves t1 + t3 or t1 - t3 free; each
+        reported triple still rebuilds the coefficients to rounding."""
+        for t2 in SINGULAR_T2:
             coeffs = as_prep_coeffs(coeff_formula(0.6, t2, -0.9))
             sols = solve_prep_angles(coeffs)
-            assert sols
-            assert min(residual_of(s, coeffs) for s in sols) < 1e-6
+            assert len(sols) == 8
+            assert max(residual_of(s, coeffs) for s in sols) <= 1e-15
 
     def test_identity_target(self):
         sols = solve_prep_angles(as_prep_coeffs((1.0, 0.0, 0.0, 0.0)))
@@ -174,7 +179,6 @@ class TestSolveKnownTargets:
 
     def test_error_types_exist(self):
         assert issubclass(NoSolution, Exception)
-        assert issubclass(DegenerateDenominator, Exception)
 
 
 class TestRoundTrip:
@@ -192,6 +196,47 @@ class TestRoundTrip:
         coeffs = as_prep_coeffs(coeff_formula(t1, t2, t3))
         sols = solve_prep_angles(coeffs)
         assert min(residual_of(s, coeffs) for s in sols) < 1e-6
+
+
+def _off(x: float) -> float:
+    """Distance from x to the nearest multiple of 2 pi."""
+    return abs(math.remainder(x, 2.0 * math.pi))
+
+
+class TestExactInversion:
+    """Oracles independent of the inversion: the gate-level circuit builds the
+    target and rebuilds every triple, and the generating angles must come back."""
+
+    @given(angle, angle, angle)
+    @example(0.3, math.pi / 4, 0.5)
+    @example(-2.0, -math.pi / 4, 1.1)
+    @example(1.2, 3 * math.pi / 4, -0.4)
+    @example(-0.7, -3 * math.pi / 4, 2.9)
+    @example(0.3, math.pi / 4 + 1e-9, 0.5)
+    @example(0.3, math.pi / 4 - 1e-9, 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_generating_triple_is_recovered(self, t1, t2, t3):
+        coeffs = as_prep_coeffs(simulate_prep(AngleTriple(t1, t2, t3)).amplitudes.real)
+        sols = solve_prep_angles(coeffs)
+        for sol in sols:
+            assert np.abs(simulate_prep(sol).amplitudes - coeffs.as_array()).max() <= 1e-14
+        # t1 - t3 is fixed only to about eps/|cos t2 + sin t2|, t1 + t3 to about
+        # eps/|cos t2 - sin t2|; on a singular plane one of them is free
+        plus, minus = abs(math.cos(t2) + math.sin(t2)), abs(math.cos(t2) - math.sin(t2))
+        tol_diff = 1e-9 + (16 * EPS / plus if plus else math.inf)
+        tol_sum = 1e-9 + (16 * EPS / minus if minus else math.inf)
+        assert any(
+            _off(a2 - t2) <= 1e-9
+            and _off((a1 - a3) - (t1 - t3)) <= tol_diff
+            and _off((a1 + a3) - (t1 + t3)) <= tol_sum
+            and _off(a1 - t1) <= (tol_diff + tol_sum) / 2
+            for a1, a2, a3 in (sol.as_tuple() for sol in sols)
+        )
+        if min(plus, minus) > 1e-6:
+            assert len(sols) == 8
+            for k, a in enumerate(sols):
+                for b in sols[:k]:
+                    assert max(_off(x - y) for x, y in zip(a.as_tuple(), b.as_tuple())) > 1e-7
 
 
 class TestOptimizers:
@@ -284,24 +329,34 @@ class TestBranchSolve:
             pc_optimize(n_starts=0)
 
 
+def _fresh_stdout(probe: str) -> str:
+    """What ``probe`` prints in a fresh interpreter that imports qclone from src/."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+
+
 class TestLazyScipy:
     def test_import_leaves_scipy_optimize_unloaded(self):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         probe = "import sys, qclone, qclone.cli; print('scipy.optimize' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout == "False\n"
+        assert _fresh_stdout(probe) == "False\n"
 
-    def test_degenerate_target_still_takes_the_least_squares_path(self, monkeypatch):
-        calls = []
-        real = prepsolver.least_squares
+    def test_solve_prep_on_a_singular_plane_leaves_scipy_optimize_unloaded(self):
+        probe = (
+            "import contextlib, io, sys\n"
+            "from qclone.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['solve-prep', '--coeffs={SINGULAR_COEFFS}'])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n"
+        )
+        assert _fresh_stdout(probe) == "0 False\n"
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+    def test_degenerate_target_never_calls_least_squares(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("least_squares called")
 
-        monkeypatch.setattr(prepsolver, "least_squares", counting)
+        monkeypatch.setattr(prepsolver, "least_squares", refuse)
         coeffs = as_prep_coeffs(coeff_formula(0.3, math.pi / 4, 0.5))
         sols = solve_prep_angles(coeffs)
-        assert calls
-        assert min(residual_of(s, coeffs) for s in sols) < 1e-6
+        assert len(sols) == 8
+        assert max(residual_of(s, coeffs) for s in sols) <= 1e-15

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclone.gates import basis_permutation, parse_circuit
-from qclone.machines import PC_X, PC_Y, PC_Z, pc_clone
+from qclone.gates import apply_circuit, basis_permutation, parse_circuit
+from qclone.machines import PC_X, PC_Y, PC_Z, compile_isometry, pc_clone
+from qclone.prepsolver import simulate_prep, solve_prep_angles
 from qclone import synth
 from qclone.qnum import PureState, make_qubit, tensor
 from qclone.synth import (
@@ -318,6 +319,23 @@ class TestCatalog:
             assert report.fidelity_max_err <= 1e-9
             assert report.swap_max_residual <= 1e-10
             assert report.synth_ok
+
+    def test_permuted_isometry_matches_the_gate_level_compile(self):
+        """One scatter of |k> (x) prep per circuit against the gate-by-gate run;
+        apply_circuit renormalizes after every gate, which moves an entry by
+        at most 2 ulps here (bit-identical on most circuits)."""
+        identical = checked = 0
+        for row in TABLE2:
+            for sol in solve_prep_angles(row_prep_coeffs(row)):
+                prep = simulate_prep(sol)
+                for text in row.circuits:
+                    circ = parse_circuit(text, 3)
+                    want = compile_isometry(lambda psi0: apply_circuit(tensor(psi0, prep), circ))
+                    got = synth._permuted_isometry(prep, basis_permutation(circ))
+                    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+                    identical += np.array_equal(got, want)
+                    checked += 1
+        assert checked == 192 and identical > checked // 2
 
     def test_row_lookup_by_index(self):
         report = verify_table2(10)
