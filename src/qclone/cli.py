@@ -11,13 +11,17 @@ synth        CNOT network for a basis permutation given as its image list
 verify       re-run the machine-catalog checks and the invariant suite
 constants    evaluate the catalog's angle constants and named values
 
-Reports are deterministic: fixed quadrature rules and seeds, sorted JSON
-keys, 15-significant-digit CSV with LF line endings, no timestamps.  Ensemble
-averages (``sweep --param phi``, ``verify invariants``) use the exact 17-node
-rule unless ``--quad N`` asks for Gauss-Legendre order N; a phi sweep's JSON
-metadata records ``"quadrature": "exact"`` or ``"quadrature_order": N``.  Exit
-codes: 0 success, 1 failed verification or unrealizable request, 2 usage
-error.  Angles are radians unless ``--deg`` is given.
+Each command but ``verify`` writes one report, as JSON or CSV per
+``--format`` (``_report``); ``verify`` prints each check record of
+:mod:`qclone.verify` as one JSON line.  Reports are deterministic: fixed
+averaging rules, fixed seeds for the optimizer starts and the invariants'
+random inputs, sorted JSON keys, 15-significant-digit CSV with LF line
+endings, no timestamps.  Ensemble averages (``sweep --param phi``,
+``verify invariants``) use the exact 17-node rule unless ``--quad N`` asks
+for Gauss-Legendre order N; a phi sweep's JSON metadata records
+``"quadrature": "exact"`` or ``"quadrature_order": N``.  Exit codes: 0
+success, 1 failed verification or unrealizable request, 2 usage error.
+Angles are radians unless ``--deg`` is given.
 """
 
 from __future__ import annotations
@@ -38,19 +42,13 @@ from .machines import (
     PC_X,
     PC_Y,
     PC_Z,
-    AveragingMeasure,
     NotDecomposable,
     average_fidelities,
     clone_batch,
     clone_output,
     equatorial_batch,
-    measure_nodes,
     orthogonal_decomposition,
-    orthogonal_decompositions,
-    projector_distances,
-    qubit_batch,
     scaling_factor,
-    two_op_case_report,
 )
 from .prepsolver import (
     ConvergenceFailure,
@@ -61,11 +59,7 @@ from .prepsolver import (
     residual_of,
     solve_prep_angles,
 )
-from .qnum import (
-    equatorial_qubit,
-    fidelity,
-    haar_amplitudes,
-)
+from .qnum import equatorial_qubit, fidelity
 from .synth import (
     TABLE2,
     BasisBijection,
@@ -75,8 +69,8 @@ from .synth import (
     anf_of,
     degrees_minutes,
     synthesize_cnots,
-    verify_table2,
 )
+from .verify import invariant_checks, table2_checks
 
 TOOL_NAME = "qclone"
 
@@ -103,10 +97,6 @@ def _clean(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
-
-
-def _json_text(payload) -> str:
-    return json.dumps(_clean(payload), sort_keys=True, indent=2) + "\n"
 
 
 def _num(value) -> str:
@@ -144,6 +134,14 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
+
+
+def _report(args, payload, columns, rows) -> None:
+    """Write ``payload`` as JSON or ``columns``/``rows`` as CSV, per ``--format``."""
+    if args.format == "json":
+        _emit(json.dumps(_clean(payload), sort_keys=True, indent=2) + "\n", args.out)
+    else:
+        _emit(_csv_text(columns, rows), args.out)
 
 
 def _metadata(**extra) -> dict:
@@ -221,24 +219,8 @@ def _cmd_run(args) -> int:
         "note": note,
         "metadata": _metadata(machine=machine),
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        cols = [
-            "machine",
-            "theta",
-            "phi",
-            "fidelity_a",
-            "fidelity_b",
-            "f0_sq",
-            "f2_sq",
-            "scaling_factor",
-            "original_f0_sq",
-            "original_f2_sq",
-            "note",
-        ]
-        row = [payload[c] if payload[c] is not None else "" for c in cols]
-        _emit(_csv_text(cols, [row]), args.out)
+    columns = [c for c in payload if c != "metadata"]
+    _report(args, payload, columns, [[payload[c] for c in columns]])
     return 0
 
 
@@ -289,15 +271,8 @@ def _cmd_sweep(args) -> int:
         rows = [[theta, phi, *vals] for theta, *vals in zip(grid.tolist(), *(f.tolist() for f in fids))]
         meta = _metadata(machine=machine)
 
-    if args.format == "json":
-        payload = {
-            "columns": columns,
-            "rows": [dict(zip(columns, row)) for row in rows],
-            "metadata": meta,
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv_text(columns, rows), args.out)
+    payload = {"columns": columns, "rows": [dict(zip(columns, row)) for row in rows], "metadata": meta}
+    _report(args, payload, columns, rows)
     return 0
 
 
@@ -318,27 +293,15 @@ def _cmd_solve_prep(args) -> int:
 
     solutions = solve_prep_angles(coeffs)
     convert = math.degrees if args.deg else (lambda v: v)
-    rows = []
-    for sol in solutions:
-        rows.append(
-            {
-                "theta1": convert(sol.theta1),
-                "theta2": convert(sol.theta2),
-                "theta3": convert(sol.theta3),
-                "residual": residual_of(sol, coeffs),
-            }
-        )
-    if args.format == "json":
-        payload = {
-            "coeffs": list(coeffs.as_array()),
-            "unit": "deg" if args.deg else "rad",
-            "solutions": rows,
-            "metadata": _metadata(),
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        columns = ["theta1", "theta2", "theta3", "residual"]
-        _emit(_csv_text(columns, [[r[c] for c in columns] for r in rows]), args.out)
+    columns = ["theta1", "theta2", "theta3", "residual"]
+    rows = [[*map(convert, sol.as_tuple()), residual_of(sol, coeffs)] for sol in solutions]
+    payload = {
+        "coeffs": list(coeffs.as_array()),
+        "unit": "deg" if args.deg else "rad",
+        "solutions": [dict(zip(columns, row)) for row in rows],
+        "metadata": _metadata(),
+    }
+    _report(args, payload, columns, rows)
     return 0
 
 
@@ -361,11 +324,8 @@ def _cmd_optimize_pc(args) -> int:
         "fixed_z0": bool(args.fix_z0),
         "metadata": _metadata(starts=args.starts),
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        cols = ["x", "y", "z", "f0_sq"]
-        _emit(_csv_text(cols, [[payload[c] for c in cols]]), args.out)
+    columns = ["x", "y", "z", "f0_sq"]
+    _report(args, payload, columns, [[payload[c] for c in columns]])
     return 0
 
 
@@ -384,206 +344,18 @@ def _cmd_synth(args) -> int:
     if bij.n_bits != 3:
         raise UsageError(f"--perm must list 8 images (3 wires), not {len(images)}")
     seq = synthesize_cnots(bij)
-    circuit_text = seq.to_string()
-    if args.format == "json":
-        payload = {
-            "perm": list(images),
-            "circuit": circuit_text,
-            "gate_count": len(seq),
-            "anf": [anf_of(bij, b).to_string() for b in range(bij.n_bits)],
-            "metadata": _metadata(),
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv_text(["circuit", "gate_count"], [[circuit_text, len(seq)]]), args.out)
+    payload = {
+        "perm": list(images),
+        "circuit": seq.to_string(),
+        "gate_count": len(seq),
+        "anf": [anf_of(bij, b).to_string() for b in range(bij.n_bits)],
+        "metadata": _metadata(),
+    }
+    _report(args, payload, ["circuit", "gate_count"], [[payload["circuit"], len(seq)]])
     return 0
 
 
 # --- verify -----------------------------------------------------------------
-
-
-def _check_line(suite: str, check: str, ok: bool, **detail) -> tuple[str, bool]:
-    record = {"suite": suite, "check": check, "ok": bool(ok)}
-    record.update(detail)
-    return json.dumps(_clean(record), sort_keys=True), bool(ok)
-
-
-def _table2_lines(row_index: int | None) -> list[tuple[str, bool]]:
-    rows = TABLE2 if row_index is None else (TABLE2[row_index - 1],)
-    lines = []
-    for row in rows:
-        report = verify_table2(row)
-        lines.append(
-            _check_line(
-                "table2",
-                "angles",
-                report.angles_ok,
-                row=row.index,
-                max_deviation_deg=report.angle_max_dev_deg,
-                nominal_deg=list(row.angles_deg),
-                nominal_dm=[degrees_minutes(d) for d in row.angles_deg],
-            )
-        )
-        lines.append(
-            _check_line(
-                "table2",
-                "fidelity",
-                report.fidelity_ok,
-                row=row.index,
-                max_error=report.fidelity_max_err,
-                target=PC_FIDELITY,
-            )
-        )
-        lines.append(
-            _check_line(
-                "table2",
-                "swap",
-                report.swap_ok,
-                row=row.index,
-                max_residual=report.swap_max_residual,
-            )
-        )
-        lines.append(
-            _check_line(
-                "table2",
-                "synth",
-                report.synth_ok,
-                row=row.index,
-                reference_form_valid=list(report.reference_form_valid),
-                reference_circuit_readings=[
-                    list(r) for r in report.reference_circuit_readings
-                ],
-            )
-        )
-    return lines
-
-
-def _scaling_residual(rho: np.ndarray, psi: np.ndarray) -> float:
-    """Worst distance of ``rho`` from ``s |psi><psi| + (1-s)/2 I``, s = f0_sq - f2_sq."""
-    f0, f2 = orthogonal_decompositions(rho, psi)
-    s = (f0 - f2)[:, None, None]
-    proj = psi[:, :, None] * psi.conj()[:, None, :]
-    resid = rho - (s * proj + (1.0 - s) / 2.0 * np.eye(2))
-    return float(np.linalg.norm(resid, axis=(1, 2)).max())
-
-
-def _invariant_lines(quad: int | None) -> list[tuple[str, bool]]:
-    lines = []
-
-    psi = qubit_batch(haar_amplitudes(np.random.default_rng(20240901), 1000))
-    bh = clone_batch("bh", psi)
-    worst_fid = float(np.abs(np.concatenate([bh.fidelity_a, bh.fidelity_b]) - BH_FIDELITY).max())
-    worst_pair = float(np.abs(bh.clone_a - bh.clone_b).max())
-    worst_scaling = _scaling_residual(bh.clone_a, psi)
-    lines.append(
-        _check_line(
-            "invariants",
-            "bh-universality",
-            worst_fid <= 1e-10 and worst_pair <= 1e-10,
-            samples=1000,
-            max_fidelity_error=worst_fid,
-            max_clone_difference=worst_pair,
-        )
-    )
-
-    psi = equatorial_batch(2.0 * math.pi * np.arange(256) / 256.0)
-    pc = clone_batch("pc", psi)
-    worst = float(np.abs(np.concatenate([pc.fidelity_a, pc.fidelity_b]) - PC_FIDELITY).max())
-    worst_pc_scaling = _scaling_residual(pc.clone_a, psi)
-    lines.append(
-        _check_line(
-            "invariants",
-            "pc-covariance",
-            worst <= 1e-10,
-            samples=256,
-            max_fidelity_error=worst,
-        )
-    )
-    lines.append(
-        _check_line(
-            "invariants",
-            "scaling-form",
-            worst_scaling <= 1e-9 and worst_pc_scaling <= 1e-9,
-            bh_max_residual=worst_scaling,
-            pc_max_residual=worst_pc_scaling,
-        )
-    )
-
-    psi = equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0)
-    phi = math.pi / 4.0
-    # per measure: the identity case at pi/4 and the anticorrelated case at pi/2
-    averages = [average_fidelities("two-op", m, quad, [phi, math.pi / 2.0]) for m in AveragingMeasure]
-    var_max = max(identity.var_a for identity, _ in averages)
-    # the input passes through untouched and the ancilla ends up rotated
-    target = (psi[:, :, None] * equatorial_qubit(phi).amplitudes).reshape(-1, 4)
-    joint_dev = float(projector_distances(clone_batch("two-op", psi, phi).joint, target).max())
-    lines.append(
-        _check_line(
-            "invariants",
-            "two-op-identity-case",
-            var_max < 1e-12 and joint_dev <= 1e-10,
-            phi=phi,
-            max_variance_a=var_max,
-            max_joint_residual=joint_dev,
-        )
-    )
-
-    phi = math.pi / 2.0
-    two = clone_batch("two-op", psi, phi)
-    sum_dev = float(np.abs(two.fidelity_a + two.fidelity_b - 1.0).max())
-    corr_dev = max(abs(anti.correlation + 1.0) for _, anti in averages)
-    lines.append(
-        _check_line(
-            "invariants",
-            "two-op-anticorrelated-case",
-            sum_dev <= 1e-12 and corr_dev <= 1e-9,
-            phi=phi,
-            max_sum_deviation=sum_dev,
-            max_correlation_deviation=corr_dev,
-        )
-    )
-
-    f0_sq, f2_sq = 5.0 / 6.0, 1.0 / 6.0
-    cross = abs(2.0 * math.sqrt(f2_sq) * math.sqrt(f0_sq - f2_sq) - (f0_sq - f2_sq))
-    lines.append(
-        _check_line(
-            "invariants",
-            "cross-term-condition",
-            cross <= 1e-12,
-            residual=cross,
-        )
-    )
-
-    devs = []
-    for measure, target in (
-        (AveragingMeasure.EQUATORIAL_UNIFORM, 0.75),
-        (AveragingMeasure.POLAR_UNIFORM, 2.0 / 3.0),
-    ):
-        thetas, weights = measure_nodes(measure, quad)
-        vals = np.cos(thetas) ** 4 + np.sin(thetas) ** 4
-        devs.append(abs(float(weights @ vals) - target))
-    lines.append(
-        _check_line(
-            "invariants",
-            "quadrature-sanity",
-            max(devs) <= 1e-9,
-            equatorial_deviation=devs[0],
-            polar_deviation=devs[1],
-        )
-    )
-
-    anomalies = [
-        entry["phi_label"] for entry in two_op_case_report(quad) if entry.get("anomaly")
-    ]
-    lines.append(
-        _check_line(
-            "invariants",
-            "case-report-erratum-flag",
-            anomalies == ["3pi/2"],
-            flagged_cases=anomalies,
-        )
-    )
-    return lines
 
 
 def _cmd_verify(args) -> int:
@@ -594,14 +366,13 @@ def _cmd_verify(args) -> int:
     quad = _quad_order(args)
     if args.row is not None and not 1 <= args.row <= len(TABLE2):
         raise UsageError(f"--row must be in 1..{len(TABLE2)}")
-    lines: list[tuple[str, bool]] = []
+    records = []
     if args.target in ("table2", "all"):
-        lines.extend(_table2_lines(args.row))
+        records += table2_checks(args.row)
     if args.target in ("invariants", "all"):
-        lines.extend(_invariant_lines(quad))
-    text = "".join(line + "\n" for line, _ok in lines)
-    _emit(text, args.out)
-    return 0 if all(ok for _line, ok in lines) else 1
+        records += invariant_checks(quad)
+    _emit("".join(json.dumps(_clean(r), sort_keys=True) + "\n" for r in records), args.out)
+    return 0 if all(r["ok"] for r in records) else 1
 
 
 # --- constants --------------------------------------------------------------
@@ -633,12 +404,8 @@ def _cmd_constants(args) -> int:
         },
         "metadata": _metadata(),
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.out)
-    else:
-        cols = ["label", "measured_deg", "nominal_deg", "is_exact", "deviation_deg", "ok"]
-        rows = [[c[k] for k in cols] for c in checks]
-        _emit(_csv_text(cols, rows), args.out)
+    columns = ["label", "measured_deg", "nominal_deg", "is_exact", "deviation_deg", "ok"]
+    _report(args, payload, columns, [[c[k] for k in columns] for c in checks])
     return 0 if all(c["ok"] for c in checks) else 1
 
 

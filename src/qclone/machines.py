@@ -39,8 +39,7 @@ moment; it integrates every trigonometric polynomial of degree <= 8
 exactly.  An explicit order selects Gauss-Legendre nodes instead, with the
 polar measure mapped through ``u = sin^2 t`` (machine precision at order
 128).  Both rules are cached per measure (and order) and returned
-read-only.  Monte Carlo sampling is available behind
-``method="monte-carlo"`` for cross-checks.
+read-only.
 """
 
 from __future__ import annotations
@@ -565,35 +564,20 @@ def _exact_nodes(measure: AveragingMeasure) -> tuple[np.ndarray, np.ndarray]:
     return thetas, weights
 
 
-def _monte_carlo_nodes(measure, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    measure = _as_measure(measure)
-    rng = np.random.default_rng(seed)
-    if measure is AveragingMeasure.EQUATORIAL_UNIFORM:
-        thetas = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    else:
-        u = rng.uniform(0.0, 1.0, size=n)
-        thetas = np.arccos(np.sqrt(u))
-    return thetas, np.full(n, 1.0 / n)
-
-
 def average_fidelity(
     machine: str,
     measure,
     n_samples: int | None = None,
     *,
     phi: float | None = None,
-    method: str = "quadrature",
-    seed: int = 20240901,
 ) -> FidelityStats:
     """Means/variances/correlation of (F_a, F_b) under the given measure.
 
-    With the default deterministic quadrature, ``n_samples=None`` selects the
-    exact 17-node rule of :func:`measure_nodes` and an integer the
-    Gauss-Legendre order; with ``method="monte-carlo"`` it is the sample
-    count (use >= 1000) and ``seed`` fixes the stream.  The single row of
-    :func:`average_fidelities`.
+    ``n_samples=None`` selects the exact 17-node rule of
+    :func:`measure_nodes` and an integer the Gauss-Legendre order.  The
+    single row of :func:`average_fidelities`.
     """
-    return average_fidelities(machine, measure, n_samples, [phi], method=method, seed=seed)[0]
+    return average_fidelities(machine, measure, n_samples, [phi])[0]
 
 
 #: Most (phi, node) rows that :func:`average_fidelities` evaluates as one batch.
@@ -605,9 +589,6 @@ def average_fidelities(
     measure,
     n_samples: int | None = None,
     phis=(None,),
-    *,
-    method: str = "quadrature",
-    seed: int = 20240901,
 ) -> list[FidelityStats]:
     """:func:`average_fidelity` at every ``phi`` of ``phis``, in order.
 
@@ -618,14 +599,7 @@ def average_fidelities(
     most ``_BATCH_ROWS`` rows, and each clone channel of a block is one
     :func:`reduced_qubits` call.  The statistics are then reduced phi by phi.
     """
-    if method == "quadrature":
-        thetas, weights = measure_nodes(measure, n_samples)
-    elif method == "monte-carlo":
-        if n_samples is None or n_samples < 1000:
-            raise ValueError("monte-carlo averaging needs n_samples >= 1000")
-        thetas, weights = _monte_carlo_nodes(measure, n_samples, seed)
-    else:
-        raise ValueError(f"unknown averaging method {method!r}")
+    thetas, weights = measure_nodes(measure, n_samples)
     net = _network(machine)
     # the same two normalization passes as clone_batch(machine, equatorial_batch(thetas))
     psi = qubit_batch(equatorial_batch(thetas))

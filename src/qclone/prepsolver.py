@@ -52,7 +52,6 @@ __all__ = [
     "coeff_formula",
     "prep_circuit",
     "simulate_prep",
-    "reconstruct_coeffs",
     "residual_of",
     "solve_prep_angles",
     "pc_optimize",
@@ -200,11 +199,6 @@ def prep_circuit(angles: AngleTriple) -> Circuit:
 def simulate_prep(angles: AngleTriple) -> PureState:
     """Run the preparation circuit on |00>."""
     return apply_circuit(basis_state(2, 0), prep_circuit(angles))
-
-
-def reconstruct_coeffs(angles: AngleTriple) -> PrepCoeffs:
-    """Coefficients reached by the given angles (closed trigonometric form)."""
-    return PrepCoeffs(tuple(coeff_formula(*angles.as_tuple())))
 
 
 def residual_of(angles: AngleTriple, coeffs: PrepCoeffs) -> float:

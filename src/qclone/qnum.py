@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "ATOL_ALGEBRAIC",
-    "ATOL_ITERATIVE",
     "MAX_QUBITS",
     "ZeroVector",
     "CapacityExceeded",
@@ -35,15 +34,11 @@ __all__ = [
     "density_of",
     "partial_trace",
     "fidelity",
-    "pauli_apply",
     "orthogonal_state",
     "apply_one_qubit",
-    "same_state",
-    "amplitude_pairs",
 ]
 
 ATOL_ALGEBRAIC = 1e-12
-ATOL_ITERATIVE = 1e-9
 PSD_FLOOR = -1e-10
 MAX_QUBITS = 24
 
@@ -107,9 +102,6 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState(n_qubits={self.n_qubits}, amplitudes={self.amplitudes!r})"
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 class DensityMatrix:
@@ -245,13 +237,6 @@ def apply_one_qubit(psi: PureState, matrix: np.ndarray, wire: int) -> PureState:
     return PureState(cube.reshape(-1))
 
 
-def pauli_apply(i: int, psi: PureState, wire: int) -> PureState:
-    """Apply ``sigma_i`` (i in 0..3) on the given wire."""
-    if i not in (0, 1, 2, 3):
-        raise IndexOutOfRange(f"Pauli index {i} must be in 0..3")
-    return apply_one_qubit(psi, SIGMA[i], wire)
-
-
 def orthogonal_state(psi: PureState) -> PureState:
     """The unique (up to phase) one-qubit state orthogonal to ``psi``.
 
@@ -262,17 +247,3 @@ def orthogonal_state(psi: PureState) -> PureState:
         raise WrongArity("orthogonal_state expects a single qubit")
     a, b = psi.amplitudes
     return PureState([-np.conj(b), np.conj(a)])
-
-
-def same_state(a: PureState, b: PureState, tol: float = 1e-10) -> bool:
-    """Projector comparison: true iff the states are equal up to global phase."""
-    if a.n_qubits != b.n_qubits:
-        return False
-    pa = np.outer(a.amplitudes, a.amplitudes.conj())
-    pb = np.outer(b.amplitudes, b.amplitudes.conj())
-    return bool(np.abs(pa - pb).max() <= tol)
-
-
-def amplitude_pairs(psi: PureState) -> list[list[float]]:
-    """Serialize amplitudes as ``[re, im]`` pairs in basis order."""
-    return [[float(z.real), float(z.imag)] for z in psi.amplitudes]

@@ -2,11 +2,11 @@
 
 A permutation of the 3-bit computational basis is realizable with CNOT gates
 alone exactly when each output bit is an *affine* Boolean function of the
-input bits.  This module extracts candidate permutations from coefficient
-labelings, converts truth tables to algebraic normal form (XOR of AND
-monomials), synthesizes CNOT networks by Gaussian elimination over GF(2), and
-ships a built-in catalog of the twelve coefficient rearrangements of the
-equatorial cloner together with a four-part verification report per row.
+input bits.  This module converts truth tables to algebraic normal form (XOR
+of AND monomials), synthesizes CNOT networks by Gaussian elimination over
+GF(2), and ships a built-in catalog of the twelve coefficient rearrangements
+of the equatorial cloner together with a four-part verification report per
+row.
 
 Conventions
 -----------
@@ -56,17 +56,11 @@ from .machines import (
     projector_distances,
     reduced_qubits,
 )
-from .prepsolver import (
-    AngleTriple,
-    PrepCoeffs,
-    simulate_prep,
-    solve_prep_angles,
-)
+from .prepsolver import AngleTriple, PrepCoeffs, coeff_formula, solve_prep_angles
 from .qnum import PureState, tensor
 from .qnum import fidelity  # noqa: F401  (kept importable as qclone.synth.fidelity)
 
 __all__ = [
-    "LabelMismatch",
     "NonAffine",
     "Singular",
     "BasisBijection",
@@ -78,16 +72,12 @@ __all__ = [
     "VAR_NAMES",
     "CLONE_MIX_LABELS",
     "TABLE2",
-    "identity_bijection",
     "compose",
     "parse_form",
-    "form_of",
     "fan_out_map",
     "affine_bijections",
     "anf_of",
-    "extract_bijection",
     "synthesize_cnots",
-    "stage_input_labels",
     "pair_clone_target",
     "derive_machines",
     "row_prep_coeffs",
@@ -97,10 +87,6 @@ __all__ = [
 ]
 
 VAR_NAMES = ("x", "y", "z")
-
-
-class LabelMismatch(ValueError):
-    """The two coefficient labelings are not multiset-equal."""
 
 
 class NonAffine(ValueError):
@@ -137,13 +123,6 @@ class BasisBijection:
             raise ValueError(f"output bit {output_bit} out of range for {n} wires")
         shift = n - 1 - output_bit
         return tuple((v >> shift) & 1 for v in self.images)
-
-    def __call__(self, index: int) -> int:
-        return self.images[index]
-
-
-def identity_bijection(n_bits: int = 3) -> BasisBijection:
-    return BasisBijection(tuple(range(2**n_bits)))
 
 
 def compose(outer: BasisBijection, inner: BasisBijection) -> BasisBijection:
@@ -279,11 +258,6 @@ def parse_form(text: str, n_bits: int = 3) -> BasisBijection:
     return BasisBijection(_affine_images(rows, const))
 
 
-def form_of(bij: BasisBijection) -> str:
-    """Render a bijection as a comma-separated list of ANF expressions."""
-    return ", ".join(anf_of(bij, b).to_string() for b in range(bij.n_bits))
-
-
 def fan_out_map(n_bits: int = 3) -> BasisBijection:
     """The involution ``(x, y, z) -> (x, x+y, x+z)`` copying wire 0 downward."""
     return parse_form("x, " + ", ".join(f"x+{v}" for v in VAR_NAMES[1:n_bits]), n_bits)
@@ -311,46 +285,6 @@ def _affine_image_table() -> np.ndarray:
     table = np.array([bij.images for bij in affine_bijections()])
     table.setflags(write=False)
     return table
-
-
-def extract_bijection(input_labels, output_labels) -> list[BasisBijection]:
-    """All basis bijections matching equal coefficient labels position-wise.
-
-    Positions carrying the same label may be permuted among themselves, so
-    repeated labels yield several candidates; all of them are returned, in a
-    deterministic order.  Labels only need to be hashable.
-    """
-    ins = list(input_labels)
-    outs = list(output_labels)
-    if len(ins) != len(outs):
-        raise LabelMismatch("labelings have different lengths")
-    n = len(ins)
-    if n == 0 or n & (n - 1):
-        raise ValueError("label count must be a power of two")
-
-    groups: dict[object, tuple[list[int], list[int]]] = {}
-    for pos, label in enumerate(ins):
-        groups.setdefault(label, ([], []))[0].append(pos)
-    for pos, label in enumerate(outs):
-        if label not in groups:
-            raise LabelMismatch(f"label {label!r} appears only in the output")
-        groups[label][1].append(pos)
-    for label, (in_pos, out_pos) in groups.items():
-        if len(in_pos) != len(out_pos):
-            raise LabelMismatch(f"label {label!r} has unequal multiplicity")
-
-    ordered = sorted(groups.items(), key=lambda item: repr(item[0]))
-    per_group = []
-    for _label, (in_pos, out_pos) in ordered:
-        per_group.append([list(zip(in_pos, perm)) for perm in itertools.permutations(out_pos)])
-    results = []
-    for choice in itertools.product(*per_group):
-        images = [0] * n
-        for pairs in choice:
-            for src, dst in pairs:
-                images[src] = dst
-        results.append(BasisBijection(tuple(images)))
-    return results
 
 
 @dataclass(frozen=True)
@@ -476,22 +410,6 @@ CLONE_MIX_LABELS = (
 )
 
 _COEFF_VALUES = {"C1": PC_X, "C2": PC_Y, "C3": PC_Y, "C4": PC_Z}
-
-
-def stage_input_labels(prep_letters) -> list[tuple[int, str]]:
-    """Coefficient labels of the fanned-out joint state, position by position.
-
-    ``prep_letters`` names the resource-state values on the two lower wires
-    (length 4, e.g. ``('x','y','y','z')``).  The returned labels describe the
-    state *after* ``fan_out_map`` has copied the input wire downward, which is
-    the stage the catalog's switching forms act on.
-    """
-    letters = tuple(prep_letters)
-    if len(letters) != 4:
-        raise ValueError("need four resource-state letters")
-    # the fan-out is an involution: position v holds the amplitude of input fan(v)
-    fan = fan_out_map().images
-    return [(v >> 2, letters[fan[v] & 0b11]) for v in range(8)]
 
 
 def pair_clone_target(psi0: PureState) -> PureState:
@@ -766,7 +684,7 @@ def verify_table2(row) -> RowReport:
     ]
     best = int(np.argmin(devs))
     angle_max_dev = devs[best]
-    prep_state = simulate_prep(solutions[best])
+    prep_state = PureState(coeff_formula(*solutions[best].as_tuple()))
 
     circuits = [parse_circuit(text, 3) for text in row.circuits]
     perms = [basis_permutation(circ) for circ in circuits]

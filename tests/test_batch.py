@@ -25,7 +25,6 @@ from qclone.machines import (
     orthogonal_decompositions,
     pointwise_fidelities,
     qubit_batch,
-    _monte_carlo_nodes,
     _qubit_min_eigenvalues,
     _require_psd,
 )
@@ -107,14 +106,6 @@ def test_average_fidelity_matches_reference_loop(machine, measure, n, phi):
     stats = average_fidelity(machine, measure, n, phi=phi)
     thetas, weights = measure_nodes(measure, n)
     want = _reference_stats(machine, thetas, weights, phi)
-    got = (stats.mean_a, stats.mean_b, stats.var_a, stats.var_b)
-    assert np.abs(np.subtract(got, want)).max() <= TOL
-
-
-def test_monte_carlo_average_matches_reference_loop():
-    stats = average_fidelity("two-op", "polar", 1000, phi=0.4, method="monte-carlo", seed=3)
-    thetas, weights = _monte_carlo_nodes("polar", 1000, 3)
-    want = _reference_stats("two-op", thetas, weights, 0.4)
     got = (stats.mean_a, stats.mean_b, stats.var_a, stats.var_b)
     assert np.abs(np.subtract(got, want)).max() <= TOL
 
@@ -255,14 +246,6 @@ def test_grid_covers_every_machine(machine):
         assert _same_stats(st, _one_batch_stats(machine, "polar", 40, phi))
 
 
-def test_monte_carlo_grid_equals_one_phi_calls():
-    phis = [0.4, 1.3]
-    grid = average_fidelities("two-op", "equatorial", 1000, phis, method="monte-carlo", seed=7)
-    for phi, st in zip(phis, grid):
-        want = average_fidelity("two-op", "equatorial", 1000, phi=phi, method="monte-carlo", seed=7)
-        assert _same_stats(st, want)
-
-
 @pytest.mark.parametrize("rows", [1, 127, 128, 3 * 128, 5 * 128 + 1])
 def test_blocking_does_not_change_the_result(monkeypatch, rows):
     phis = GOLDEN_PHIS[:23]
@@ -279,8 +262,6 @@ def test_empty_grid_and_bad_arguments():
         average_fidelities("three-op", "polar", 16, [0.1])
     with pytest.raises(ValueError):
         average_fidelities("two-op", "polar", 16, [0.1, None])  # two-op needs phi
-    with pytest.raises(ValueError):
-        average_fidelities("two-op", "polar", 16, [0.1], method="simpson")
 
 
 # --- the exact 17-node rule ----------------------------------------------------
@@ -362,8 +343,6 @@ def test_default_arguments_select_the_exact_rule():
     want = average_fidelities("one-op", "polar", None, [None])
     assert average_fidelities("one-op", "polar") == want
     assert average_fidelity("one-op", "polar") == want[0]
-    with pytest.raises(ValueError):
-        average_fidelity("one-op", "polar", method="monte-carlo")
 
 
 # --- the closed-form PSD floor -------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,8 @@ from qclone import __version__, cli
 from qclone.cli import main
 from qclone.machines import BH_FIDELITY, PC_FIDELITY
 from qclone.prepsolver import ConvergenceFailure, NoSolution
+from qclone.synth import angle_constant_check
+from qclone.verify import invariant_checks, table2_checks
 
 TWO_THIRDS = 2.0 / 3.0
 
@@ -466,6 +469,19 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "all", "--quad", "64")
         assert code == 0
         assert len(out.splitlines()) == 56
+        records = table2_checks() + invariant_checks(64)
+        assert out == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+    def test_failed_check_prints_every_line_and_exits_1(self, capsys, monkeypatch):
+        def one_failing(row=None):
+            records = table2_checks(row)
+            records[1]["ok"] = False
+            return records
+
+        monkeypatch.setattr(cli, "table2_checks", one_failing)
+        code, out, _ = run_cli(capsys, "verify", "table2", "--row", "1")
+        assert code == 1
+        assert [json.loads(line)["ok"] for line in out.splitlines()] == [True, False, True, True]
 
     def test_row_out_of_range(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "table2", "--row", "13")
@@ -482,6 +498,14 @@ class TestConstants:
         assert data["angle_checks"][0]["nominal_dm"] == "22°30′"
         assert abs(data["values"]["pc_fidelity"] - PC_FIDELITY) < 1e-15
         assert abs(data["values"]["bh_fidelity"] - BH_FIDELITY) < 1e-15
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        checks = list(angle_constant_check())
+        checks[2] = dataclasses.replace(checks[2], ok=False)
+        monkeypatch.setattr(cli, "angle_constant_check", lambda: tuple(checks))
+        code, out, _ = run_cli(capsys, "constants")
+        assert code == 1
+        assert [c["ok"] for c in json.loads(out)["angle_checks"]] == [True, True, False, True]
 
 
 class TestInfrastructure:

@@ -334,16 +334,6 @@ class TestAveraging:
         value = float(weights @ (2.0 * np.cos(thetas) * np.sin(thetas)))
         assert abs(value - math.pi / 4.0) < 1e-12
 
-    def test_monte_carlo_deterministic_and_gated(self):
-        a = average_fidelity("one-op", "equatorial", 2000, method="monte-carlo", seed=5)
-        b = average_fidelity("one-op", "equatorial", 2000, method="monte-carlo", seed=5)
-        assert a == b
-        c = average_fidelity("one-op", "equatorial", 2000, method="monte-carlo", seed=6)
-        assert abs(a.mean_a - 0.75) < 0.02
-        assert a.mean_a != c.mean_a
-        with pytest.raises(ValueError):
-            average_fidelity("one-op", "equatorial", 100, method="monte-carlo")
-
     def test_quadrature_minimum_order(self):
         with pytest.raises(ValueError):
             measure_nodes("equatorial", 1)

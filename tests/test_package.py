@@ -6,7 +6,7 @@ import pytest
 
 import qclone
 
-SUBMODULES = ("qnum", "gates", "machines", "prepsolver", "synth")
+SUBMODULES = ("qnum", "gates", "machines", "prepsolver", "synth", "verify")
 
 
 @pytest.mark.parametrize("module", SUBMODULES)

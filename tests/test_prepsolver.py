@@ -21,7 +21,6 @@ from qclone.prepsolver import (
     coeff_formula,
     pc_optimize,
     prep_circuit,
-    reconstruct_coeffs,
     residual_of,
     simulate_prep,
     solve_prep_angles,
@@ -69,13 +68,6 @@ class TestCoeffFormula:
             assert np.allclose(
                 state.amplitudes.real, coeff_formula(t1, t2, t3), atol=1e-12
             )
-
-    def test_reconstruct_coeffs_consistent(self):
-        angles = AngleTriple(0.3, -0.8, 1.2)
-        rec = reconstruct_coeffs(angles)
-        assert np.allclose(
-            rec.as_array(), simulate_prep(angles).amplitudes.real, atol=1e-12
-        )
 
     def test_prep_circuit_shape(self):
         circuit = prep_circuit(AngleTriple(0.1, 0.2, 0.3))

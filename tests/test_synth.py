@@ -11,12 +11,10 @@ from qclone.prepsolver import simulate_prep, solve_prep_angles
 from qclone import synth
 from qclone.qnum import PureState, make_qubit, tensor
 from qclone.synth import (
-    CLONE_MIX_LABELS,
     TABLE2,
     AnfPolynomial,
     BasisBijection,
     CnotSequence,
-    LabelMismatch,
     NonAffine,
     Singular,
     affine_bijections,
@@ -25,19 +23,16 @@ from qclone.synth import (
     compose,
     degrees_minutes,
     derive_machines,
-    extract_bijection,
     fan_out_map,
-    form_of,
-    identity_bijection,
     pair_clone_target,
     parse_form,
     row_prep_coeffs,
-    stage_input_labels,
     synthesize_cnots,
     verify_table2,
 )
 
 TABLE1_IMAGES = (0, 5, 6, 3, 4, 1, 2, 7)
+IDENTITY = BasisBijection(tuple(range(8)))
 
 #: Which readings of each row's two transcribed circuits realize a valid
 #: machine (adjudicated exhaustively; frozen).
@@ -55,7 +50,7 @@ VALID_REFERENCE_FORM_ROWS = {1, 5, 8, 10}
 
 class TestBasisBijection:
     def test_identity(self):
-        assert identity_bijection().images == tuple(range(8))
+        assert parse_form("x, y, z") == IDENTITY
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -79,7 +74,7 @@ class TestBasisBijection:
 
 class TestAnf:
     def test_identity_components(self):
-        bij = identity_bijection()
+        bij = IDENTITY
         assert [anf_of(bij, b).to_string() for b in range(3)] == ["x", "y", "z"]
 
     def test_table1_anf_exact(self):
@@ -124,7 +119,8 @@ class TestAnf:
 
     def test_form_round_trip(self):
         for text in ("x, y, z", "x+y+z, y, z", "z+1, x+y+z+1, y"):
-            assert form_of(parse_form(text)) == text
+            bij = parse_form(text)
+            assert ", ".join(anf_of(bij, b).to_string() for b in range(3)) == text
 
     def test_parse_form_rejects_non_bijective(self):
         with pytest.raises(ValueError):
@@ -135,55 +131,9 @@ class TestAnf:
             parse_form("x, y, w")
 
 
-class TestExtractBijection:
-    def test_unique_labels_single_candidate(self):
-        labels = list("abcdefgh")
-        out = extract_bijection(labels, labels)
-        assert len(out) == 1
-        assert out[0].images == tuple(range(8))
-
-    def test_permuted_unique_labels(self):
-        ins = list("abcdefgh")
-        outs = list("badcfehg")
-        (bij,) = extract_bijection(ins, outs)
-        for i, label in enumerate(ins):
-            assert outs[bij.images[i]] == label
-
-    def test_label_mismatch(self):
-        with pytest.raises(LabelMismatch):
-            extract_bijection(list("aabb"), list("aaab"))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LabelMismatch):
-            extract_bijection(list("ab"), list("abab"))
-
-    def test_repeated_labels_yield_all_candidates(self):
-        out = extract_bijection(("u", "u", "v", "w"), ("v", "u", "w", "u"))
-        assert len(out) == 2
-        images = {b.images for b in out}
-        assert images == {(1, 3, 0, 2), (3, 1, 0, 2)}
-
-    def test_clone_stage_contains_table1(self):
-        candidates = extract_bijection(
-            stage_input_labels(("x", "y", "y", "z")), CLONE_MIX_LABELS
-        )
-        assert len(candidates) == 4
-        assert any(c.images == TABLE1_IMAGES for c in candidates)
-
-    def test_numeric_value_labels(self):
-        """Labeling by (input index, coefficient value) — the doubled middle
-        value produces the same four candidates."""
-        values = {"x": PC_X, "y": PC_Y, "z": PC_Z}
-        ins = [(k, values[s]) for k, s in stage_input_labels(("x", "y", "y", "z"))]
-        outs = [(k, values[s]) for k, s in CLONE_MIX_LABELS]
-        candidates = extract_bijection(ins, outs)
-        assert len(candidates) == 4
-        assert any(c.images == TABLE1_IMAGES for c in candidates)
-
-
 class TestSynthesize:
     def test_identity_is_empty(self):
-        assert len(synthesize_cnots(identity_bijection())) == 0
+        assert len(synthesize_cnots(IDENTITY)) == 0
 
     def test_table1_circuit_equals_reference_by_action(self):
         seq = synthesize_cnots(BasisBijection(TABLE1_IMAGES))
@@ -238,7 +188,7 @@ class TestSynthesize:
 
 class TestFanOut:
     def test_fan_out_form(self):
-        assert form_of(fan_out_map()) == "x, x+y, x+z"
+        assert [anf_of(fan_out_map(), b).to_string() for b in range(3)] == ["x", "x+y", "x+z"]
 
     def test_involution(self):
         fo = fan_out_map()
