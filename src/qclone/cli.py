@@ -64,7 +64,6 @@ from .synth import (
     TABLE2,
     BasisBijection,
     NonAffine,
-    Singular,
     angle_constant_check,
     anf_of,
     degrees_minutes,
@@ -505,7 +504,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (NoSolution, NonAffine, Singular, ConvergenceFailure) as exc:
+    except (NoSolution, NonAffine, ConvergenceFailure) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -129,6 +129,10 @@ MAX_QUAD_ORDER = 1024
 #: Nodes of the default rule, exact for trigonometric polynomials of degree <= 8.
 EXACT_NODES = 17
 
+#: A correlation is printed only if its rounding bound, 8 eps / sd of the
+#: flatter clone, is at most this; otherwise it is null (NaN).
+_CORRELATION_ACCURACY = 1e-4
+
 
 class NotDecomposable(ValueError):
     """Raised when a 1-qubit state has coherences outside the reference basis."""
@@ -181,7 +185,7 @@ class FidelityStats:
     mean_b: float
     var_a: float
     var_b: float
-    correlation: float  # NaN when either fidelity is constant
+    correlation: float  # NaN when either fidelity is (nearly) constant
 
     def __post_init__(self):
         if self.var_a < -1e-12 or self.var_b < -1e-12:
@@ -621,7 +625,7 @@ def _fidelity_stats(weights: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> Fide
     var_a = max(float(weights @ (fa - mean_a) ** 2), 0.0)
     var_b = max(float(weights @ (fb - mean_b) ** 2), 0.0)
     cov = float(weights @ ((fa - mean_a) * (fb - mean_b)))
-    if var_a * var_b < 1e-24:
+    if 8.0 * np.finfo(float).eps > _CORRELATION_ACCURACY * math.sqrt(min(var_a, var_b)):
         corr = math.nan
     else:
         corr = min(max(cov / math.sqrt(var_a * var_b), -1.0), 1.0)

@@ -3,10 +3,10 @@
 A permutation of the 3-bit computational basis is realizable with CNOT gates
 alone exactly when each output bit is an *affine* Boolean function of the
 input bits.  This module converts truth tables to algebraic normal form (XOR
-of AND monomials), synthesizes CNOT networks by Gaussian elimination over
-GF(2), and ships a built-in catalog of the twelve coefficient rearrangements
-of the equatorial cloner together with a four-part verification report per
-row.
+of AND monomials), synthesizes shortest CNOT networks from one breadth-first
+search over the 12 (inverted) CNOTs, and ships a built-in catalog of the
+twelve coefficient rearrangements of the equatorial cloner together with a
+four-part verification report per row.
 
 Conventions
 -----------
@@ -34,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,7 +63,6 @@ from .qnum import fidelity  # noqa: F401  (kept importable as qclone.synth.fidel
 
 __all__ = [
     "NonAffine",
-    "Singular",
     "BasisBijection",
     "AnfPolynomial",
     "CnotSequence",
@@ -91,10 +91,6 @@ VAR_NAMES = ("x", "y", "z")
 
 class NonAffine(ValueError):
     """An output bit needs an AND term; CNOTs alone cannot realize it."""
-
-
-class Singular(ValueError):
-    """The linear part is not invertible over GF(2)."""
 
 
 @dataclass(frozen=True)
@@ -166,10 +162,6 @@ class AnfPolynomial:
     @property
     def constant(self) -> bool:
         return () in self.terms
-
-    @property
-    def linear_vars(self) -> tuple[int, ...]:
-        return tuple(t[0] for t in self.terms if len(t) == 1)
 
     def evaluate(self, assignment) -> int:
         bits = tuple(int(b) & 1 for b in assignment)
@@ -313,82 +305,55 @@ class CnotSequence:
         return format_circuit(self.as_circuit())
 
 
-def synthesize_cnots(bij: BasisBijection) -> CnotSequence:
-    """Emit a CNOT network (with inversion flags) realizing the bijection.
+#: The 12 search generators: every plain P(c,t), then every inverted P!(c,t).
+_GENERATORS = tuple(
+    CnotOp(control, target, inverted)
+    for inverted in (False, True)
+    for control, target in itertools.permutations(range(3), 2)
+)
 
-    Gaussian elimination over GF(2) reduces the linear part to the identity
-    column by column (left to right, preferring an existing diagonal pivot);
-    each row operation corresponds to one CNOT, emitted in reverse.  The
-    affine constant vector is absorbed by solving, over GF(2), for a set of
-    inversion flags whose propagated effect equals it; any remainder outside
-    that span costs one inverted+plain gate pair per wire (a net X).  At most
-    8 gates result for 3 wires: over all 1,344 affine maps the counts 0..8
-    occur 1/12/69/212/371/380/223/68/8 times (an exhaustive test holds the 8).
+
+@lru_cache(maxsize=1)
+def _shortest_networks() -> MappingProxyType:
+    """Read-only map from each affine bijection's images to a shortest network.
+
+    A breadth-first search from the identity appends one generator at a time
+    and keeps the first network that reaches an image tuple, so ties follow
+    generator order.  Over the 1,344 affine maps the optimal lengths 0..6
+    occur 1/12/93/360/579/282/17 times.
+    """
+    steps = [tuple(cnot_image(v, gate, 3) for v in range(8)) for gate in _GENERATORS]
+    networks = {tuple(range(8)): ()}
+    frontier = list(networks)
+    while frontier:
+        reached = []
+        for images in frontier:
+            for gate, step in zip(_GENERATORS, steps):
+                image = tuple(step[v] for v in images)
+                if image not in networks:
+                    networks[image] = networks[images] + (gate,)
+                    reached.append(image)
+        frontier = reached
+    assert len(networks) == 1344
+    return MappingProxyType({images: CnotSequence(ops) for images, ops in networks.items()})
+
+
+def synthesize_cnots(bij: BasisBijection) -> CnotSequence:
+    """A shortest CNOT network (with inversion flags) realizing the bijection.
+
+    The network is looked up in :func:`_shortest_networks`; a bijection it
+    lacks has an output bit with an AND term, named in the :class:`NonAffine`.
     """
     if bij.n_bits != 3:
         raise ValueError("synthesis is supported for exactly 3 wires")
-    work, want = [], 0  # GF(2) rows as bit masks (wire 0 = MSB), constant vector
-    for out_bit in range(3):
-        poly = anf_of(bij, out_bit)
-        if not poly.is_affine:
-            bad = next(t for t in poly.terms if len(t) >= 2)
-            raise NonAffine(
-                f"output wire {out_bit} contains the monomial "
-                f"{''.join(VAR_NAMES[v] for v in bad)}"
-            )
-        work.append(sum(1 << (2 - v) for v in poly.linear_vars))
-        want |= poly.constant << (2 - out_bit)
-
-    reduction: list[tuple[int, int]] = []  # (target_row, source_row)
-    for col in range(3):
-        pivot = 1 << (2 - col)
-        if not work[col] & pivot:
-            donor = next((i for i in range(col + 1, 3) if work[i] & pivot), None)
-            if donor is None:
-                raise Singular("linear part is not invertible over GF(2)")
-            work[col] ^= work[donor]
-            reduction.append((col, donor))
-        for row in range(3):
-            if row != col and work[row] & pivot:
-                work[row] ^= work[col]
-                reduction.append((row, col))
-
-    gates = [CnotOp(source, target) for (target, source) in reversed(reduction)]
-
-    # Flag contribution of gate i: the suffix of the circuit maps a flip of
-    # its target wire to some final bit pattern; solve for flags whose XOR of
-    # patterns is the constant vector.
-    patterns = []
-    for i, gate in enumerate(gates):
-        vec = 1 << (2 - gate.target)
-        for later in gates[i + 1 :]:
-            vec = cnot_image(vec, later, 3)
-        patterns.append(vec)
-    basis: dict[int, tuple[int, int]] = {}
-    for i, vec in enumerate(patterns):
-        cur, mask = vec, 1 << i
-        for b in (2, 1, 0):
-            if (cur >> b) & 1 and b in basis:
-                cur ^= basis[b][0]
-                mask ^= basis[b][1]
-        if cur:
-            basis[max(b for b in range(3) if (cur >> b) & 1)] = (cur, mask)
-    cur, flags = want, 0
-    for b in (2, 1, 0):
-        if (cur >> b) & 1 and b in basis:
-            cur ^= basis[b][0]
-            flags ^= basis[b][1]
-
-    ops = [
-        CnotOp(gate.control, gate.target, inverted=bool((flags >> i) & 1))
-        for i, gate in enumerate(gates)
-    ]
-    for wire in range(3):
-        if (cur >> (2 - wire)) & 1:  # residual constant: net X via a gate pair
-            helper = (wire + 1) % 3
-            ops.append(CnotOp(helper, wire, inverted=True))
-            ops.append(CnotOp(helper, wire))
-    seq = CnotSequence(tuple(ops))
+    seq = _shortest_networks().get(bij.images)
+    if seq is None:
+        polys = [anf_of(bij, out_bit) for out_bit in range(3)]
+        out_bit = next(b for b, poly in enumerate(polys) if not poly.is_affine)
+        bad = next(t for t in polys[out_bit].terms if len(t) >= 2)
+        raise NonAffine(
+            f"output wire {out_bit} contains the monomial {''.join(VAR_NAMES[v] for v in bad)}"
+        )
     realized = basis_permutation(seq.as_circuit())
     assert realized is not None and tuple(realized) == bij.images
     return seq
@@ -482,7 +447,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C1", "C2", "C2", "C4"),
         (22.5, 0.0, 22.5),
         ("x+y+z, y, z", "x+y+z, z, y"),
-        ("P(2,1) P(1,2) P(1,0) P(2,1) P(0,2) P(0,1)", "P(2,0) P(1,0) P(0,2) P(0,1)"),
+        ("P(0,1) P(0,2) P(1,0) P(2,0)", "P(1,0) P(2,0) P(0,1) P(0,2)"),
         ("x+y+z, y, z", "x+y+z, z, y"),
         ("P(1,0) P(2,0)", "P(1,2) P(2,1) P(1,2) P(1,0) P(2,0)"),
     ),
@@ -491,7 +456,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C1", "C2", "C4", "C2"),
         (_D20, 15.0, _D40),
         ("z, y, x+y+z", "z, x+y+z, y"),
-        ("P(2,1) P(2,0) P(1,2) P(0,2) P(0,1)", "P(2,0) P(1,2) P(0,2) P(0,1)"),
+        ("P(0,1) P(2,0) P(1,2)", "P(2,0) P(0,1) P(1,2)"),
         ("x+z, y, y+z", "x+z, y+z, y"),
         ("P(1,2) P(2,0)", "P(1,2) P(2,1) P(2,0)"),
     ),
@@ -500,7 +465,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C1", "C4", "C2", "C2"),
         (_D40, 15.0, _D20),
         ("y, z, x+y+z", "y, x+y+z, z"),
-        ("P(2,1) P(2,0) P(1,0) P(0,2) P(0,1)", "P(1,2) P(1,0) P(2,1) P(0,2) P(0,1)"),
+        ("P(1,0) P(0,2) P(2,1)", "P(0,2) P(1,0) P(2,1)"),
         ("x+y, z, y+z", "x+y, y+z, z"),
         ("P(2,1) P(1,2) P(1,0)", "P(2,1) P(1,0)"),
     ),
@@ -509,7 +474,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C2", "C1", "C2", "C4"),
         (62.0 + 40.0 / 60.0, -15.0, _D40),
         ("z+1, y, x+y+z+1", "z+1, x+y+z+1, y"),
-        ("P!(2,1) P!(2,0) P!(1,2) P(0,2) P(0,1)", "P!(2,0) P!(1,2) P(0,2) P(0,1)"),
+        ("P(0,1) P!(2,0) P!(1,2)", "P!(2,0) P(0,1) P!(1,2)"),
         ("x+z+1, y, y+z+1", "x+z+1, y+z+1, y"),
         ("P(1,2) P!(2,0)", "P(1,2) P(2,0) P!(2,1)"),
     ),
@@ -518,7 +483,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C2", "C1", "C4", "C2"),
         (67.5, 0.0, 22.5),
         ("x+y+z+1, y, z+1", "x+y+z+1, z+1, y"),
-        ("P!(2,1) P!(1,2) P(1,0) P(2,1) P(0,2) P(0,1)", "P!(2,0) P(1,0) P!(0,2) P(0,1)"),
+        ("P(0,1) P!(0,2) P(1,0) P(2,0)", "P(1,0) P!(2,0) P(0,1) P!(0,2)"),
         ("x+y+z+1, y, z+1", "x+y+z+1, z+1, y"),
         ("P(1,0) P!(2,0)", "P(2,1) P(1,2) P(1,0) P(2,1) P!(2,0)"),
     ),
@@ -527,7 +492,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C2", "C2", "C1", "C4"),
         (_D40, -15.0, 62.0 + 40.0 / 60.0),
         ("y+1, z, x+y+z+1", "y+1, x+y+z+1, z"),
-        ("P!(2,1) P(2,0) P(1,0) P(0,2) P(0,1)", "P!(1,2) P!(1,0) P!(2,1) P(0,2) P(0,1)"),
+        ("P!(1,0) P(0,2) P!(2,1)", "P(0,2) P!(1,0) P!(2,1)"),
         ("x+y+1, z, y+z+1", "x+y+1, y+z+1, z"),
         ("P(2,1) P(1,2) P!(1,0)", "P(1,0) P!(2,0)"),
     ),
@@ -536,7 +501,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C2", "C2", "C4", "C1"),
         (-_D40, 75.0, -_D20),
         ("y+1, z+1, x+y+z", "y+1, x+y+z, z+1"),
-        ("P(2,1) P!(2,0) P(1,0) P!(0,2) P(0,1)", "P(1,2) P!(1,0) P!(2,1) P(0,2) P(0,1)"),
+        ("P!(1,0) P!(0,2) P!(2,1)", "P!(0,2) P!(1,0) P!(2,1)"),
         ("x+y+1, z+1, y+z", "x+y+1, y+z, z+1"),
         ("P(2,1) P(1,2) P!(1,0)", "P!(2,1) P!(1,0)"),
     ),
@@ -545,7 +510,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C2", "C4", "C1", "C2"),
         (22.5, 0.0, 67.5),
         ("x+y+z+1, z, y+1", "x+y+z+1, y+1, z"),
-        ("P!(2,0) P(1,0) P(0,2) P!(0,1)", "P!(2,1) P(1,2) P(1,0) P(2,1) P(0,2) P(0,1)"),
+        ("P(1,0) P!(2,0) P(0,2) P!(0,1)", "P(0,2) P!(0,1) P(1,0) P(2,0)"),
         ("x+y+z+1, z, y+1", "x+y+z+1, y+1, z"),
         ("P(1,2) P(2,1) P(1,2) P!(1,0) P(2,0)", "P!(1,0) P(2,0)"),
     ),
@@ -554,7 +519,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C2", "C4", "C2", "C1"),
         (-_D20, 75.0, -_D40),
         ("z+1, x+y+z, y+1", "z+1, y+1, x+y+z"),
-        ("P!(2,0) P(1,2) P(0,2) P!(0,1)", "P(2,1) P!(2,0) P!(1,2) P(0,2) P(0,1)"),
+        ("P!(2,0) P!(0,1) P!(1,2)", "P!(0,1) P!(2,0) P!(1,2)"),
         ("x+z+1, y+z, y+1", "x+z+1, y+1, y+z"),
         ("P(1,2) P!(2,0) P(2,1)", "P!(1,2) P!(2,0)"),
     ),
@@ -563,7 +528,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C4", "C2", "C2", "C1"),
         (67.5, 0.0, 67.5),
         ("x+y+z, z+1, y+1", "x+y+z, y+1, z+1"),
-        ("P(2,0) P(1,0) P!(0,2) P!(0,1)", "P(2,1) P!(1,2) P(1,0) P(2,1) P(0,2) P(0,1)"),
+        ("P(1,0) P(2,0) P!(0,1) P!(0,2)", "P(1,2) P!(0,1) P(2,0) P(1,2)"),
         ("x+y+z, z+1, y+1", "x+y+z, y+1, z+1"),
         ("P(1,2) P(2,1) P(1,2) P!(1,0) P!(2,0)", "P!(1,0) P!(2,0)"),
     ),
@@ -572,7 +537,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C4", "C2", "C1", "C2"),
         (_D20, -15.0, 72.0 + 20.0 / 60.0),
         ("z, x+y+z+1, y+1", "z, y+1, x+y+z+1"),
-        ("P(2,0) P!(1,2) P(0,2) P!(0,1)", "P!(2,1) P(2,0) P(1,2) P(0,2) P(0,1)"),
+        ("P(2,0) P!(0,1) P(1,2)", "P!(0,1) P(2,0) P(1,2)"),
         ("x+z, y+z+1, y+1", "x+z, y+1, y+z+1"),
         ("P!(1,2) P(2,1) P(2,0)", "P!(1,2) P(2,0)"),
     ),
@@ -581,7 +546,7 @@ TABLE2: tuple[Table2Row, ...] = (
         ("C4", "C1", "C2", "C2"),
         (72.0 + 20.0 / 60.0, -15.0, _D20),
         ("y, x+y+z+1, z+1", "y, z+1, x+y+z+1"),
-        ("P!(1,2) P(1,0) P(2,1) P(0,2) P(0,1)", "P!(2,1) P!(2,0) P(1,0) P!(0,2) P(0,1)"),
+        ("P!(0,2) P(1,0) P(2,1)", "P(1,0) P!(0,2) P(2,1)"),
         ("x+y, y+z+1, z+1", "x+y, z+1, y+z+1"),
         ("P!(2,1) P(1,0)", "P!(2,1) P(1,2) P(1,0)"),
     ),

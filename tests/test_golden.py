@@ -68,6 +68,7 @@ CASES = (
     ("synth", "--perm", "0,1,2,3,7,6,5,4"),
     ("synth", "--perm", "0,1,2,3,7,6,5,4", "--format", "csv"),
     ("synth", "--perm", "7,6,5,4,3,2,1,0"),
+    ("synth", "--perm", "0,5,6,3,4,1,2,7"),
     ("synth", "--perm", "0,1,2,3,4,5,7,6"),
     ("synth", "--perm", "0,0,1,2,3,4,5,6"),
     ("verify", "table2"),

@@ -118,6 +118,13 @@ class TestTwoOp:
         for measure in AveragingMeasure:
             stats = average_fidelity("two-op", measure, 128, phi=math.pi / 4)
             assert stats.var_a < 1e-12
+            # the correlation is null where its rounding bound 8 eps / sd of the
+            # flatter clone exceeds 1e-4, whatever the other clone's variance
+            near = average_fidelity("two-op", measure, phi=5 * math.pi / 4 + 5e-6)
+            assert near.var_a < 1e-22 and math.isnan(near.correlation)
+            for phi in (3 * math.pi / 4, 3.927):  # bounds 5e-15 and 6e-5 / 7e-5
+                assert not math.isnan(average_fidelity("two-op", measure, phi=phi).correlation)
+        assert abs(average_fidelity("two-op", "equatorial", phi=3 * math.pi / 4).correlation) < 1e-15
 
     def test_half_pi_pointwise_split(self):
         for theta in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):

@@ -330,8 +330,12 @@ def _fresh_stdout(probe: str) -> str:
 
 class TestLazyScipy:
     def test_import_leaves_scipy_optimize_unloaded(self):
-        probe = "import sys, qclone, qclone.cli; print('scipy.optimize' in sys.modules)"
-        assert _fresh_stdout(probe) == "False\n"
+        # the import also leaves synth's table of shortest CNOT networks unbuilt
+        probe = (
+            "import sys, qclone, qclone.cli\n"
+            "print('scipy.optimize' in sys.modules, qclone.synth._shortest_networks.cache_info().currsize)\n"
+        )
+        assert _fresh_stdout(probe) == "False 0\n"
 
     def test_solve_prep_on_a_singular_plane_leaves_scipy_optimize_unloaded(self):
         probe = (
