@@ -17,9 +17,8 @@ Each command but ``verify`` writes one report, as JSON or CSV per
 averaging rules, fixed seeds for the optimizer starts and the invariants'
 random inputs, sorted JSON keys, 15-significant-digit CSV with LF line
 endings, no timestamps.  Ensemble averages (``sweep --param phi``,
-``verify invariants``) use the exact 17-node rule unless ``--quad N`` asks
-for Gauss-Legendre order N; a phi sweep's JSON metadata records
-``"quadrature": "exact"`` or ``"quadrature_order": N``.  Exit codes: 0
+``verify invariants``) use the exact 17-node rule, and a phi sweep's JSON
+metadata records ``"quadrature": "exact"``.  Exit codes: 0
 success, 1 failed verification or unrealizable request, 2 usage error.
 Angles are radians unless ``--deg`` is given.
 """
@@ -37,7 +36,6 @@ from . import __version__
 from .machines import (
     BH_FIDELITY,
     MACHINE_NAMES,
-    MAX_QUAD_ORDER,
     PC_FIDELITY,
     PC_X,
     PC_Y,
@@ -165,14 +163,6 @@ def _require_in_range(flag: str, value: int, lo: int, hi: int) -> None:
         raise UsageError(f"--{flag} must be in {lo}..{hi}, not {value}")
 
 
-def _quad_order(args) -> int | None:
-    """``--quad N``, bounded, or ``None`` for the exact 17-node rule."""
-    if args.quad is None:
-        return None
-    _require_in_range("quad", args.quad, 2, MAX_QUAD_ORDER)
-    return args.quad
-
-
 # --- run --------------------------------------------------------------------
 
 
@@ -243,19 +233,16 @@ def _cmd_sweep(args) -> int:
         if args.phi is not None:
             raise UsageError("--phi applies to --param theta sweeps only")
         measure = args.measure or DEFAULT_MEASURE
-        quad = _quad_order(args)
         columns = ["param", "mean_a", "mean_b", "var_a", "var_b", "correlation"]
-        stats = average_fidelities(machine, measure, quad, grid.tolist())
+        stats = average_fidelities(machine, measure, grid.tolist())
         rows = [
             [phi, st.mean_a, st.mean_b, st.var_a, st.var_b, st.correlation]
             for phi, st in zip(grid.tolist(), stats)
         ]
-        rule = {"quadrature": "exact"} if quad is None else {"quadrature_order": quad}
-        meta = _metadata(machine=machine, measure=measure, **rule)
+        meta = _metadata(machine=machine, measure=measure, quadrature="exact")
     else:
-        for flag in ("measure", "quad"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"--{flag} applies to --param phi sweeps only")
+        if args.measure is not None:
+            raise UsageError("--measure applies to --param phi sweeps only")
         phi = _angle(args.phi, args.deg) if args.phi is not None else None
         if machine == "two-op" and phi is None:
             raise UsageError("theta sweep of two-op requires --phi")
@@ -360,16 +347,13 @@ def _cmd_synth(args) -> int:
 def _cmd_verify(args) -> int:
     if args.row is not None and args.target != "table2":
         raise UsageError("--row applies to the table2 target only")
-    if args.quad is not None and args.target == "table2":
-        raise UsageError("--quad applies to the invariants and all targets only")
-    quad = _quad_order(args)
     if args.row is not None and not 1 <= args.row <= len(TABLE2):
         raise UsageError(f"--row must be in 1..{len(TABLE2)}")
     records = []
     if args.target in ("table2", "all"):
         records += table2_checks(args.row)
     if args.target in ("invariants", "all"):
-        records += invariant_checks(quad)
+        records += invariant_checks()
     _emit("".join(json.dumps(_clean(r), sort_keys=True) + "\n" for r in records), args.out)
     return 0 if all(r["ok"] for r in records) else 1
 
@@ -446,14 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"averaging measure for --param phi sweeps (default {DEFAULT_MEASURE})",
     )
-    p_sweep.add_argument(
-        "--quad",
-        type=int,
-        default=None,
-        metavar="N",
-        help=f"Gauss-Legendre order for --param phi sweeps, 2..{MAX_QUAD_ORDER} "
-        "(default: exact 17-node rule)",
-    )
     p_sweep.add_argument("--phi", type=float, default=None, help="fixed phi for theta sweeps")
     _add_common(p_sweep, fmt_default="csv")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -478,14 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("target", choices=("table2", "invariants", "all"))
     p_verify.add_argument("--row", type=int, default=None)
-    p_verify.add_argument(
-        "--quad",
-        type=int,
-        default=None,
-        metavar="N",
-        help=f"Gauss-Legendre order for the invariants, 2..{MAX_QUAD_ORDER} "
-        "(default: exact 17-node rule)",
-    )
     p_verify.add_argument("--out", metavar="FILE", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -29,16 +29,14 @@ paths evaluate it:
   ``average_fidelity``, the phi sweep, the case report and the invariant
   suite all use it.
 
-Averaging is exact by default.  Both measures draw real inputs (cos t,
-sin t), and a copy is a few CNOTs on a fixed resource state, so each clone
-fidelity is a trigonometric polynomial of degree <= 4 in t and every
-reported statistic (means, variances, covariance) has degree <= 8.  The
-default rule takes the 17 equispaced nodes t_j = 2 pi j / 17 with weights
+Averaging is exact.  Both measures draw real inputs (cos t, sin t), and a
+copy is a few CNOTs on a fixed resource state, so each clone fidelity is a
+trigonometric polynomial of degree <= 4 in t and every reported statistic
+(means, variances, covariance) has degree <= 8.  The one rule takes the 17
+equispaced nodes t_j = 2 pi j / 17 with weights
 w_j = (1/17) sum_{|k|<=8} I_k e^{-ik t_j}, where I_k is the measure's k-th
 moment; it integrates every trigonometric polynomial of degree <= 8
-exactly.  An explicit order selects Gauss-Legendre nodes instead, with the
-polar measure mapped through ``u = sin^2 t`` (machine precision at order
-128).  Both rules are cached per measure (and order) and returned
+exactly.  Its nodes and weights are cached per measure and returned
 read-only.
 """
 
@@ -51,7 +49,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .gates import CnotOp, RotationOp, apply_cnot, apply_rotation, cnot_image
 from .qnum import (
@@ -83,7 +80,6 @@ __all__ = [
     "PC_Z",
     "PC_FIDELITY",
     "BH_FIDELITY",
-    "MAX_QUAD_ORDER",
     "EXACT_NODES",
     "one_op_clone",
     "two_op_clone",
@@ -123,10 +119,7 @@ PC_FIDELITY = PC_X**2 + PC_Y**2
 #: Input-independent clone fidelity of the bh machine.
 BH_FIDELITY = 5.0 / 6.0
 
-#: Largest Gauss-Legendre order: ``leggauss(n)`` builds a dense n x n matrix.
-MAX_QUAD_ORDER = 1024
-
-#: Nodes of the default rule, exact for trigonometric polynomials of degree <= 8.
+#: Nodes of the averaging rule, exact for trigonometric polynomials of degree <= 8.
 EXACT_NODES = 17
 
 #: A correlation is printed only if its rounding bound, 8 eps / sd of the
@@ -503,46 +496,19 @@ def _clone_channels(net: _Network, psi: np.ndarray, joint: np.ndarray) -> CloneB
 # --- averaging ----------------------------------------------------------------
 
 
-def measure_nodes(measure, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def measure_nodes(measure) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes as equatorial angles plus weights summing to 1.
 
     Both measures produce real-amplitude states ``(cos t, sin t)``; the polar
     measure, u = alpha^2 uniform, is the weight ``sin 2t`` on [0, pi/2] in t.
-    With ``n=None`` the rule is the exact one: the :data:`EXACT_NODES`
-    equispaced angles ``t_j = 2 pi j / 17`` with weights
-    ``(1/17) sum_{|k|<=8} I_k e^{-ik t_j}``, I_k the measure's k-th moment
-    (``delta_k0`` equatorial, ``int_0^{pi/2} e^{ikt} sin 2t dt`` polar).  It
-    integrates every trigonometric polynomial of degree <= 8 exactly; the
-    polar weights are not all positive.  An integer ``n`` selects
-    Gauss-Legendre nodes of that order; for the polar measure the
-    substitution ``u = sin^2 s`` turns the density into the smooth weight
-    ``sin(2s)`` on [0, pi/2] and the node state ``(sqrt(u), sqrt(1-u))``
-    into the angle ``t = pi/2 - s``.  The arrays are cached per
-    ``(measure, n)`` and read-only.
+    The rule takes the :data:`EXACT_NODES` equispaced angles
+    ``t_j = 2 pi j / 17`` with weights ``(1/17) sum_{|k|<=8} I_k e^{-ik t_j}``,
+    I_k the measure's k-th moment (``delta_k0`` equatorial,
+    ``int_0^{pi/2} e^{ikt} sin 2t dt`` polar).  It integrates every
+    trigonometric polynomial of degree <= 8 exactly; the polar weights are
+    not all positive.  The arrays are cached per measure and read-only.
     """
-    measure = _as_measure(measure)
-    if n is None:
-        return _exact_nodes(measure)
-    if n < 2:
-        raise ValueError("quadrature order must be at least 2")
-    if n > MAX_QUAD_ORDER:
-        raise ValueError(f"quadrature order must be at most {MAX_QUAD_ORDER}")
-    return _gauss_legendre_nodes(measure, int(n))
-
-
-@lru_cache(maxsize=8)
-def _gauss_legendre_nodes(measure: AveragingMeasure, n: int) -> tuple[np.ndarray, np.ndarray]:
-    xs, ws = leggauss(n)
-    if measure is AveragingMeasure.EQUATORIAL_UNIFORM:
-        thetas = (xs + 1.0) * math.pi
-        weights = ws / 2.0
-    else:
-        s = (xs + 1.0) * math.pi / 4.0
-        thetas = math.pi / 2.0 - s
-        weights = ws * (math.pi / 4.0) * np.sin(2.0 * s)
-    thetas.setflags(write=False)
-    weights.setflags(write=False)
-    return thetas, weights
+    return _exact_nodes(_as_measure(measure))
 
 
 def _polar_moment(k: int) -> complex:
@@ -568,42 +534,29 @@ def _exact_nodes(measure: AveragingMeasure) -> tuple[np.ndarray, np.ndarray]:
     return thetas, weights
 
 
-def average_fidelity(
-    machine: str,
-    measure,
-    n_samples: int | None = None,
-    *,
-    phi: float | None = None,
-) -> FidelityStats:
+def average_fidelity(machine: str, measure, *, phi: float | None = None) -> FidelityStats:
     """Means/variances/correlation of (F_a, F_b) under the given measure.
 
-    ``n_samples=None`` selects the exact 17-node rule of
-    :func:`measure_nodes` and an integer the Gauss-Legendre order.  The
-    single row of :func:`average_fidelities`.
+    Exact, on the 17-node rule of :func:`measure_nodes`; the single row of
+    :func:`average_fidelities`.
     """
-    return average_fidelities(machine, measure, n_samples, [phi])[0]
+    return average_fidelities(machine, measure, [phi])[0]
 
 
 #: Most (phi, node) rows that :func:`average_fidelities` evaluates as one batch.
 _BATCH_ROWS = 2**16
 
 
-def average_fidelities(
-    machine: str,
-    measure,
-    n_samples: int | None = None,
-    phis=(None,),
-) -> list[FidelityStats]:
+def average_fidelities(machine: str, measure, phis=(None,)) -> list[FidelityStats]:
     """:func:`average_fidelity` at every ``phi`` of ``phis``, in order.
 
-    ``n_samples`` is read as by :func:`average_fidelity`: ``None`` is the
-    exact 17-node rule.  The default ``phis`` is the one phi-free row of a
-    machine without a rotation.  The nodes x phi grid goes through a stack of
+    The default ``phis`` is the one phi-free row of a machine without a
+    rotation.  The nodes x phi grid goes through a stack of
     isometries (:func:`machine_isometries`) as one product, in blocks of at
     most ``_BATCH_ROWS`` rows, and each clone channel of a block is one
     :func:`reduced_qubits` call.  The statistics are then reduced phi by phi.
     """
-    thetas, weights = measure_nodes(measure, n_samples)
+    thetas, weights = measure_nodes(measure)
     net = _network(machine)
     # the same two normalization passes as clone_batch(machine, equatorial_batch(thetas))
     psi = qubit_batch(equatorial_batch(thetas))
@@ -692,19 +645,18 @@ _CASE_PHIS = (
 )
 
 
-def two_op_case_report(quad_order: int | None = None) -> list[dict]:
+def two_op_case_report() -> list[dict]:
     """Computed statistics of the two-op machine at its four notable angles.
 
     Every value is produced by simulation + quadrature (no closed forms), so
     the report is an independent record of what the machine actually does.
-    ``quad_order`` is read as by :func:`average_fidelity`.
     The 3pi/2 entry carries a non-null ``anomaly`` field: its polar-measure
     means are (2/3, 1/3) — an asymmetric pair whose midpoint 1/2 is *not*
     attained by either clone individually under either measure.
     """
     phis = [phi for _, phi in _CASE_PHIS]
-    equatorial = average_fidelities("two-op", AveragingMeasure.EQUATORIAL_UNIFORM, quad_order, phis)
-    polar = average_fidelities("two-op", AveragingMeasure.POLAR_UNIFORM, quad_order, phis)
+    equatorial = average_fidelities("two-op", AveragingMeasure.EQUATORIAL_UNIFORM, phis)
+    polar = average_fidelities("two-op", AveragingMeasure.POLAR_UNIFORM, phis)
     report = []
     for (label, phi), eq, po in zip(_CASE_PHIS, equatorial, polar):
         entry = {

@@ -6,8 +6,9 @@ Conventions used throughout the package:
   basis index, so ``|q0 q1 q2>`` has index ``q0*4 + q1*2 + q2``.
 * States are compared through their projectors (global phase carries no
   physical content), except where a test pins the phase on purpose.
-* Tolerances: 1e-12 for algebraic identities, 1e-9 for anything that passed
-  through an iterative solver, eigenvalue floor -1e-10 for positivity.
+* Tolerances: 1e-12 for algebraic identities, 1e-9 for the preparation
+  solver's residual and the ``PrepCoeffs``/``PcSolution`` checks, eigenvalue
+  floor -1e-10 for positivity.
 """
 
 from __future__ import annotations

@@ -91,12 +91,8 @@ def _scaling_residual(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(np.linalg.norm(resid, axis=(1, 2)).max())
 
 
-def invariant_checks(quad: int | None = None) -> list[dict]:
-    """Eight records of machine invariants.
-
-    Ensemble averages use the exact 17-node rule, or Gauss-Legendre order
-    ``quad`` when it is given.
-    """
+def invariant_checks() -> list[dict]:
+    """Eight records of machine invariants; ensemble averages use the exact 17-node rule."""
     records = []
 
     psi = qubit_batch(haar_amplitudes(np.random.default_rng(20240901), 1000))
@@ -141,7 +137,7 @@ def invariant_checks(quad: int | None = None) -> list[dict]:
     psi = equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0)
     phi = math.pi / 4.0
     # per measure: the identity case at pi/4 and the anticorrelated case at pi/2
-    averages = [average_fidelities("two-op", m, quad, [phi, math.pi / 2.0]) for m in AveragingMeasure]
+    averages = [average_fidelities("two-op", m, [phi, math.pi / 2.0]) for m in AveragingMeasure]
     var_max = max(identity.var_a for identity, _ in averages)
     # the input passes through untouched and the ancilla ends up rotated
     target = (psi[:, :, None] * equatorial_qubit(phi).amplitudes).reshape(-1, 4)
@@ -181,7 +177,7 @@ def invariant_checks(quad: int | None = None) -> list[dict]:
         (AveragingMeasure.EQUATORIAL_UNIFORM, 0.75),
         (AveragingMeasure.POLAR_UNIFORM, 2.0 / 3.0),
     ):
-        thetas, weights = measure_nodes(measure, quad)
+        thetas, weights = measure_nodes(measure)
         vals = np.cos(thetas) ** 4 + np.sin(thetas) ** 4
         devs.append(abs(float(weights @ vals) - target))
     records.append(
@@ -194,7 +190,7 @@ def invariant_checks(quad: int | None = None) -> list[dict]:
         )
     )
 
-    anomalies = [entry["phi_label"] for entry in two_op_case_report(quad) if entry.get("anomaly")]
+    anomalies = [entry["phi_label"] for entry in two_op_case_report() if entry.get("anomaly")]
     records.append(
         _record(
             "invariants",

@@ -152,7 +152,7 @@ def test_a04_two_op_special_cases(capsys):
         problems.append(f"phi=0 mismatch={worst_zero:.2e}")
 
     # phi = 3pi/2: polar means are (2/3, 1/3) and the entry is flagged.
-    entry = next(e for e in two_op_case_report(64) if e["phi_label"] == "3pi/2")
+    entry = next(e for e in two_op_case_report() if e["phi_label"] == "3pi/2")
     dev = max(
         abs(entry["polar"]["mean_a"] - TWO_THIRDS),
         abs(entry["polar"]["mean_b"] - 1.0 / 3.0),

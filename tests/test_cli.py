@@ -457,7 +457,7 @@ class TestVerify:
         assert all(json.loads(line)["ok"] for line in lines)
 
     def test_invariants(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "invariants", "--quad", "64")
+        code, out, _ = run_cli(capsys, "verify", "invariants")
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 8
@@ -466,10 +466,10 @@ class TestVerify:
         assert "case-report-erratum-flag" in names
 
     def test_all(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "all", "--quad", "64")
+        code, out, _ = run_cli(capsys, "verify", "all")
         assert code == 0
         assert len(out.splitlines()) == 56
-        records = table2_checks() + invariant_checks(64)
+        records = table2_checks() + invariant_checks()
         assert out == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
     def test_failed_check_prints_every_line_and_exits_1(self, capsys, monkeypatch):
@@ -529,8 +529,8 @@ class TestInfrastructure:
         assert abs(data["fidelity_a"] - BH_FIDELITY) < 1e-12
 
     def test_byte_determinism(self, capsys):
-        _, first, _ = run_cli(capsys, "verify", "all", "--quad", "64")
-        _, second, _ = run_cli(capsys, "verify", "all", "--quad", "64")
+        _, first, _ = run_cli(capsys, "verify", "all")
+        _, second, _ = run_cli(capsys, "verify", "all")
         assert first == second
         _, s1, _ = run_cli(
             capsys,
@@ -594,27 +594,33 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            PHI_SWEEP + ("--quad", "1"),
-            PHI_SWEEP + ("--quad", "1025"),
-            ("verify", "invariants", "--quad", "1"),
-            ("verify", "all", "--quad", "1025"),
-            ("verify", "table2", "--row", "1", "--quad", "64"),
             ("run", "bh", "--theta", "nan"),
             ("run", "two-op", "--theta", "0.1", "--phi", "inf"),
+            ("run", "two-op", "--theta", "0.3"),
+            ("run", "one-op", "--theta", "0.3", "--phi", "0.1"),
             ("sweep", "two-op", "--param", "phi", "--from", "0", "--to", "inf", "--steps", "3"),
             ("sweep", "bh", "--param", "theta", "--from=-1e308", "--to=1e308", "--steps", "3"),
             ("sweep", "two-op", "--param", "theta", "--from", "0", "--to", "1", "--steps", "3", "--phi", "nan"),
             ("sweep", "bh", "--param", "theta", "--from", "0", "--to", "1", "--steps", "10001"),
-            THETA_SWEEP + ("--quad", "7", "--measure", "polar"),
-            THETA_SWEEP + ("--quad", "128"),
+            THETA_SWEEP[:-1] + ("1",),
             THETA_SWEEP + ("--measure", "equatorial"),
+            THETA_SWEEP + ("--phi", "0.3"),
             PHI_SWEEP + ("--phi", "0.3"),
+            ("sweep", "one-op") + PHI_SWEEP[2:],
+            ("sweep", "two-op") + THETA_SWEEP[2:],
+            ("solve-prep", "--coeffs", "1,0,0"),
+            ("solve-prep", "--coeffs", "1,1,0,0"),
+            ("solve-prep", "--coeffs", "a,0,0,1"),
             ("optimize-pc", "--starts", "0"),
             ("optimize-pc", "--starts", "-3"),
             ("optimize-pc", "--starts", "10001"),
             ("optimize-pc", "--seed", "-1"),
             ("synth", "--perm", "0,1,2,3"),
             ("synth", "--perm", "0,1"),
+            ("synth", "--perm", "a,b,c,d,e,f,g,h"),
+            ("synth", "--perm", "0,0,1,2,3,4,5,6"),
+            ("verify", "invariants", "--row", "1"),
+            ("verify", "table2", "--row", "13"),
             ("run", "bh", "--theta", "0.1", "--out", UNWRITABLE),
             ("verify", "table2", "--row", "1", "--out", UNWRITABLE),
             THETA_SWEEP + ("--format", "json", "--out", UNWRITABLE),
@@ -627,8 +633,21 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bounds_are_inclusive(self, capsys):
-        code, _, _ = run_cli(capsys, *PHI_SWEEP[:-1], "2", "--quad", "2")
-        assert code == 0
+        for steps in ("2", "10000"):
+            code, out, _ = run_cli(capsys, *PHI_SWEEP[:-1], steps)
+            assert code == 0 and len(out.splitlines()) == 1 + int(steps)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [PHI_SWEEP, THETA_SWEEP, ("verify", "invariants"), ("verify", "all"), ("verify", "table2")],
+    )
+    def test_quad_is_an_unrecognized_argument(self, capsys, argv):
+        # argparse rejects it with a usage line before the one error line
+        code, out, err = run_cli(capsys, *argv, "--quad", "64")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.endswith("error: unrecognized arguments: --quad 64\n")
 
     def test_phi_sweep_metadata_keeps_defaults(self, capsys):
         code, out, _ = run_cli(capsys, *PHI_SWEEP, "--format", "json")
@@ -636,12 +655,6 @@ class TestUsageErrors:
         meta = json.loads(out)["metadata"]
         assert meta["measure"] == "equatorial"
         assert meta["quadrature"] == "exact" and "quadrature_order" not in meta
-
-    def test_phi_sweep_metadata_records_an_explicit_order(self, capsys):
-        code, out, _ = run_cli(capsys, *PHI_SWEEP, "--quad", "64", "--format", "json")
-        assert code == 0
-        meta = json.loads(out)["metadata"]
-        assert meta["quadrature_order"] == 64 and "quadrature" not in meta
 
 
 class TestDomainErrors:

@@ -46,7 +46,7 @@ CASES = (
     PHI_FULL,
     PHI_FULL + ("--measure", "polar"),
     ("sweep", "two-op", "--param", "phi", "--from", "0", "--to", "3.1416", "--steps", "9",
-     "--measure", "polar", "--quad", "64", "--format", "json"),
+     "--measure", "polar", "--format", "json"),
     ("sweep", "two-op", "--param", "phi", "--from", "0", "--to", "180", "--steps", "5", "--deg",
      "--format", "json"),
     ("sweep", "one-op") + THETA,
@@ -74,7 +74,7 @@ CASES = (
     ("verify", "table2"),
     ("verify", "table2", "--row", "4"),
     ("verify", "invariants"),
-    ("verify", "all", "--quad", "64"),
+    ("verify", "all"),
     ("constants",),
     ("constants", "--format", "csv"),
     ("run", "two-op", "--theta", "0.1"),

@@ -116,7 +116,7 @@ class TestTwoOp:
 
     def test_quarter_phi_variance_vanishes(self):
         for measure in AveragingMeasure:
-            stats = average_fidelity("two-op", measure, 128, phi=math.pi / 4)
+            stats = average_fidelity("two-op", measure, phi=math.pi / 4)
             assert stats.var_a < 1e-12
             # the correlation is null where its rounding bound 8 eps / sd of the
             # flatter clone exceeds 1e-4, whatever the other clone's variance
@@ -136,14 +136,12 @@ class TestTwoOp:
 
     def test_half_pi_anticorrelation(self):
         for measure in AveragingMeasure:
-            stats = average_fidelity("two-op", measure, 128, phi=math.pi / 2)
+            stats = average_fidelity("two-op", measure, phi=math.pi / 2)
             assert abs(stats.correlation + 1.0) < 1e-9
 
     def test_polar_means_match_closed_forms(self):
         for phi in np.linspace(0.0, 2.0 * math.pi, 64):
-            stats = average_fidelity(
-                "two-op", AveragingMeasure.POLAR_UNIFORM, 128, phi=float(phi)
-            )
+            stats = average_fidelity("two-op", AveragingMeasure.POLAR_UNIFORM, phi=float(phi))
             assert abs(stats.mean_a - mean_f1_polar(phi)) < 1e-6
             assert abs(stats.mean_b - mean_f2_polar(phi)) < 1e-6
 
@@ -319,16 +317,16 @@ class TestDecomposition:
 
 class TestAveraging:
     def test_one_op_means(self):
-        eq = average_fidelity("one-op", AveragingMeasure.EQUATORIAL_UNIFORM, 128)
-        po = average_fidelity("one-op", AveragingMeasure.POLAR_UNIFORM, 128)
+        eq = average_fidelity("one-op", AveragingMeasure.EQUATORIAL_UNIFORM)
+        po = average_fidelity("one-op", AveragingMeasure.POLAR_UNIFORM)
         assert abs(eq.mean_a - 0.75) < 1e-9
         assert abs(po.mean_a - 2.0 / 3.0) < 1e-9
 
     def test_measure_aliases(self):
         for alias in ("equatorial", "EquatorialUniform", "polar", "PolarUniform"):
-            thetas, weights = measure_nodes(alias, 16)
+            thetas, weights = measure_nodes(alias)
             assert abs(weights.sum() - 1.0) < 1e-12
-            assert len(thetas) == 16
+            assert len(thetas) == 17
 
     def test_enum_values(self):
         assert AveragingMeasure.EQUATORIAL_UNIFORM.value == "EquatorialUniform"
@@ -337,13 +335,9 @@ class TestAveraging:
     def test_polar_quadrature_reproduces_pi_over_4(self):
         """The polar average of 2*alpha*beta is pi/4 — the coefficient in the
         second clone's closed-form mean."""
-        thetas, weights = measure_nodes(AveragingMeasure.POLAR_UNIFORM, 128)
+        thetas, weights = measure_nodes(AveragingMeasure.POLAR_UNIFORM)
         value = float(weights @ (2.0 * np.cos(thetas) * np.sin(thetas)))
         assert abs(value - math.pi / 4.0) < 1e-12
-
-    def test_quadrature_minimum_order(self):
-        with pytest.raises(ValueError):
-            measure_nodes("equatorial", 1)
 
     def test_machine_names_roster(self):
         assert MACHINE_NAMES == ("one-op", "two-op", "bh", "pc")
