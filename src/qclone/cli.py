@@ -64,7 +64,6 @@ from .synth import (
     NonAffine,
     angle_constant_check,
     anf_of,
-    degrees_minutes,
     synthesize_cnots,
 )
 from .verify import invariant_checks, table2_checks
@@ -362,20 +361,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    checks = []
-    for chk in angle_constant_check():
-        checks.append(
-            {
-                "label": chk.label,
-                "measured_deg": chk.measured_deg,
-                "measured_dm": degrees_minutes(chk.measured_deg),
-                "nominal_deg": chk.nominal_deg,
-                "nominal_dm": degrees_minutes(chk.nominal_deg),
-                "is_exact": chk.is_exact,
-                "deviation_deg": chk.deviation_deg,
-                "ok": chk.ok,
-            }
-        )
+    checks = angle_constant_check()
     payload = {
         "angle_checks": checks,
         "values": {

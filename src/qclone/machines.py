@@ -62,7 +62,6 @@ from .qnum import (
     density_of,
     equatorial_qubit,
     fidelity,
-    orthogonal_state,
     partial_trace,
     tensor,
 )
@@ -180,12 +179,6 @@ class FidelityStats:
     var_b: float
     correlation: float  # NaN when either fidelity is (nearly) constant
 
-    def __post_init__(self):
-        if self.var_a < -1e-12 or self.var_b < -1e-12:
-            raise ValueError("variance below tolerance floor")
-        if not math.isnan(self.correlation) and abs(self.correlation) > 1 + 1e-9:
-            raise ValueError("correlation outside [-1, 1]")
-
 
 @dataclass(frozen=True)
 class DecompositionCoeffs:
@@ -193,12 +186,6 @@ class DecompositionCoeffs:
 
     f0_sq: float
     f2_sq: float
-
-    def __post_init__(self):
-        if self.f0_sq < -1e-9 or self.f2_sq < -1e-9:
-            raise ValueError("decomposition weights must be non-negative")
-        if abs(self.f0_sq + self.f2_sq - 1.0) > 1e-9:
-            raise ValueError("decomposition weights must sum to 1 within 1e-9")
 
 
 def bh_prep() -> PureState:
@@ -588,31 +575,22 @@ def _fidelity_stats(weights: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> Fide
 def orthogonal_decomposition(rho: DensityMatrix, psi0: PureState) -> DecompositionCoeffs:
     """Weights of ``rho`` in the orthogonal projector pair of ``psi0``.
 
-    The projectors of ``psi0`` and its orthogonal complement are an orthonormal
-    pair under the Frobenius inner product, so the best-fit weights are the two
-    diagonal overlaps; the off-basis residual must vanish (within 1e-6) for the
-    decomposition to be meaningful, otherwise :class:`NotDecomposable` is raised.
+    The single row of :func:`orthogonal_decompositions`.
     """
     if rho.n_qubits != 1 or psi0.n_qubits != 1:
         raise WrongArity("orthogonal_decomposition works on single qubits")
-    p0 = density_of(psi0).entries
-    p2 = density_of(orthogonal_state(psi0)).entries
-    f0 = float(np.trace(p0 @ rho.entries).real)
-    f2 = float(np.trace(p2 @ rho.entries).real)
-    residual = float(np.linalg.norm(rho.entries - f0 * p0 - f2 * p2))
-    if residual > 1e-6:
-        raise NotDecomposable(
-            f"state has coherences outside the reference basis (residual {residual:.3e})"
-        )
-    return DecompositionCoeffs(min(max(f0, 0.0), 1.0), min(max(f2, 0.0), 1.0))
+    f0, f2 = orthogonal_decompositions(rho.entries[None], psi0.amplitudes[None])
+    return DecompositionCoeffs(float(f0[0]), float(f2[0]))
 
 
 def orthogonal_decompositions(rho: np.ndarray, amplitudes) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`orthogonal_decomposition`: (f0_sq, f2_sq) arrays for (N, 2, 2) ``rho``.
+    """(f0_sq, f2_sq) arrays: each (2, 2) ``rho`` row's weights in its input's projector pair.
 
-    Raises :class:`NotDecomposable` when any row's off-basis residual exceeds
-    1e-6, and ``ValueError`` when any weight pair fails the
-    :class:`DecompositionCoeffs` checks; the weights are clamped to [0, 1].
+    The projectors of ``psi`` and its orthogonal complement are orthonormal
+    under the Frobenius inner product, so the weights are the two diagonal
+    overlaps.  Raises :class:`NotDecomposable` when a row's off-basis residual
+    exceeds 1e-6, and ``ValueError`` when a weight is below -1e-9 or a pair's
+    sum is off 1 by more than 1e-9; the weights are clamped to [0, 1].
     """
     psi = qubit_batch(amplitudes)
     p0 = _outer(psi)

@@ -68,7 +68,6 @@ __all__ = [
     "CnotSequence",
     "Table2Row",
     "RowReport",
-    "AngleConstantCheck",
     "VAR_NAMES",
     "CLONE_MIX_LABELS",
     "TABLE2",
@@ -564,30 +563,23 @@ def _as_row(row) -> Table2Row:
 
 @dataclass(frozen=True)
 class RowReport:
-    """Verification outcome for one catalog row.
+    """Verification outcome for one catalog row as four check records.
 
-    The four checks: the angle solver reproduces the nominal angles within
-    0.2 degrees; both stored circuits clone 64 equatorial inputs at the
-    optimal fidelity within 1e-9; the two circuits' outputs differ only by a
-    swap of the clone wires (projector residual below 1e-10); re-synthesizing
-    each stored form reproduces the stored circuit's basis action.  The
-    reference fields adjudicate the retained transcription artifacts.
+    Each record is ``{"suite": "table2", "check", "ok", "row", **detail}``.
+    ``angles``: the solver reproduces the nominal angles within 0.2 degrees.
+    ``fidelity``: both stored circuits clone 64 equatorial inputs at the
+    optimal fidelity within 1e-9.  ``swap``: their outputs differ only by a
+    swap of the clone wires (projector residual below 1e-10).  ``synth``:
+    re-synthesizing each stored form reproduces the stored circuit's basis
+    action; it also adjudicates the retained reference transcription.
     """
 
     index: int
-    angles_ok: bool
-    angle_max_dev_deg: float
-    fidelity_ok: bool
-    fidelity_max_err: float
-    swap_ok: bool
-    swap_max_residual: float
-    synth_ok: bool
-    reference_form_valid: tuple[bool, bool]
-    reference_circuit_readings: tuple[tuple[str, ...], tuple[str, ...]]
+    records: tuple[dict, ...]
 
     @property
     def passed(self) -> bool:
-        return self.angles_ok and self.fidelity_ok and self.swap_ok and self.synth_ok
+        return all(r["ok"] for r in self.records)
 
 
 _READING_LABELS = ("ltr-anticontrol", "ltr-preflip", "rtl-anticontrol", "rtl-preflip")
@@ -634,7 +626,10 @@ def _permuted_isometry(prep: PureState, images) -> np.ndarray:
 
 
 def verify_table2(row) -> RowReport:
-    """Run the four-part verification of one catalog row; never raises."""
+    """Run the four-part verification of one catalog row (a :class:`Table2Row` or 1-based index).
+
+    An index outside 1..12 raises ``ValueError``; a failed check is reported in its record.
+    """
     row = _as_row(row)
     coeffs = row_prep_coeffs(row)
     nominal = row.angles
@@ -673,47 +668,46 @@ def verify_table2(row) -> RowReport:
             synth_ok = False
 
     valid_images = {tuple(images) for images in perms}
-    ref_valid = tuple(
+    ref_valid = [
         compose(parse_form(text), fanout).images in valid_images
         for text in row.reference_forms
-    )
-    readings = []
-    for text in row.reference_circuits:
-        hits = tuple(
+    ]
+    readings = [
+        [
             label
             for label, bij in _reference_readings(text).items()
             if compose(bij, fanout).images in valid_images
-        )
-        readings.append(hits)
+        ]
+        for text in row.reference_circuits
+    ]
+
+    def record(check, ok, **detail):
+        return {"suite": "table2", "check": check, "ok": bool(ok), "row": row.index, **detail}
 
     return RowReport(
-        index=row.index,
-        angles_ok=angle_max_dev <= 0.2,
-        angle_max_dev_deg=angle_max_dev,
-        fidelity_ok=fid_err <= 1e-9,
-        fidelity_max_err=fid_err,
-        swap_ok=swap_residual <= 1e-10,
-        swap_max_residual=swap_residual,
-        synth_ok=synth_ok,
-        reference_form_valid=ref_valid,
-        reference_circuit_readings=tuple(readings),
+        row.index,
+        (
+            record(
+                "angles",
+                angle_max_dev <= 0.2,
+                max_deviation_deg=angle_max_dev,
+                nominal_deg=list(row.angles_deg),
+                nominal_dm=[degrees_minutes(d) for d in row.angles_deg],
+            ),
+            record("fidelity", fid_err <= 1e-9, max_error=fid_err, target=PC_FIDELITY),
+            record("swap", swap_residual <= 1e-10, max_residual=swap_residual),
+            record(
+                "synth",
+                synth_ok,
+                reference_form_valid=ref_valid,
+                reference_circuit_readings=readings,
+            ),
+        ),
     )
 
 
-@dataclass(frozen=True)
-class AngleConstantCheck:
-    """One nominal angle constant versus its exactly evaluated value."""
-
-    label: str
-    measured_deg: float
-    nominal_deg: float
-    is_exact: bool
-    deviation_deg: float
-    ok: bool
-
-
-def angle_constant_check() -> tuple[AngleConstantCheck, ...]:
-    """Evaluate the four catalog angle constants.
+def angle_constant_check() -> tuple[dict, ...]:
+    """Evaluate the four catalog angle constants as ``qclone constants`` records.
 
     Two are exact identities (residual below 1e-12); the other two are
     rounded to 10 arc-minutes and flagged as approximations, verified within
@@ -729,8 +723,18 @@ def angle_constant_check() -> tuple[AngleConstantCheck, ...]:
     for label, cos_sq, nominal, is_exact in entries:
         measured = math.degrees(math.acos(math.sqrt(cos_sq)))
         dev = abs(measured - nominal)
-        ok = dev <= (1e-12 if is_exact else 0.2)
-        out.append(AngleConstantCheck(label, measured, nominal, is_exact, dev, ok))
+        out.append(
+            {
+                "label": label,
+                "measured_deg": measured,
+                "measured_dm": degrees_minutes(measured),
+                "nominal_deg": nominal,
+                "nominal_dm": degrees_minutes(nominal),
+                "is_exact": is_exact,
+                "deviation_deg": dev,
+                "ok": dev <= (1e-12 if is_exact else 0.2),
+            }
+        )
     return tuple(out)
 
 

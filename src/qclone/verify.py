@@ -26,7 +26,7 @@ from .machines import (
     two_op_case_report,
 )
 from .qnum import equatorial_qubit, haar_amplitudes
-from .synth import TABLE2, degrees_minutes, verify_table2
+from .synth import TABLE2, verify_table2
 
 __all__ = ["table2_checks", "invariant_checks"]
 
@@ -39,47 +39,10 @@ def table2_checks(row: int | None = None) -> list[dict]:
     """Four records (angles, fidelity, swap, synth) per catalog row.
 
     ``row`` selects one row by its 1-based index; ``None`` checks all twelve.
-    Each record carries the row's :func:`~qclone.synth.verify_table2` figures.
+    The records are those of :func:`~qclone.synth.verify_table2`.
     """
-    records = []
-    for index in range(1, len(TABLE2) + 1) if row is None else (row,):
-        report = verify_table2(index)
-        nominal = TABLE2[report.index - 1].angles_deg
-        records += [
-            _record(
-                "table2",
-                "angles",
-                report.angles_ok,
-                row=report.index,
-                max_deviation_deg=report.angle_max_dev_deg,
-                nominal_deg=list(nominal),
-                nominal_dm=[degrees_minutes(d) for d in nominal],
-            ),
-            _record(
-                "table2",
-                "fidelity",
-                report.fidelity_ok,
-                row=report.index,
-                max_error=report.fidelity_max_err,
-                target=PC_FIDELITY,
-            ),
-            _record(
-                "table2",
-                "swap",
-                report.swap_ok,
-                row=report.index,
-                max_residual=report.swap_max_residual,
-            ),
-            _record(
-                "table2",
-                "synth",
-                report.synth_ok,
-                row=report.index,
-                reference_form_valid=list(report.reference_form_valid),
-                reference_circuit_readings=[list(r) for r in report.reference_circuit_readings],
-            ),
-        ]
-    return records
+    rows = range(1, len(TABLE2) + 1) if row is None else (row,)
+    return [record for index in rows for record in verify_table2(index).records]
 
 
 def _scaling_residual(rho: np.ndarray, psi: np.ndarray) -> float:

@@ -37,6 +37,7 @@ from qclone.qnum import (
     equatorial_qubit,
     fidelity,
     haar_amplitudes,
+    orthogonal_state,
 )
 
 TOL = 1e-12
@@ -140,12 +141,17 @@ def test_exact_rule_is_cached_read_only():
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
 def test_batched_decomposition_matches_reference(seed, n):
+    """Both decompositions against the overlaps of the gate-by-gate channel
+    with the input and with its orthogonal state."""
     amplitudes = qubit_batch(haar_amplitudes(np.random.default_rng(seed), n))
-    batch = clone_batch("bh", amplitudes)
-    f0, f2 = orthogonal_decompositions(batch.clone_a, amplitudes)
+    f0, f2 = orthogonal_decompositions(clone_batch("bh", amplitudes).clone_a, amplitudes)
     for k, row in enumerate(amplitudes):
-        ref = orthogonal_decomposition(DensityMatrix(batch.clone_a[k]), PureState(row))
-        assert abs(f0[k] - ref.f0_sq) <= TOL and abs(f2[k] - ref.f2_sq) <= TOL
+        psi = PureState(row)
+        rho = clone_output("bh", psi).clone_a
+        want = (fidelity(psi, rho), fidelity(orthogonal_state(psi), rho))
+        dec = orthogonal_decomposition(rho, psi)
+        for got in ((f0[k], f2[k]), (dec.f0_sq, dec.f2_sq)):
+            assert abs(got[0] - want[0]) <= TOL and abs(got[1] - want[1]) <= TOL
 
 
 def test_batched_decomposition_rejects_off_basis_coherence():

@@ -1,14 +1,18 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
-import dataclasses
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qclone import __version__, cli
-from qclone.cli import main
+from qclone.cli import build_parser, main
 from qclone.machines import BH_FIDELITY, PC_FIDELITY
 from qclone.prepsolver import ConvergenceFailure, NoSolution
 from qclone.synth import angle_constant_check
@@ -501,7 +505,7 @@ class TestConstants:
 
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         checks = list(angle_constant_check())
-        checks[2] = dataclasses.replace(checks[2], ok=False)
+        checks[2] = {**checks[2], "ok": False}
         monkeypatch.setattr(cli, "angle_constant_check", lambda: tuple(checks))
         code, out, _ = run_cli(capsys, "constants")
         assert code == 1
@@ -677,3 +681,92 @@ class TestDomainErrors:
         assert out == ""
         assert err == f"error: {type(exc).__name__}: {exc}\n"
         assert "Traceback" not in err
+
+
+#: Each subcommand's parser, read from the CLI's own parser.
+SUBCOMMANDS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+
+NUMBERS = (
+    st.floats(-10, 10).map(repr)
+    | st.floats().map(repr)
+    | st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "0.5", "-1"])
+)
+INTEGERS = st.integers(-3, 200).map(str) | st.sampled_from(["10001", "-99999999999999999999"])
+JUNK = st.sampled_from(["", "-", "--", "--bogus", "x", "-h", "--version", "--theta", "1,2"]) | st.text(
+    st.characters(blacklist_categories=("Cc", "Cs")), max_size=6
+)
+LISTS = (
+    st.lists(NUMBERS | INTEGERS, max_size=9).map(",".join)
+    | st.permutations(range(8)).map(lambda p: ",".join(map(str, p)))
+)
+
+
+def _one_in(n: int, rare, common):
+    return st.integers(1, n).flatmap(lambda k: rare if k == 1 else common)
+
+
+def _values(action, out_dir):
+    if action.dest == "out":
+        return st.sampled_from([str(out_dir / "report"), str(out_dir / "missing" / "report")])
+    if action.choices:
+        return _one_in(10, JUNK, st.sampled_from(list(action.choices)))
+    return _one_in(5, JUNK, {float: NUMBERS, int: INTEGERS}.get(action.type, LISTS))
+
+
+@st.composite
+def _argv(draw, out_dir):
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    head, flags = [name], []
+    for action in SUBCOMMANDS[name]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            head.append(draw(_values(action, out_dir)))
+        # a required flag is left out one time in ten
+        elif draw(st.integers(0, 9)) > 0 if action.required else draw(st.booleans()):
+            flag = [max(action.option_strings, key=len)]
+            if action.nargs != 0:
+                flag.append(draw(_values(action, out_dir)))
+            flags.append(flag)
+    argv = head + [tok for flag in draw(st.permutations(flags)) for tok in flag]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
+    return argv
+
+
+def _invoke(argv):
+    """(exit code, whether qclone returned it rather than argparse, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, own = main(argv), True
+        except SystemExit as exc:  # argparse: usage errors, --help, --version
+            code, own = exc.code, False
+    return code, own, out.getvalue(), err.getvalue()
+
+
+class TestExitCodeContract:
+    """For generated argv, exit 0, 1 or 2 with no traceback; a failure prints
+    nothing on stdout, and qclone's own failures one ``error:`` line."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_generated_argv(self, tmp_path, data):
+        argv = data.draw(_one_in(5, st.lists(JUNK, max_size=4), _argv(tmp_path)), label="argv")
+        code, own, out, err = _invoke(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out + err
+        if code != 0:
+            assert out == ""
+            lines = err.splitlines()
+            if own:
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+            else:  # argparse: usage lines, then one "qclone <command>: error: ..." line
+                assert lines[-1].startswith(cli.TOOL_NAME)
+                assert sum("error: " in line for line in lines) == 1

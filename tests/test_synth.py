@@ -6,7 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclone.gates import CnotOp, apply_circuit, basis_permutation, cnot_image, parse_circuit
-from qclone.machines import PC_X, PC_Y, PC_Z, compile_isometry, pc_clone
+from qclone.machines import (
+    _NETWORKS,
+    PC_FIDELITY,
+    PC_X,
+    PC_Y,
+    PC_Z,
+    batch_fidelity,
+    compile_isometry,
+    equatorial_batch,
+    pc_clone,
+    pc_prep,
+    reduced_qubits,
+)
 from qclone.prepsolver import simulate_prep, solve_prep_angles
 from qclone import synth
 from qclone.qnum import PureState, make_qubit, tensor
@@ -45,6 +57,11 @@ EXPECTED_READINGS = {
     10: (("ltr-preflip", "rtl-preflip"), ("ltr-preflip", "rtl-preflip")),
 }
 VALID_REFERENCE_FORM_ROWS = {1, 5, 8, 10}
+
+
+def _checks(report):
+    """A row report's records keyed by check name, in record order."""
+    return {r["check"]: r for r in report.records}
 
 
 class TestBasisBijection:
@@ -292,14 +309,30 @@ class TestCatalog:
         with pytest.raises(ValueError):
             pair_clone_target(PureState([1, 0, 0, 0]))
 
+    def test_pc_machine_is_the_first_circuit_of_row_1(self):
+        """qclone.machines keeps the pc network that catalog row 1 also stores:
+        the same CNOTs, the same resource state, and the wires that
+        CLONE_MIX_LABELS gives the clones (1, 2) and the original (0)."""
+        net, row = _NETWORKS["pc"], TABLE2[0]
+        assert net.cnots == parse_circuit(row.circuits[0], 3).ops
+        assert np.array_equal(pc_prep().amplitudes, row_prep_coeffs(row).as_state().amplitudes)
+        assert (net.clone_a, net.clone_b, net.original) == (1, 2, 0)
+        psi = equatorial_batch(2.0 * np.pi * np.arange(8) / 8.0)
+        target = np.array([pair_clone_target(PureState(p)).amplitudes for p in psi])
+        for wire, want in ((net.clone_a, PC_FIDELITY), (net.clone_b, PC_FIDELITY), (net.original, 0.75)):
+            assert np.allclose(batch_fidelity(psi, reduced_qubits(target, wire)), want, atol=1e-12)
+
     def test_all_rows_pass_verification(self):
         for row in TABLE2:
             report = verify_table2(row)
             assert report.passed, f"row {row.index}: {report}"
-            assert report.angle_max_dev_deg <= 0.2
-            assert report.fidelity_max_err <= 1e-9
-            assert report.swap_max_residual <= 1e-10
-            assert report.synth_ok
+            checks = _checks(report)
+            assert list(checks) == ["angles", "fidelity", "swap", "synth"]
+            assert all(r["row"] == row.index and r["suite"] == "table2" for r in report.records)
+            assert checks["angles"]["max_deviation_deg"] <= 0.2
+            assert checks["fidelity"]["max_error"] <= 1e-9
+            assert checks["swap"]["max_residual"] <= 1e-10
+            assert checks["synth"]["ok"]
 
     def test_permuted_isometry_matches_the_gate_level_compile(self):
         """One scatter of |k> (x) prep per circuit against the gate-by-gate run;
@@ -334,42 +367,42 @@ class TestCatalog:
         for rows 1, 5, 8, 10, and its circuits realize a valid machine only
         under the recorded readings."""
         for row in TABLE2:
-            report = verify_table2(row)
+            synth_record = _checks(verify_table2(row))["synth"]
             expected_valid = row.index in VALID_REFERENCE_FORM_ROWS
-            assert report.reference_form_valid == (expected_valid, expected_valid)
+            assert synth_record["reference_form_valid"] == [expected_valid, expected_valid]
             expected = EXPECTED_READINGS.get(row.index, ((), ()))
-            assert report.reference_circuit_readings == expected
+            assert synth_record["reference_circuit_readings"] == [list(r) for r in expected]
 
     def test_printed_angles_match_solver_within_tolerance(self):
         for row in TABLE2:
-            report = verify_table2(row)
+            dev = _checks(verify_table2(row))["angles"]["max_deviation_deg"]
             if row.index in (1, 5, 8, 10):
-                assert report.angle_max_dev_deg < 1e-9
+                assert dev < 1e-9
             else:
-                assert 0.03 < report.angle_max_dev_deg < 0.04
+                assert 0.03 < dev < 0.04
 
 
 class TestAngleConstants:
     def test_four_entries_all_ok(self):
         checks = angle_constant_check()
         assert len(checks) == 4
-        assert all(c.ok for c in checks)
+        assert all(c["ok"] for c in checks)
 
     def test_exact_versus_approximate_split(self):
         checks = angle_constant_check()
-        assert [c.is_exact for c in checks] == [True, True, False, False]
+        assert [c["is_exact"] for c in checks] == [True, True, False, False]
         for c in checks:
-            if c.is_exact:
-                assert c.deviation_deg < 1e-12
+            if c["is_exact"]:
+                assert c["deviation_deg"] < 1e-12
             else:
-                assert 0.03 < c.deviation_deg < 0.04
+                assert 0.03 < c["deviation_deg"] < 0.04
 
     def test_known_values(self):
         checks = angle_constant_check()
-        assert abs(checks[0].measured_deg - 22.5) < 1e-12
-        assert abs(checks[1].measured_deg - 15.0) < 1e-12
-        assert abs(checks[2].measured_deg - 17.632195) < 1e-5
-        assert abs(checks[3].measured_deg - 27.367805) < 1e-5
+        assert abs(checks[0]["measured_deg"] - 22.5) < 1e-12
+        assert abs(checks[1]["measured_deg"] - 15.0) < 1e-12
+        assert abs(checks[2]["measured_deg"] - 17.632195) < 1e-5
+        assert abs(checks[3]["measured_deg"] - 27.367805) < 1e-5
 
 
 class TestDegreesMinutes:
