@@ -7,7 +7,7 @@ synthesizes circuits, shows the rejection of a nonlinear map, and runs the
 catalog of twelve cloning machines through its four verification checks.
 """
 
-from qclone.gates import basis_permutation
+from qclone.gates import basis_permutation, format_circuit
 from qclone.synth import (
     TABLE2,
     BasisBijection,
@@ -27,9 +27,9 @@ def main() -> None:
     print(f"Bijection on basis states: {pair_mix.images}")
     anf = [anf_of(pair_mix, bit).to_string() for bit in range(3)]
     print(f"Algebraic normal form per output bit: ({', '.join(anf)})")
-    seq = synthesize_cnots(pair_mix)
-    print(f"Synthesized circuit: {seq.to_string()}")
-    print(f"  action check: {tuple(basis_permutation(seq.as_circuit()))}\n")
+    circuit = synthesize_cnots(pair_mix)
+    print(f"Synthesized circuit: {format_circuit(circuit)}")
+    print(f"  action check: {tuple(basis_permutation(circuit))}\n")
 
     toffoli = BasisBijection((0, 1, 2, 3, 4, 5, 7, 6))
     try:

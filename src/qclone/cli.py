@@ -18,9 +18,12 @@ averaging rules, fixed seeds for the optimizer starts and the invariants'
 random inputs, sorted JSON keys, 15-significant-digit CSV with LF line
 endings, no timestamps.  Ensemble averages (``sweep --param phi``,
 ``verify invariants``) use the exact 17-node rule, and a phi sweep's JSON
-metadata records ``"quadrature": "exact"``.  Exit codes: 0
-success, 1 failed verification or unrealizable request, 2 usage error.
-Angles are radians unless ``--deg`` is given.
+metadata records ``"quadrature": "exact"``.  Exit codes: 0 success, 1
+failed verification or unrealizable request, 2 usage error.  A failed
+``verify`` or ``constants`` check exits 1 with its full report on stdout,
+the only nonzero exit that writes to stdout; every other failure writes one
+``error:`` line to stderr.  ``run``, ``sweep`` and ``solve-prep`` read
+angles in radians, or in degrees with ``--deg``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .gates import format_circuit
 from .machines import (
     BH_FIDELITY,
     MACHINE_NAMES,
@@ -328,15 +332,15 @@ def _cmd_synth(args) -> int:
         raise UsageError(str(exc)) from None
     if bij.n_bits != 3:
         raise UsageError(f"--perm must list 8 images (3 wires), not {len(images)}")
-    seq = synthesize_cnots(bij)
+    circuit = synthesize_cnots(bij)
     payload = {
         "perm": list(images),
-        "circuit": seq.to_string(),
-        "gate_count": len(seq),
+        "circuit": format_circuit(circuit),
+        "gate_count": len(circuit),
         "anf": [anf_of(bij, b).to_string() for b in range(bij.n_bits)],
         "metadata": _metadata(),
     }
-    _report(args, payload, ["circuit", "gate_count"], [[payload["circuit"], len(seq)]])
+    _report(args, payload, ["circuit", "gate_count"], [[payload["circuit"], payload["gate_count"]]])
     return 0
 
 
@@ -381,12 +385,11 @@ def _cmd_constants(args) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
-def _add_common(parser, *, fmt_default="json"):
+def _add_common(parser, *, fmt_default="json", angles=False):
     parser.add_argument("--format", choices=("csv", "json"), default=fmt_default)
     parser.add_argument("--out", metavar="FILE", default=None)
-    parser.add_argument(
-        "--deg", action="store_true", help="interpret angle arguments as degrees"
-    )
+    if angles:
+        parser.add_argument("--deg", action="store_true", help="interpret angle arguments as degrees")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("machine", choices=MACHINE_NAMES)
     p_run.add_argument("--theta", type=float, required=True)
     p_run.add_argument("--phi", type=float, default=None)
-    _add_common(p_run)
+    _add_common(p_run, angles=True)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="tabulate fidelities over a parameter grid")
@@ -417,12 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"averaging measure for --param phi sweeps (default {DEFAULT_MEASURE})",
     )
     p_sweep.add_argument("--phi", type=float, default=None, help="fixed phi for theta sweeps")
-    _add_common(p_sweep, fmt_default="csv")
+    _add_common(p_sweep, fmt_default="csv", angles=True)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_solve = sub.add_parser("solve-prep", help="invert resource coefficients to angles")
     p_solve.add_argument("--coeffs", required=True, metavar="C1,C2,C3,C4")
-    _add_common(p_solve)
+    _add_common(p_solve, angles=True)
     p_solve.set_defaults(func=_cmd_solve_prep)
 
     p_opt = sub.add_parser("optimize-pc", help="maximize the equatorial clone weight")

@@ -32,12 +32,11 @@ __all__ = [
     "CircuitSyntaxError",
     "RotationOp",
     "CnotOp",
-    "PauliOp",
+    "XOp",
     "Circuit",
     "rotation_matrix",
     "apply_rotation",
     "apply_cnot",
-    "apply_pauli",
     "apply_circuit",
     "cnot_image",
     "circuit_unitary",
@@ -59,15 +58,14 @@ class CircuitSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class RotationOp:
-    """Single-wire rotation R(theta, phi); phi defaults to the equatorial pi/2."""
+    """Single-wire rotation R(theta) (see :func:`rotation_matrix`)."""
 
     wire: int
     theta: float
-    phi: float = math.pi / 2
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("rotation angles must be finite")
+        if not math.isfinite(self.theta):
+            raise ValueError("rotation angle must be finite")
         if self.wire < 0:
             raise IndexOutOfRange("wire must be non-negative")
 
@@ -88,20 +86,17 @@ class CnotOp:
 
 
 @dataclass(frozen=True)
-class PauliOp:
-    """sigma_kind (kind in 0..3) on a single wire."""
+class XOp:
+    """Bit flip (sigma_1) on a single wire."""
 
     wire: int
-    kind: int = 1
 
     def __post_init__(self):
-        if self.kind not in (0, 1, 2, 3):
-            raise IndexOutOfRange("Pauli kind must be in 0..3")
         if self.wire < 0:
             raise IndexOutOfRange("wire must be non-negative")
 
 
-GateOp = RotationOp | CnotOp | PauliOp
+GateOp = RotationOp | CnotOp | XOp
 
 
 def _op_wires(op: GateOp) -> tuple[int, ...]:
@@ -128,21 +123,28 @@ class Circuit:
                         f"wire {w} out of range for {self.n_qubits} qubits"
                     )
 
+    def __len__(self) -> int:
+        return len(self.ops)
 
-def rotation_matrix(theta: float, phi: float = math.pi / 2) -> np.ndarray:
-    """2x2 unitary [[cos t, -i e^{-i phi} sin t], [-i e^{i phi} sin t, cos t]]."""
+
+def rotation_matrix(theta: float) -> np.ndarray:
+    """2x2 unitary [[cos t, -i e^{-i pi/2} sin t], [-i e^{i pi/2} sin t, cos t]].
+
+    That is [[cos t, -sin t], [sin t, cos t]] up to the rounding of the phase
+    factors, which reported residuals carry.
+    """
     c, s = math.cos(theta), math.sin(theta)
     return np.array(
         [
-            [c, -1j * np.exp(-1j * phi) * s],
-            [-1j * np.exp(1j * phi) * s, c],
+            [c, -1j * np.exp(-1j * (math.pi / 2)) * s],
+            [-1j * np.exp(1j * (math.pi / 2)) * s, c],
         ],
         dtype=np.complex128,
     )
 
 
 def apply_rotation(psi: PureState, op: RotationOp) -> PureState:
-    return apply_one_qubit(psi, rotation_matrix(op.theta, op.phi), op.wire)
+    return apply_one_qubit(psi, rotation_matrix(op.theta), op.wire)
 
 
 def cnot_image(index, op: CnotOp, n: int):
@@ -166,10 +168,6 @@ def apply_cnot(psi: PureState, op: CnotOp) -> PureState:
     return PureState(out)
 
 
-def apply_pauli(psi: PureState, op: PauliOp) -> PureState:
-    return apply_one_qubit(psi, SIGMA[op.kind], op.wire)
-
-
 def apply_circuit(psi: PureState, circuit: Circuit) -> PureState:
     if psi.n_qubits != circuit.n_qubits:
         raise IndexOutOfRange(
@@ -181,7 +179,7 @@ def apply_circuit(psi: PureState, circuit: Circuit) -> PureState:
         elif isinstance(op, RotationOp):
             psi = apply_rotation(psi, op)
         else:
-            psi = apply_pauli(psi, op)
+            psi = apply_one_qubit(psi, SIGMA[1], op.wire)
     return psi
 
 
@@ -206,38 +204,38 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
             permuted[cnot_image(np.arange(2**n), op, n)] = total
             total = permuted
         elif isinstance(op, RotationOp):
-            total = _single_wire_unitary(rotation_matrix(op.theta, op.phi), op.wire, n) @ total
+            total = _single_wire_unitary(rotation_matrix(op.theta), op.wire, n) @ total
         else:
-            total = _single_wire_unitary(SIGMA[op.kind], op.wire, n) @ total
+            total = _single_wire_unitary(SIGMA[1], op.wire, n) @ total
     return total
 
 
 def basis_permutation(circuit: Circuit) -> list[int] | None:
     """Images of the basis states, if the circuit is a pure bit permutation.
 
-    Returns ``None`` when any op is not a CNOT or an X (those are the only
-    gate kinds here that permute the computational basis without phases).
+    Returns ``None`` when any op is a rotation (CNOTs and X permute the
+    computational basis without phases).
     """
     n = circuit.n_qubits
     images = list(range(2**n))
     for op in circuit.ops:
         if isinstance(op, CnotOp):
             images = [cnot_image(v, op, n) for v in images]
-        elif isinstance(op, PauliOp) and op.kind == 1:
-            shift = n - 1 - op.wire
-            images = [v ^ (1 << shift) for v in images]
+        elif isinstance(op, XOp):
+            images = [v ^ (1 << (n - 1 - op.wire)) for v in images]
         else:
             return None
     return images
 
 
+_FLOAT = r"\d+(?:\.\d*)?(?:e[+-]?\d+)?"
 _NUMBER_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?P<coeff>\d+(?:\.\d*)?)?(?P<pi>pi)?(?:/(?P<div>\d+(?:\.\d*)?))?$"
+    rf"^(?P<sign>[+-]?)(?P<coeff>{_FLOAT})?(?P<pi>pi)?(?:/(?P<div>{_FLOAT}))?$"
 )
 
 
 def _parse_angle(token: str) -> float:
-    """Parse a numeric literal, optionally using ``pi`` (e.g. ``-pi/8``, ``3pi/2``)."""
+    """Parse a numeric literal, optionally using ``pi`` (e.g. ``-pi/8``, ``3pi/2``, ``1e-05``)."""
     token = token.strip()
     m = _NUMBER_RE.match(token)
     if not m or (m.group("coeff") is None and m.group("pi") is None):
@@ -280,7 +278,7 @@ def parse_circuit(text: str, n_qubits: int) -> Circuit:
             else:  # X
                 if len(args) != 1:
                     raise CircuitSyntaxError(f"X expects one wire: {token!r}")
-                ops.append(PauliOp(int(args[0]), kind=1))
+                ops.append(XOp(int(args[0])))
         except ValueError as exc:
             if isinstance(exc, CircuitSyntaxError):
                 raise
@@ -289,15 +287,13 @@ def parse_circuit(text: str, n_qubits: int) -> Circuit:
 
 
 def format_circuit(circuit: Circuit) -> str:
-    """Inverse of :func:`parse_circuit` (angles rendered as floats)."""
+    """Inverse of :func:`parse_circuit`; angles print by ``repr``, so they parse back exactly."""
     parts = []
     for op in circuit.ops:
         if isinstance(op, CnotOp):
             parts.append(f"P{'!' if op.inverted else ''}({op.control},{op.target})")
         elif isinstance(op, RotationOp):
-            parts.append(f"R({op.wire},{op.theta:.12g})")
-        elif op.kind == 1:
-            parts.append(f"X({op.wire})")
+            parts.append(f"R({op.wire},{float(op.theta)!r})")
         else:
-            raise CircuitSyntaxError("only X-type Pauli ops have a textual form")
+            parts.append(f"X({op.wire})")
     return " ".join(parts)

@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gates import CnotOp, RotationOp, apply_cnot, apply_rotation, cnot_image
+from .gates import CnotOp, RotationOp, apply_cnot, apply_rotation, cnot_image, rotation_matrix
 from .qnum import (
     ATOL_ALGEBRAIC,
     PSD_FLOOR,
@@ -152,20 +152,18 @@ class AveragingMeasure(enum.Enum):
     POLAR_UNIFORM = "PolarUniform"
 
 
-_MEASURE_ALIASES = {
+_MEASURE_NAMES = {
     "equatorial": AveragingMeasure.EQUATORIAL_UNIFORM,
-    "equatorialuniform": AveragingMeasure.EQUATORIAL_UNIFORM,
     "polar": AveragingMeasure.POLAR_UNIFORM,
-    "polaruniform": AveragingMeasure.POLAR_UNIFORM,
 }
 
 
 def _as_measure(measure) -> AveragingMeasure:
+    """An :class:`AveragingMeasure`, or its command-line name ``equatorial`` or ``polar``."""
     if isinstance(measure, AveragingMeasure):
         return measure
-    key = str(measure).lower()
-    if key in _MEASURE_ALIASES:
-        return _MEASURE_ALIASES[key]
+    if isinstance(measure, str) and measure in _MEASURE_NAMES:
+        return _MEASURE_NAMES[measure]
     raise ValueError(f"unknown averaging measure {measure!r}")
 
 
@@ -214,8 +212,8 @@ def _rotated_blank(phi: float | None) -> PureState:
     return apply_rotation(basis_state(1, 0), _blank_rotation(phi))
 
 
-#: -i e^{i pi/2}, the lower-left factor of ``rotation_matrix``, computed as it is there
-_BLANK_PHASE = -1j * np.exp(1j * (math.pi / 2))
+#: -i e^{i pi/2}, the lower-left factor of ``rotation_matrix`` (sin(pi/2) is exactly 1.0)
+_BLANK_PHASE = rotation_matrix(math.pi / 2)[1, 0]
 
 
 def _rotated_blanks(phis) -> np.ndarray:

@@ -41,10 +41,9 @@ import numpy as np
 from .gates import (
     Circuit,
     CnotOp,
-    PauliOp,
+    XOp,
     basis_permutation,
     cnot_image,
-    format_circuit,
     parse_circuit,
 )
 from .machines import (
@@ -65,7 +64,6 @@ __all__ = [
     "NonAffine",
     "BasisBijection",
     "AnfPolynomial",
-    "CnotSequence",
     "Table2Row",
     "RowReport",
     "VAR_NAMES",
@@ -174,12 +172,12 @@ class AnfPolynomial:
             acc ^= prod
         return acc
 
-    def to_string(self, names: tuple[str, ...] = VAR_NAMES) -> str:
+    def to_string(self) -> str:
         if not self.terms:
             return "0"
         rendered = []
         for term in self.terms:
-            rendered.append("1" if not term else "".join(names[v] for v in term))
+            rendered.append("1" if not term else "".join(VAR_NAMES[v] for v in term))
         rendered.sort(key=lambda s: (s == "1", len(s), s))
         return "+".join(rendered)
 
@@ -228,19 +226,19 @@ def _affine_images(rows, const: int) -> tuple[int, ...]:
     )
 
 
-def parse_form(text: str, n_bits: int = 3) -> BasisBijection:
-    """Parse an affine form string like ``"x+y+z, y, z+1"`` into a bijection."""
+def parse_form(text: str) -> BasisBijection:
+    """Parse an affine 3-bit form string like ``"x+y+z, y, z+1"`` into a bijection."""
     comps = [c.strip() for c in text.split(",")]
-    if len(comps) != n_bits:
-        raise ValueError(f"expected {n_bits} comma-separated expressions in {text!r}")
-    var_mask = {name: 1 << (n_bits - 1 - i) for i, name in enumerate(VAR_NAMES[:n_bits])}
+    if len(comps) != 3:
+        raise ValueError(f"expected 3 comma-separated expressions in {text!r}")
+    var_mask = {name: 1 << (2 - i) for i, name in enumerate(VAR_NAMES)}
     rows, const = [], 0
     for i, comp in enumerate(comps):
         row = 0
         for token in comp.split("+"):
             token = token.strip()
             if token == "1":
-                const ^= 1 << (n_bits - 1 - i)
+                const ^= 1 << (2 - i)
             elif token in var_mask:
                 row ^= var_mask[token]
             else:
@@ -249,9 +247,9 @@ def parse_form(text: str, n_bits: int = 3) -> BasisBijection:
     return BasisBijection(_affine_images(rows, const))
 
 
-def fan_out_map(n_bits: int = 3) -> BasisBijection:
+def fan_out_map() -> BasisBijection:
     """The involution ``(x, y, z) -> (x, x+y, x+z)`` copying wire 0 downward."""
-    return parse_form("x, " + ", ".join(f"x+{v}" for v in VAR_NAMES[1:n_bits]), n_bits)
+    return parse_form("x, x+y, x+z")
 
 
 @lru_cache(maxsize=1)
@@ -278,32 +276,6 @@ def _affine_image_table() -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class CnotSequence:
-    """An ordered CNOT-only program on 3 wires."""
-
-    ops: tuple[CnotOp, ...]
-
-    def __post_init__(self):
-        for op in self.ops:
-            if not isinstance(op, CnotOp):
-                raise TypeError("CnotSequence holds CnotOps only")
-            if not {op.control, op.target} <= {0, 1, 2}:
-                raise ValueError("wires must lie in {0, 1, 2}")
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __iter__(self):
-        return iter(self.ops)
-
-    def as_circuit(self, n_qubits: int = 3) -> Circuit:
-        return Circuit(n_qubits, self.ops)
-
-    def to_string(self) -> str:
-        return format_circuit(self.as_circuit())
-
-
 #: The 12 search generators: every plain P(c,t), then every inverted P!(c,t).
 _GENERATORS = tuple(
     CnotOp(control, target, inverted)
@@ -314,7 +286,7 @@ _GENERATORS = tuple(
 
 @lru_cache(maxsize=1)
 def _shortest_networks() -> MappingProxyType:
-    """Read-only map from each affine bijection's images to a shortest network.
+    """Read-only map from each affine bijection's images to a shortest 3-wire network.
 
     A breadth-first search from the identity appends one generator at a time
     and keeps the first network that reaches an image tuple, so ties follow
@@ -334,10 +306,10 @@ def _shortest_networks() -> MappingProxyType:
                     reached.append(image)
         frontier = reached
     assert len(networks) == 1344
-    return MappingProxyType({images: CnotSequence(ops) for images, ops in networks.items()})
+    return MappingProxyType({images: Circuit(3, ops) for images, ops in networks.items()})
 
 
-def synthesize_cnots(bij: BasisBijection) -> CnotSequence:
+def synthesize_cnots(bij: BasisBijection) -> Circuit:
     """A shortest CNOT network (with inversion flags) realizing the bijection.
 
     The network is looked up in :func:`_shortest_networks`; a bijection it
@@ -345,17 +317,17 @@ def synthesize_cnots(bij: BasisBijection) -> CnotSequence:
     """
     if bij.n_bits != 3:
         raise ValueError("synthesis is supported for exactly 3 wires")
-    seq = _shortest_networks().get(bij.images)
-    if seq is None:
+    circuit = _shortest_networks().get(bij.images)
+    if circuit is None:
         polys = [anf_of(bij, out_bit) for out_bit in range(3)]
         out_bit = next(b for b, poly in enumerate(polys) if not poly.is_affine)
         bad = next(t for t in polys[out_bit].terms if len(t) >= 2)
         raise NonAffine(
             f"output wire {out_bit} contains the monomial {''.join(VAR_NAMES[v] for v in bad)}"
         )
-    realized = basis_permutation(seq.as_circuit())
+    realized = basis_permutation(circuit)
     assert realized is not None and tuple(realized) == bij.images
-    return seq
+    return circuit
 
 
 # --- the built-in catalog ---------------------------------------------------
@@ -594,7 +566,7 @@ def _reference_readings(circuit_text: str) -> dict[str, BasisBijection]:
         expanded = []
         for op in order_ops:
             if op.inverted and label.endswith("preflip"):
-                expanded.append(PauliOp(op.control, kind=1))
+                expanded.append(XOp(op.control))
                 expanded.append(CnotOp(op.control, op.target))
             else:
                 expanded.append(op)
@@ -664,7 +636,7 @@ def verify_table2(row) -> RowReport:
     for form_text, stored in zip(row.output_forms, perms):
         machine = compose(parse_form(form_text), fanout)
         emitted = synthesize_cnots(machine)
-        if tuple(stored) != tuple(basis_permutation(emitted.as_circuit())):
+        if tuple(stored) != tuple(basis_permutation(emitted)):
             synth_ok = False
 
     valid_images = {tuple(images) for images in perms}

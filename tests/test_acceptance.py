@@ -314,13 +314,13 @@ def test_a09_synthesis(capsys):
         problems.append(f"ANF {anf}")
     seq = synthesize_cnots(pair_mix)
     reference = parse_circuit("P(1,0) P(2,0)", 3)
-    if basis_permutation(seq.as_circuit()) != basis_permutation(reference):
+    if basis_permutation(seq) != basis_permutation(reference):
         problems.append("circuit action differs from the two-gate reference")
 
     count = 0
     for bij in affine_bijections():
         got = synthesize_cnots(bij)
-        if tuple(basis_permutation(got.as_circuit())) != bij.images:
+        if tuple(basis_permutation(got)) != bij.images:
             problems.append(f"wrong synthesis for {bij.images}")
             break
         count += 1

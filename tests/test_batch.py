@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import qclone.machines as machines
 from qclone.machines import (
     MACHINE_NAMES,
+    AveragingMeasure,
     FidelityStats,
     NotDecomposable,
     average_fidelities,
@@ -131,11 +132,11 @@ def _assert_cached_read_only(alias, name):
 
 
 def test_measure_nodes_are_cached_read_only():
-    _assert_cached_read_only("polar", "PolarUniform")
+    _assert_cached_read_only("polar", AveragingMeasure.POLAR_UNIFORM)
 
 
 def test_exact_rule_is_cached_read_only():
-    _assert_cached_read_only("equatorial", "EquatorialUniform")
+    _assert_cached_read_only("equatorial", AveragingMeasure.EQUATORIAL_UNIFORM)
 
 
 @settings(max_examples=30, deadline=None)

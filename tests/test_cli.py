@@ -487,6 +487,20 @@ class TestVerify:
         assert code == 1
         assert [json.loads(line)["ok"] for line in out.splitlines()] == [True, False, True, True]
 
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        """The one nonzero exit that writes stdout: the full report, then exit 1."""
+
+        def one_failing():
+            records = invariant_checks()
+            records[0]["ok"] = False
+            return records
+
+        monkeypatch.setattr(cli, "invariant_checks", one_failing)
+        code, out, err = run_cli(capsys, "verify", "invariants")
+        assert code == 1
+        assert err == ""
+        assert out == "".join(json.dumps(r, sort_keys=True) + "\n" for r in one_failing())
+
     def test_row_out_of_range(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "table2", "--row", "13")
         assert code == 2
@@ -653,6 +667,17 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert err.endswith("error: unrecognized arguments: --quad 64\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("optimize-pc", "--starts", "5"), ("synth", "--perm", "0,1,2,3,4,5,6,7"), ("constants",)],
+    )
+    def test_deg_is_an_unrecognized_argument(self, capsys, argv):
+        # only run, sweep and solve-prep read angles
+        code, out, err = run_cli(capsys, *argv, "--deg")
+        assert code == 2
+        assert out == ""
+        assert err.endswith("error: unrecognized arguments: --deg\n")
+
     def test_phi_sweep_metadata_keeps_defaults(self, capsys):
         code, out, _ = run_cli(capsys, *PHI_SWEEP, "--format", "json")
         assert code == 0
@@ -749,7 +774,11 @@ def _invoke(argv):
 
 class TestExitCodeContract:
     """For generated argv, exit 0, 1 or 2 with no traceback; a failure prints
-    nothing on stdout, and qclone's own failures one ``error:`` line."""
+    nothing on stdout, and qclone's own failures one ``error:`` line.
+
+    Exempt: a failed ``verify`` or ``constants`` check exits 1 with its full
+    report on stdout (``TestVerify::test_failed_check_exits_1``).  Every real
+    check passes, so generated argv never reach that path."""
 
     @settings(
         max_examples=100,

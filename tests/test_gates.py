@@ -11,9 +11,9 @@ from qclone.gates import (
     Circuit,
     CircuitSyntaxError,
     CnotOp,
-    PauliOp,
     RotationOp,
     SameWire,
+    XOp,
     apply_circuit,
     apply_cnot,
     apply_rotation,
@@ -37,8 +37,7 @@ RNG = np.random.default_rng(99)
 
 class TestRotationMatrix:
     def test_zero_angle_is_identity(self):
-        for phi in (0.0, 0.3, math.pi / 2):
-            assert np.allclose(rotation_matrix(0.0, phi), np.eye(2), atol=1e-12)
+        assert np.allclose(rotation_matrix(0.0), np.eye(2), atol=1e-12)
 
     def test_equatorial_on_zero(self):
         theta = 0.7
@@ -50,24 +49,27 @@ class TestRotationMatrix:
         out = rotation_matrix(theta) @ np.array([0, 1])
         assert np.allclose(out, [-math.sin(theta), math.cos(theta)], atol=1e-12)
 
-    def test_general_phi_form(self):
-        theta, phi = 0.5, 1.2
-        mat = rotation_matrix(theta, phi)
+    def test_matrix_form(self):
+        """The documented form, phase factors included, bit for bit."""
+        theta = 0.5
+        mat = rotation_matrix(theta)
         expected = np.array(
             [
-                [math.cos(theta), -1j * np.exp(-1j * phi) * math.sin(theta)],
-                [-1j * np.exp(1j * phi) * math.sin(theta), math.cos(theta)],
+                [math.cos(theta), -1j * np.exp(-1j * (math.pi / 2)) * math.sin(theta)],
+                [-1j * np.exp(1j * (math.pi / 2)) * math.sin(theta), math.cos(theta)],
             ]
         )
-        assert np.allclose(mat, expected, atol=1e-12)
+        assert np.array_equal(mat, expected)
+        c, s = math.cos(theta), math.sin(theta)
+        assert np.allclose(mat, [[c, -s], [s, c]], atol=1e-15)
 
     def test_unitary(self):
-        mat = rotation_matrix(0.9, 0.4)
+        mat = rotation_matrix(0.9)
         assert np.allclose(mat @ mat.conj().T, np.eye(2), atol=1e-12)
 
     def test_inverse_pair(self):
-        theta, phi = 1.1, 0.6
-        prod = rotation_matrix(theta, phi) @ rotation_matrix(-theta, phi)
+        theta = 1.1
+        prod = rotation_matrix(theta) @ rotation_matrix(-theta)
         assert np.allclose(prod, np.eye(2), atol=1e-12)
 
 
@@ -121,8 +123,8 @@ class TestApplyCnot:
     def test_control_bar_equals_target_bar(self):
         """Complementing the control input equals complementing the target
         input: both readings produce target <- control XOR target XOR 1."""
-        flip0 = circuit_unitary(Circuit(2, (PauliOp(0),)))
-        flip1 = circuit_unitary(Circuit(2, (PauliOp(1),)))
+        flip0 = circuit_unitary(Circuit(2, (XOp(0),)))
+        flip1 = circuit_unitary(Circuit(2, (XOp(1),)))
         plain = circuit_unitary(Circuit(2, (CnotOp(0, 1),)))
         inverted = circuit_unitary(Circuit(2, (CnotOp(0, 1, inverted=True),)))
         bar_on_control = flip0 @ plain @ flip0  # conjugate the control input
@@ -174,7 +176,7 @@ class TestCircuitUnitary:
                 elif kind == 1:
                     ops.append(RotationOp(int(rng.integers(n)), float(rng.normal())))
                 else:
-                    ops.append(PauliOp(int(rng.integers(n)), int(rng.integers(4))))
+                    ops.append(XOp(int(rng.integers(n))))
             circuit = Circuit(n, tuple(ops))
             psi = basis_state(n, int(rng.integers(2**n)))
             via_matrix = circuit_unitary(circuit) @ psi.amplitudes
@@ -193,7 +195,7 @@ class TestBasisPermutation:
         assert perm == [0, 1, 3, 2]
 
     def test_x_gate_supported(self):
-        perm = basis_permutation(Circuit(1, (PauliOp(0, 1),)))
+        perm = basis_permutation(Circuit(1, (XOp(0),)))
         assert perm == [1, 0]
 
     def test_rotation_returns_none(self):
@@ -211,7 +213,7 @@ class TestCircuitText:
             CnotOp(0, 1),
             CnotOp(1, 2, inverted=True),
             RotationOp(0, math.pi / 4),
-            PauliOp(2, 1),
+            XOp(2),
         )
 
     @pytest.mark.parametrize(
@@ -222,6 +224,10 @@ class TestCircuitText:
             ("-pi/8", -math.pi / 8),
             ("0.25", 0.25),
             ("2", 2.0),
+            ("1e-05", 1e-05),
+            ("-2.5e-07", -2.5e-07),
+            ("1e+20", 1e20),
+            ("5e-324", 5e-324),
         ],
     )
     def test_angle_tokens(self, token, value):
@@ -231,6 +237,15 @@ class TestCircuitText:
     def test_format_round_trip(self):
         text = "P(2,1) P!(1,0) R(0,0.5) X(1)"
         assert format_circuit(parse_circuit(text, 3)) == text
+
+    def test_format_keeps_every_digit(self):
+        circuit = Circuit(1, (RotationOp(0, 0.1 + 1e-15),))
+        assert format_circuit(circuit) == "R(0,0.100000000000001)"
+        assert parse_circuit(format_circuit(circuit), 1) == circuit
+
+    def test_len_counts_ops(self):
+        assert len(parse_circuit("P(2,1) P!(1,0) R(0,0.5) X(1)", 3)) == 4
+        assert len(Circuit(2)) == 0
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(CircuitSyntaxError):
@@ -260,3 +275,23 @@ def test_gate_chain_preserves_norm(seed):
             ops.append(RotationOp(int(rng.integers(3)), float(rng.normal())))
     out = apply_circuit(psi, Circuit(3, tuple(ops)))
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+
+
+def _cnot(control, offset, inverted):
+    return CnotOp(control, (control + offset) % 3, inverted)
+
+
+#: every finite float, so magnitudes from 5e-324 up to 1.8e308, both signs
+ANGLES = st.floats(allow_nan=False, allow_infinity=False)
+OPS = st.one_of(
+    st.builds(_cnot, st.integers(0, 2), st.integers(1, 2), st.booleans()),
+    st.builds(RotationOp, st.integers(0, 2), ANGLES),
+    st.builds(XOp, st.integers(0, 2)),
+)
+
+
+@given(st.lists(OPS, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_circuit_text_round_trips_exactly(ops):
+    circuit = Circuit(3, ops)
+    assert parse_circuit(format_circuit(circuit), 3) == circuit

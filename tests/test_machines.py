@@ -323,10 +323,15 @@ class TestAveraging:
         assert abs(po.mean_a - 2.0 / 3.0) < 1e-9
 
     def test_measure_aliases(self):
-        for alias in ("equatorial", "EquatorialUniform", "polar", "PolarUniform"):
+        for alias in ("equatorial", "polar"):
             thetas, weights = measure_nodes(alias)
             assert abs(weights.sum() - 1.0) < 1e-12
             assert len(thetas) == 17
+
+    @pytest.mark.parametrize("name", ("EquatorialUniform", "Polar", "", None))
+    def test_other_measure_names_rejected(self, name):
+        with pytest.raises(ValueError):
+            measure_nodes(name)
 
     def test_enum_values(self):
         assert AveragingMeasure.EQUATORIAL_UNIFORM.value == "EquatorialUniform"

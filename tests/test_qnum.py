@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclone.gates import PauliOp, apply_pauli
+from qclone.gates import XOp
 from qclone.qnum import (
     MAX_QUBITS,
     SIGMA,
@@ -174,13 +174,13 @@ class TestFidelity:
 
     def test_sigma2_orthogonal(self):
         psi = equatorial_qubit(0.3)
-        flipped = apply_pauli(psi, PauliOp(0, 2))
+        flipped = apply_one_qubit(psi, SIGMA[2], 0)
         assert fidelity(psi, density_of(flipped)) < 1e-12
 
     def test_sigma3_overlap_half(self):
         theta = math.pi / 8
         psi = equatorial_qubit(theta)
-        rotated = apply_pauli(psi, PauliOp(0, 3))
+        rotated = apply_one_qubit(psi, SIGMA[3], 0)
         expected = (math.cos(theta) ** 2 - math.sin(theta) ** 2) ** 2
         assert abs(expected - 0.5) < 1e-12
         assert abs(fidelity(psi, density_of(rotated)) - 0.5) < 1e-12
@@ -201,21 +201,21 @@ class TestFidelity:
 class TestPauli:
     def test_sigma0_identity(self):
         psi = haar_qubit(RNG)
-        assert np.allclose(apply_pauli(psi, PauliOp(0, 0)).amplitudes, psi.amplitudes)
+        assert np.allclose(apply_one_qubit(psi, SIGMA[0], 0).amplitudes, psi.amplitudes)
 
     def test_sigma1_flips_basis(self):
-        assert np.allclose(apply_pauli(basis_state(1, 0), PauliOp(0, 1)).amplitudes, [0, 1])
+        assert np.allclose(apply_one_qubit(basis_state(1, 0), SIGMA[1], 0).amplitudes, [0, 1])
 
     def test_sigma2_action(self):
         psi = make_qubit(0.6, 0.8j)
-        out = apply_pauli(psi, PauliOp(0, 2))
+        out = apply_one_qubit(psi, SIGMA[2], 0)
         alpha, beta = psi.amplitudes
         assert np.allclose(out.amplitudes, [-1j * beta, 1j * alpha], atol=1e-12)
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_involution_up_to_phase(self, i):
         psi = haar_qubit(RNG)
-        twice = apply_pauli(apply_pauli(psi, PauliOp(0, i)), PauliOp(0, i))
+        twice = apply_one_qubit(apply_one_qubit(psi, SIGMA[i], 0), SIGMA[i], 0)
         assert np.allclose(density_of(twice).entries, density_of(psi).entries, atol=1e-12)
 
     def test_sigma_matrices_are_unitary(self):
@@ -224,7 +224,7 @@ class TestPauli:
 
     def test_bad_index(self):
         with pytest.raises(IndexOutOfRange):
-            PauliOp(0, 4)
+            XOp(-1)
 
 
 class TestOrthogonalState:
@@ -281,5 +281,5 @@ def test_norm_preserved_under_unitary_chain(seed):
     for _ in range(6):
         kind = rng.integers(1, 4)
         wire = rng.integers(0, 2)
-        psi = apply_pauli(psi, PauliOp(int(wire), int(kind)))
+        psi = apply_one_qubit(psi, SIGMA[int(kind)], int(wire))
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-10

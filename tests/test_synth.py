@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclone.gates import CnotOp, apply_circuit, basis_permutation, cnot_image, parse_circuit
+from qclone.gates import (
+    Circuit,
+    CnotOp,
+    apply_circuit,
+    basis_permutation,
+    cnot_image,
+    format_circuit,
+    parse_circuit,
+)
 from qclone.machines import (
     _NETWORKS,
     PC_FIDELITY,
@@ -26,7 +34,6 @@ from qclone.synth import (
     TABLE2,
     AnfPolynomial,
     BasisBijection,
-    CnotSequence,
     NonAffine,
     affine_bijections,
     angle_constant_check,
@@ -154,13 +161,13 @@ class TestSynthesize:
     def test_table1_circuit_equals_reference_by_action(self):
         seq = synthesize_cnots(BasisBijection(TABLE1_IMAGES))
         reference = parse_circuit("P(1,0) P(2,0)", 3)
-        assert basis_permutation(seq.as_circuit()) == basis_permutation(reference)
+        assert basis_permutation(seq) == basis_permutation(reference)
 
     def test_exhaustive_affine_bijections(self):
         lengths = []
         for bij in affine_bijections():
             seq = synthesize_cnots(bij)
-            assert tuple(basis_permutation(seq.as_circuit())) == bij.images
+            assert tuple(basis_permutation(seq)) == bij.images
             lengths.append(len(seq))
         assert len(lengths) == 1344
         assert max(lengths) <= 6
@@ -196,7 +203,7 @@ class TestSynthesize:
         networks = synth._shortest_networks()
         assert set(networks) == {bij.images for bij in affine}
         with pytest.raises(TypeError):
-            networks[tuple(range(8))] = CnotSequence(())
+            networks[tuple(range(8))] = Circuit(3)
 
     def test_toffoli_rejected(self):
         with pytest.raises(NonAffine):
@@ -208,15 +215,13 @@ class TestSynthesize:
 
     def test_sequence_round_trips_through_text(self):
         seq = synthesize_cnots(parse_form("x+y+z+1, z, y+1"))
-        circuit = parse_circuit(seq.to_string(), 3)
-        assert basis_permutation(circuit) == list(
-            basis_permutation(seq.as_circuit())
-        )
+        circuit = parse_circuit(format_circuit(seq), 3)
+        assert basis_permutation(circuit) == list(basis_permutation(seq))
 
     def test_constant_only_map(self):
         bij = parse_form("x+1, y+1, z+1")
         seq = synthesize_cnots(bij)
-        assert tuple(basis_permutation(seq.as_circuit())) == bij.images
+        assert tuple(basis_permutation(seq)) == bij.images
 
     @given(st.permutations(range(8)))
     @settings(max_examples=80, deadline=None)
@@ -225,7 +230,7 @@ class TestSynthesize:
         affine = all(anf_of(bij, b).is_affine for b in range(3))
         if affine:
             seq = synthesize_cnots(bij)
-            assert tuple(basis_permutation(seq.as_circuit())) == bij.images
+            assert tuple(basis_permutation(seq)) == bij.images
             assert len(seq) <= 6
         else:
             with pytest.raises(NonAffine):
@@ -296,7 +301,7 @@ class TestCatalog:
                 machine = compose(parse_form(form_text), fanout)
                 circuit = parse_circuit(circuit_text, 3)
                 assert tuple(basis_permutation(circuit)) == machine.images
-                assert circuit_text == synthesize_cnots(machine).to_string()
+                assert circuit_text == format_circuit(synthesize_cnots(machine))
         assert sum(len(text.split()) for row in TABLE2 for text in row.circuits) == 80
 
     def test_pair_clone_target_matches_machine_output(self):
@@ -421,17 +426,9 @@ class TestDegreesMinutes:
         assert degrees_minutes(deg) == text
 
 
-class TestCnotSequence:
-    def test_rejects_non_cnot(self):
-        from qclone.gates import RotationOp
-
-        with pytest.raises(TypeError):
-            CnotSequence((RotationOp(0, 0.1),))
-
-    def test_rejects_out_of_range_wires(self):
-        with pytest.raises(ValueError):
-            CnotSequence((CnotOp(0, 3),))
-
-    def test_iteration(self):
-        seq = synthesize_cnots(parse_form("x, x+y, z"))
-        assert list(seq) == list(seq.ops)
+def test_table_networks_are_cnot_only_on_three_wires():
+    networks = synth._shortest_networks().values()
+    assert len(networks) == 1344
+    for circuit in networks:
+        assert circuit.n_qubits == 3
+        assert all(isinstance(op, CnotOp) for op in circuit.ops)
