@@ -47,10 +47,8 @@ from .machines import (
     NotDecomposable,
     average_fidelities,
     clone_batch,
-    clone_output,
     equatorial_batch,
-    orthogonal_decomposition,
-    scaling_factor,
+    orthogonal_decompositions,
 )
 from .prepsolver import (
     ConvergenceFailure,
@@ -61,7 +59,7 @@ from .prepsolver import (
     residual_of,
     solve_prep_angles,
 )
-from .qnum import equatorial_qubit, fidelity
+from .qnum import fidelity  # noqa: F401  (kept importable as qclone.cli.fidelity)
 from .synth import (
     TABLE2,
     BasisBijection,
@@ -179,30 +177,28 @@ def _cmd_run(args) -> int:
     theta = _angle(args.theta, args.deg)
     phi = _angle(args.phi, args.deg) if args.phi is not None else None
 
-    psi0 = equatorial_qubit(theta)
-    out = clone_output(machine, psi0, phi)
-    fid_a = fidelity(psi0, out.clone_a)
-    fid_b = fidelity(psi0, out.clone_b)
+    # row 0 of the batch a theta sweep evaluates, so both print the same numbers
+    psi = equatorial_batch([theta])
+    out = clone_batch(machine, psi, phi)
 
     note = None
     f0_sq = f2_sq = s = None
     try:
-        dec = orthogonal_decomposition(out.clone_a, psi0)
-        f0_sq, f2_sq, s = dec.f0_sq, dec.f2_sq, scaling_factor(dec)
+        f0, f2 = orthogonal_decompositions(out.clone_a, psi)
+        f0_sq, f2_sq, s = f0[0], f2[0], f0[0] - f2[0]
     except NotDecomposable:
         note = "clone channel is not diagonal in the input's projector basis"
 
     orig_f0 = orig_f2 = None
     if out.original_channel is not None:
-        odec = orthogonal_decomposition(out.original_channel, psi0)
-        orig_f0, orig_f2 = odec.f0_sq, odec.f2_sq
+        orig_f0, orig_f2 = (f[0] for f in orthogonal_decompositions(out.original_channel, psi))
 
     payload = {
         "machine": machine,
         "theta": theta,
         "phi": phi,
-        "fidelity_a": fid_a,
-        "fidelity_b": fid_b,
+        "fidelity_a": out.fidelity_a[0],
+        "fidelity_b": out.fidelity_b[0],
         "f0_sq": f0_sq,
         "f2_sq": f2_sq,
         "scaling_factor": s,

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qnum import (
-    CapacityExceeded,
     IndexOutOfRange,
     PureState,
     SIGMA,
@@ -39,13 +38,10 @@ __all__ = [
     "apply_cnot",
     "apply_circuit",
     "cnot_image",
-    "circuit_unitary",
     "basis_permutation",
     "parse_circuit",
     "format_circuit",
 ]
-
-UNITARY_MAX_QUBITS = 12
 
 
 class SameWire(ValueError):
@@ -181,33 +177,6 @@ def apply_circuit(psi: PureState, circuit: Circuit) -> PureState:
         else:
             psi = apply_one_qubit(psi, SIGMA[1], op.wire)
     return psi
-
-
-def _single_wire_unitary(matrix: np.ndarray, wire: int, n: int) -> np.ndarray:
-    out = np.eye(1, dtype=np.complex128)
-    for w in range(n):
-        out = np.kron(out, matrix if w == wire else np.eye(2))
-    return out
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense matrix product of the ops in application order."""
-    n = circuit.n_qubits
-    if n > UNITARY_MAX_QUBITS:
-        raise CapacityExceeded(
-            f"{n} qubits exceeds the {UNITARY_MAX_QUBITS}-qubit unitary bound"
-        )
-    total = np.eye(2**n, dtype=np.complex128)
-    for op in circuit.ops:
-        if isinstance(op, CnotOp):
-            permuted = np.empty_like(total)
-            permuted[cnot_image(np.arange(2**n), op, n)] = total
-            total = permuted
-        elif isinstance(op, RotationOp):
-            total = _single_wire_unitary(rotation_matrix(op.theta), op.wire, n) @ total
-        else:
-            total = _single_wire_unitary(SIGMA[1], op.wire, n) @ total
-    return total
 
 
 def basis_permutation(circuit: Circuit) -> list[int] | None:

@@ -5,29 +5,32 @@ CNOT-only network on ``psi tensor prep``; ``two-op``'s rotation lives in its
 resource state R(phi)|0>.  One table, ``_NETWORKS``, holds each machine's
 resource state, its CNOTs in execution order and the output wires of clone
 A, clone B, the degraded original and the ancilla (``None`` where a machine
-has none); the reference and the batched path both read it.
+has none); the reference and the isometry builder both read it.
 
-Each network is a linear isometry ``V`` (2^n x 2) of the input qubit, and two
-paths evaluate it:
+Each network is a linear isometry ``V`` (2^n x 2) of the input qubit.  A CNOT
+network only permutes basis states, so ``V`` is the resource state, normalized
+once, scattered by the network's basis permutation:
 
-* :func:`clone_output` is the readable reference: it runs a table row gate
-  by gate on one :class:`PureState` and returns checked
-  :class:`DensityMatrix` channels.  ``run`` and the per-machine functions
-  use it.
-* :func:`machine_isometries` compiles ``V`` straight from the table row for
-  a whole phi grid: the resource state behind |0> and |1>, each CNOT as an
-  index permutation, each column renormalized as :class:`PureState` does.
-  Tests hold it bit for bit to ``V`` compiled through :func:`clone_output`.
-  :func:`clone_batch` maps an (N, 2) batch of inputs through one ``V`` with
-  one product and forms each one-wire channel on the row's wires as
+* :func:`permuted_isometries` is the one builder: column k of ``V`` holds the
+  resource state at the images of ``|k> tensor |j>``.
+  :func:`machine_isometries` applies it to a table row for a whole phi grid,
+  and ``synth.verify_table2`` to each catalog circuit.  Tests hold every
+  entry within 2 ulps of ``V`` compiled through :func:`clone_output`.
+* :func:`clone_batch` maps an (N, 2) batch of inputs through one ``V``,
+  column by column, and forms each one-wire channel on the row's wires as
   ``M M^dagger`` from the reshaped amplitudes.  The checks of the reference
   path (finite inputs, Hermitian unit-trace channels, the PSD floor, real
-  fidelities) are applied to the whole batch.
+  fidelities) are applied to the whole batch.  ``run``, the theta sweep and
+  :func:`pointwise_fidelities` read it, so one input gets one answer.
 * :func:`average_fidelities` is the one averaging kernel: it maps the whole
   phi x node grid through the stack of isometries as one batch (in blocks
   of at most ``_BATCH_ROWS`` rows) and reduces the statistics phi by phi.
   ``average_fidelity``, the phi sweep, the case report and the invariant
   suite all use it.
+* :func:`clone_output` is the readable reference: it runs a table row gate
+  by gate on one :class:`PureState` and returns checked
+  :class:`DensityMatrix` channels.  The per-machine functions use it, and
+  property tests hold the fast paths to it.
 
 Averaging is exact.  Both measures draw real inputs (cos t, sin t), and a
 copy is a few CNOTs on a fixed resource state, so each clone fidelity is a
@@ -50,7 +53,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gates import CnotOp, RotationOp, apply_cnot, apply_rotation, cnot_image, rotation_matrix
+from .gates import (
+    Circuit, CnotOp, RotationOp, apply_cnot, apply_rotation, basis_permutation, rotation_matrix,
+)
 from .qnum import (
     ATOL_ALGEBRAIC,
     PSD_FLOOR,
@@ -60,11 +65,10 @@ from .qnum import (
     ZeroVector,
     basis_state,
     density_of,
-    equatorial_qubit,
-    fidelity,
     partial_trace,
     tensor,
 )
+from .qnum import fidelity  # noqa: F401  (kept importable as qclone.machines.fidelity)
 
 __all__ = [
     "NotDecomposable",
@@ -88,8 +92,7 @@ __all__ = [
     "pc_clone",
     "clone_output",
     "pointwise_fidelities",
-    "compile_isometry",
-    "machine_isometry",
+    "permuted_isometries",
     "machine_isometries",
     "qubit_batch",
     "equatorial_batch",
@@ -217,15 +220,10 @@ _BLANK_PHASE = rotation_matrix(math.pi / 2)[1, 0]
 
 
 def _rotated_blanks(phis) -> np.ndarray:
-    """(P, 2) rows R(phi)|0> = (cos phi, -i e^{i pi/2} sin phi): :func:`_rotated_blank` per phi.
-
-    The same products and the same renormalization, so each row equals the
-    reference's amplitudes bit for bit, and the same rejections.
-    """
+    """Unnormalized R(phi)|0> rows (cos phi, -i e^{i pi/2} sin phi); a missing or non-finite phi raises."""
     ops = [_blank_rotation(phi) for phi in phis]
-    cos = np.array([math.cos(op.theta) for op in ops], dtype=np.complex128)
-    sin = np.array([math.sin(op.theta) for op in ops])
-    return _renormalized(np.stack([cos, _BLANK_PHASE * sin], axis=1))
+    rows = [(math.cos(op.theta), _BLANK_PHASE * math.sin(op.theta)) for op in ops]
+    return np.array(rows, dtype=np.complex128).reshape(-1, 2)
 
 
 class _Network(NamedTuple):
@@ -300,13 +298,10 @@ def pc_clone(psi0: PureState) -> CloneOutput:
     return clone_output("pc", psi0)
 
 
-def pointwise_fidelities(
-    machine: str, theta: float, phi: float | None = None
-) -> tuple[float, float]:
-    """Fidelities of both clones against the equatorial input at ``theta``."""
-    psi0 = equatorial_qubit(theta)
-    out = clone_output(machine, psi0, phi)
-    return fidelity(psi0, out.clone_a), fidelity(psi0, out.clone_b)
+def pointwise_fidelities(machine: str, theta: float, phi: float | None = None) -> tuple[float, float]:
+    """Both clone fidelities at the equatorial input ``theta``: the single row of :func:`clone_batch`."""
+    out = clone_batch(machine, equatorial_batch([theta]), phi)
+    return float(out.fidelity_a[0]), float(out.fidelity_b[0])
 
 
 # --- batched kernel -----------------------------------------------------------
@@ -328,31 +323,29 @@ class CloneBatch:
     fidelity_original: np.ndarray | None = None
 
 
-def compile_isometry(network) -> np.ndarray:
-    """The 2^n x 2 matrix ``V`` with ``network(psi).amplitudes == V @ psi``.
+def permuted_isometries(preps: np.ndarray, images) -> np.ndarray:
+    """(P, 2m, 2) isometries of one basis permutation acting on ``|k> tensor prep``.
 
-    ``network`` maps a one-qubit :class:`PureState` to the output state of a
-    linear gate network; the columns of ``V`` are its outputs on |0> and |1>.
+    ``preps`` is a (P, m) array of resource states; each row is normalized
+    once with ``np.vdot``, as :func:`tensor` normalizes.  ``images`` lists the
+    2m basis images of a CNOT network (:func:`basis_permutation`).  Column k
+    of row p holds prep p at the images of the basis states ``k m + j``, so
+    no gate is applied and no density matrix is formed.
     """
-    return np.stack([network(basis_state(1, k)).amplitudes for k in (0, 1)], axis=1)
-
-
-def machine_isometry(machine: str, phi: float | None = None) -> np.ndarray:
-    """Isometry of a named machine: the single row of :func:`machine_isometries`."""
-    return machine_isometries(machine, [phi])[0]
+    norms = np.sqrt([np.vdot(row, row).real for row in preps])
+    images = np.asarray(images).reshape(2, -1)
+    iso = np.zeros((len(preps), images.size, 2), dtype=np.complex128)
+    iso[:, images.T, [0, 1]] = (preps / norms[:, None])[:, :, None]
+    return iso
 
 
 def machine_isometries(machine: str, phis) -> np.ndarray:
     """(P, 2^n, 2) isometries of a named machine, one per ``phi``, from ``_NETWORKS``.
 
-    Column k of a row is what :func:`clone_output` makes of |k>: the row's
-    resource state ``prep(phi)`` behind the basis input, then each CNOT as a
-    permutation of basis indices (:func:`cnot_image`).  ``two-op``'s
-    resource states R(phi)|0> are built for the whole grid as one array
-    (:func:`_rotated_blanks`); the other machines' are fixed.  Every column
-    is renormalized with ``np.vdot`` after each step, as :class:`PureState`
-    does, so the stack equals the reference compile bit for bit
-    (``tests/test_batch.py``).  No density matrix is formed.
+    :func:`permuted_isometries` of the row's resource states and its CNOTs'
+    basis permutation.  ``two-op``'s resource states R(phi)|0> are built for
+    the whole grid as one array (:func:`_rotated_blanks`); the other
+    machines' are fixed.
     """
     net = _network(machine)
     phis = list(phis)
@@ -360,23 +353,8 @@ def machine_isometries(machine: str, phis) -> np.ndarray:
         preps = _rotated_blanks(phis)
     else:
         preps = np.tile(net.prep(None).amplitudes, (len(phis), 1))
-    dim = 2 * preps.shape[1]
-    n = dim.bit_length() - 1
-    # (P, 2, dim): row p, column k holds |k> tensor prep(phi_p), laid out as np.kron does
-    kron = np.eye(2, dtype=np.complex128)[None, :, :, None] * preps[:, None, None, :]
-    cols = _renormalized(kron.reshape(len(preps), 2, dim))
-    index = np.arange(dim)
-    for op in net.cnots:
-        # a CNOT is an involution, so its index map is its own inverse
-        cols = _renormalized(cols[:, :, cnot_image(index, op, n)])
-    return np.ascontiguousarray(cols.transpose(0, 2, 1))
-
-
-def _renormalized(cols: np.ndarray) -> np.ndarray:
-    # np.vdot on each contiguous column, exactly as PureState normalizes
-    rows = np.ascontiguousarray(cols).reshape(-1, cols.shape[-1])
-    norm_sq = np.array([np.vdot(row, row).real for row in rows])
-    return (rows / np.sqrt(norm_sq)[:, None]).reshape(cols.shape)
+    n = preps.shape[1].bit_length()  # the input wire and log2(m) blank wires
+    return permuted_isometries(preps, basis_permutation(Circuit(n, net.cnots)))
 
 
 def qubit_batch(amplitudes) -> np.ndarray:
@@ -444,8 +422,17 @@ def _require_psd(rho: np.ndarray) -> None:
 
 
 def batch_fidelity(psi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Overlaps ``<psi|rho|psi>`` row by row, checked real and clamped to [0, 1]."""
-    values = np.einsum("ni,nij,nj->n", psi.conj(), rho, psi)
+    """Overlaps ``<psi|rho|psi>`` row by row, checked real and clamped to [0, 1].
+
+    ``einsum`` rounds a one-row batch through another kernel than the rows
+    of a larger one, so a lone row is evaluated twice: a row's value then
+    does not depend on the batch it came in, and ``run`` prints what a
+    theta sweep prints for the same input.
+    """
+    rows = len(psi)
+    if rows == 1:
+        psi, rho = np.repeat(psi, 2, axis=0), np.repeat(rho, 2, axis=0)
+    values = np.einsum("ni,nij,nj->n", psi.conj(), rho, psi)[:rows]
     if np.max(np.abs(values.imag), initial=0.0) > ATOL_ALGEBRAIC:
         raise ValueError("fidelity came out non-real")
     return np.clip(values.real, 0.0, 1.0)
@@ -460,10 +447,14 @@ def clone_batch(machine: str, amplitudes, phi: float | None = None) -> CloneBatc
     """Evaluate a machine on an (N, 2) batch of real or complex input amplitudes.
 
     Agrees with :func:`clone_output` run row by row (channels and fidelities)
-    up to rounding; see ``tests/test_batch.py``.
+    up to rounding; see ``tests/test_batch.py``.  Each row's values are the
+    same bits whatever other rows share its batch.
     """
     psi = qubit_batch(amplitudes)
-    return _clone_channels(_network(machine), psi, psi @ machine_isometry(machine, phi).T)
+    v = machine_isometries(machine, [phi])[0]
+    # V psi as psi_0 V[:, 0] + psi_1 V[:, 1]: a complex matrix product rounds a
+    # lone row differently, and a row must not depend on the batch it is in
+    return _clone_channels(_network(machine), psi, psi[:, :1] * v[:, 0] + psi[:, 1:] * v[:, 1])
 
 
 def _clone_channels(net: _Network, psi: np.ndarray, joint: np.ndarray) -> CloneBatch:

@@ -53,6 +53,7 @@ from .machines import (
     PC_Z,
     batch_fidelity,
     equatorial_batch,
+    permuted_isometries,
     projector_distances,
     reduced_qubits,
 )
@@ -149,28 +150,8 @@ class AnfPolynomial:
         object.__setattr__(self, "terms", tuple(sorted(self.terms, key=lambda t: (len(t), t))))
 
     @property
-    def degree(self) -> int:
-        return max((len(t) for t in self.terms), default=0)
-
-    @property
     def is_affine(self) -> bool:
-        return self.degree <= 1
-
-    @property
-    def constant(self) -> bool:
-        return () in self.terms
-
-    def evaluate(self, assignment) -> int:
-        bits = tuple(int(b) & 1 for b in assignment)
-        if len(bits) != self.n_vars:
-            raise ValueError("assignment length mismatch")
-        acc = 0
-        for term in self.terms:
-            prod = 1
-            for v in term:
-                prod &= bits[v]
-            acc ^= prod
-        return acc
+        return all(len(term) <= 1 for term in self.terms)
 
     def to_string(self) -> str:
         if not self.terms:
@@ -187,9 +168,12 @@ def anf_of(bij: BasisBijection, output_bit: int) -> AnfPolynomial:
 
     The transform XORs, for every monomial mask, the truth-table values over
     the downward-closed set of inputs; a 1 survives exactly where the monomial
-    is present.
+    is present.  Only 3-bit bijections have named variables (:data:`VAR_NAMES`);
+    any other width raises ``ValueError``.
     """
     n = bij.n_bits
+    if n != len(VAR_NAMES):
+        raise ValueError(f"algebraic normal forms are supported for exactly 3 wires, not {n}")
     tt = list(bij.truth_table(output_bit))
     # Truth-table index has wire 0 as MSB; re-key so bit k of the mask
     # corresponds to variable k, then run the in-place subset transform.
@@ -580,23 +564,6 @@ def _wrapped_dev_deg(a_rad: float, b_rad: float) -> float:
     return min(d, 360.0 - d)
 
 
-def _permuted_isometry(prep: PureState, images) -> np.ndarray:
-    """The 2^n x 2 isometry of a basis permutation behind ``|k> (x) prep``.
-
-    Column k is ``prep``, renormalized once with ``np.vdot`` as the tensor
-    product is, scattered to the images of the basis states ``k 2^(n-1) + j``.
-    For a CNOT-only circuit this is ``compile_isometry`` over
-    ``apply_circuit`` without its renormalization after every gate, so the
-    two agree to 2 ulps (``tests/test_synth.py``).
-    """
-    amps = prep.amplitudes
-    amps = amps / np.sqrt(np.vdot(amps, amps).real)
-    images = np.asarray(images).reshape(2, -1)
-    iso = np.zeros((images.size, 2), dtype=np.complex128)
-    iso[images.T, [0, 1]] = amps[:, None]
-    return iso
-
-
 def verify_table2(row) -> RowReport:
     """Run the four-part verification of one catalog row (a :class:`Table2Row` or 1-based index).
 
@@ -616,12 +583,12 @@ def verify_table2(row) -> RowReport:
     ]
     best = int(np.argmin(devs))
     angle_max_dev = devs[best]
-    prep_state = PureState(coeff_formula(*solutions[best].as_tuple()))
+    prep = coeff_formula(*solutions[best].as_tuple())[None]
 
     circuits = [parse_circuit(text, 3) for text in row.circuits]
     perms = [basis_permutation(circ) for circ in circuits]
     psi = equatorial_batch(2.0 * math.pi * np.arange(64) / 64.0)
-    joints = [psi @ _permuted_isometry(prep_state, images).T for images in perms]
+    joints = [psi @ permuted_isometries(prep, images)[0].T for images in perms]
     fid_err = max(
         float(np.abs(batch_fidelity(psi, reduced_qubits(joint, wire)) - PC_FIDELITY).max())
         for joint in joints

@@ -7,13 +7,22 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qclone import __version__, cli
 from qclone.cli import build_parser, main
-from qclone.machines import BH_FIDELITY, PC_FIDELITY
+from qclone.machines import (
+    BH_FIDELITY,
+    MACHINE_NAMES,
+    PC_FIDELITY,
+    NotDecomposable,
+    clone_batch,
+    equatorial_batch,
+    orthogonal_decompositions,
+)
 from qclone.prepsolver import ConvergenceFailure, NoSolution
 from qclone.synth import angle_constant_check
 from qclone.verify import invariant_checks, table2_checks
@@ -131,6 +140,41 @@ class TestRun:
     def test_unknown_machine_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "run", "mystery", "--theta", "0.1")
         assert code == 2
+
+    @pytest.mark.parametrize("machine", MACHINE_NAMES)
+    def test_run_prints_its_theta_sweep_row_bit_for_bit(self, capsys, machine):
+        """At every theta of a seeded sweep grid, ``run`` prints the sweep row's
+        fidelities and the matching ``clone_batch`` row's fidelities and
+        decompositions, bit for bit."""
+        rng = np.random.default_rng(1301)
+        lo, hi, phi = (float(v) for v in rng.uniform(-10.0, 10.0, 3))
+        extra = (f"--phi={phi!r}",) if machine == "two-op" else ()
+        phi = phi if machine == "two-op" else None
+        _, out, _ = run_cli(
+            capsys, "sweep", machine, "--param", "theta", f"--from={lo!r}", f"--to={hi!r}", "--steps", "9",
+            "--format", "json", *extra,
+        )
+        rows = json.loads(out)["rows"]
+        thetas = [row["theta"] for row in rows]
+        psi = equatorial_batch(thetas)
+        batch = clone_batch(machine, psi, phi)
+        want = {"fidelity_a": batch.fidelity_a, "fidelity_b": batch.fidelity_b}
+        try:
+            f0, f2 = orthogonal_decompositions(batch.clone_a, psi)
+            want.update(f0_sq=f0, f2_sq=f2, scaling_factor=f0 - f2)
+        except NotDecomposable:
+            pass
+        if batch.original_channel is not None:
+            want.update(zip(("original_f0_sq", "original_f2_sq"), orthogonal_decompositions(batch.original_channel, psi)))
+        assert ("f0_sq" in want) == (machine in ("bh", "pc"))
+        for k, (theta, row) in enumerate(zip(thetas, rows)):
+            code, out, _ = run_cli(capsys, "run", machine, f"--theta={theta!r}", *extra)
+            got = json.loads(out)
+            assert code == 0 and got["theta"] == theta
+            assert (got["fidelity_a"], got["fidelity_b"]) == (row["F_a"], row["F_b"])
+            for field in ("fidelity_a", "fidelity_b", "f0_sq", "f2_sq", "scaling_factor",
+                          "original_f0_sq", "original_f2_sq"):
+                assert got[field] == (want[field][k] if field in want else None), field
 
 
 class TestSweep:

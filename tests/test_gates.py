@@ -18,13 +18,13 @@ from qclone.gates import (
     apply_cnot,
     apply_rotation,
     basis_permutation,
-    circuit_unitary,
     cnot_image,
     format_circuit,
     parse_circuit,
     rotation_matrix,
 )
 from qclone.qnum import (
+    SIGMA,
     IndexOutOfRange,
     PureState,
     basis_state,
@@ -33,6 +33,29 @@ from qclone.qnum import (
 )
 
 RNG = np.random.default_rng(99)
+
+
+def _single_wire_unitary(matrix: np.ndarray, wire: int, n: int) -> np.ndarray:
+    out = np.eye(1, dtype=np.complex128)
+    for w in range(n):
+        out = np.kron(out, matrix if w == wire else np.eye(2))
+    return out
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """The dense-matrix oracle: the product of the ops' 2^n x 2^n matrices in application order."""
+    n = circuit.n_qubits
+    total = np.eye(2**n, dtype=np.complex128)
+    for op in circuit.ops:
+        if isinstance(op, CnotOp):
+            permuted = np.empty_like(total)
+            permuted[cnot_image(np.arange(2**n), op, n)] = total
+            total = permuted
+        elif isinstance(op, RotationOp):
+            total = _single_wire_unitary(rotation_matrix(op.theta), op.wire, n) @ total
+        else:
+            total = _single_wire_unitary(SIGMA[1], op.wire, n) @ total
+    return total
 
 
 class TestRotationMatrix:

@@ -21,15 +21,16 @@ from qclone.machines import (
     PC_Y,
     PC_Z,
     batch_fidelity,
-    compile_isometry,
     equatorial_batch,
+    machine_isometries,
     pc_clone,
     pc_prep,
+    permuted_isometries,
     reduced_qubits,
 )
 from qclone.prepsolver import simulate_prep, solve_prep_angles
 from qclone import synth
-from qclone.qnum import PureState, make_qubit, tensor
+from qclone.qnum import PureState, basis_state, make_qubit, tensor
 from qclone.synth import (
     TABLE2,
     AnfPolynomial,
@@ -95,6 +96,11 @@ class TestBasisBijection:
         assert bij.truth_table(0) == (0, 1, 0, 1, 0, 1, 0, 1)
 
 
+def _evaluate(poly: AnfPolynomial, bits) -> int:
+    """XOR over the monomials of the AND of their variables' bits."""
+    return sum(all(bits[v] for v in term) for term in poly.terms) % 2
+
+
 class TestAnf:
     def test_identity_components(self):
         bij = IDENTITY
@@ -111,14 +117,15 @@ class TestAnf:
     def test_constant_term(self):
         bij = parse_form("x, y, z+1")
         poly = anf_of(bij, 2)
-        assert poly.constant
+        assert () in poly.terms
         assert poly.to_string() == "z+1"
 
     def test_nonlinear_degree(self):
         toffoli = BasisBijection((0, 1, 2, 3, 4, 5, 7, 6))
         poly = anf_of(toffoli, 2)
-        assert poly.degree == 2
+        assert max(len(term) for term in poly.terms) == 2
         assert not poly.is_affine
+        assert all(anf_of(toffoli, b).is_affine for b in (0, 1))
 
     def test_evaluation_matches_truth_table(self):
         rng = np.random.default_rng(8)
@@ -130,7 +137,13 @@ class TestAnf:
                 tt = bij.truth_table(bit)
                 for v in range(8):
                     bits = ((v >> 2) & 1, (v >> 1) & 1, v & 1)
-                    assert poly.evaluate(bits) == tt[v]
+                    assert _evaluate(poly, bits) == tt[v]
+
+    @pytest.mark.parametrize("n_bits", [1, 2, 4])
+    def test_only_three_bits_have_named_variables(self, n_bits):
+        bij = BasisBijection(tuple(range(2**n_bits)))
+        with pytest.raises(ValueError, match="exactly 3 wires"):
+            anf_of(bij, n_bits - 1)
 
     def test_polynomial_validation(self):
         with pytest.raises(ValueError):
@@ -349,12 +362,21 @@ class TestCatalog:
                 prep = simulate_prep(sol)
                 for text in row.circuits:
                     circ = parse_circuit(text, 3)
-                    want = compile_isometry(lambda psi0: apply_circuit(tensor(psi0, prep), circ))
-                    got = synth._permuted_isometry(prep, basis_permutation(circ))
+                    want = np.stack(
+                        [apply_circuit(tensor(basis_state(1, k), prep), circ).amplitudes for k in (0, 1)], axis=1
+                    )
+                    got = permuted_isometries(prep.amplitudes[None], basis_permutation(circ))[0]
                     assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
                     identical += np.array_equal(got, want)
                     checked += 1
         assert checked == 192 and identical > checked // 2
+
+    def test_pc_isometry_is_the_builder_on_row_1(self):
+        """The pc machine's isometry is the one builder applied to pc_prep()
+        and the basis permutation of catalog row 1's first circuit."""
+        perm = basis_permutation(parse_circuit(TABLE2[0].circuits[0], 3))
+        want = permuted_isometries(pc_prep().amplitudes[None], perm)
+        assert np.array_equal(machine_isometries("pc", [None]), want)
 
     def test_row_lookup_by_index(self):
         report = verify_table2(10)
