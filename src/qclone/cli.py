@@ -159,6 +159,14 @@ def _require_finite(args, *flags: str) -> None:
             raise UsageError(f"--{flag} must be a finite number, not {value}")
 
 
+def _two_op_phi(args) -> float | None:
+    if args.machine == "two-op" and args.phi is None:
+        raise UsageError("machine two-op requires --phi")
+    if args.machine != "two-op" and args.phi is not None:
+        raise UsageError(f"--phi is only meaningful for two-op, not {args.machine}")
+    return None if args.phi is None else _angle(args.phi, args.deg)
+
+
 def _require_in_range(flag: str, value: int, lo: int, hi: int) -> None:
     if not lo <= value <= hi:
         raise UsageError(f"--{flag} must be in {lo}..{hi}, not {value}")
@@ -170,12 +178,8 @@ def _require_in_range(flag: str, value: int, lo: int, hi: int) -> None:
 def _cmd_run(args) -> int:
     machine = args.machine
     _require_finite(args, "theta", "phi")
-    if machine == "two-op" and args.phi is None:
-        raise UsageError("machine two-op requires --phi")
-    if machine != "two-op" and args.phi is not None:
-        raise UsageError(f"--phi is only meaningful for two-op, not {machine}")
+    phi = _two_op_phi(args)
     theta = _angle(args.theta, args.deg)
-    phi = _angle(args.phi, args.deg) if args.phi is not None else None
 
     # row 0 of the batch a theta sweep evaluates, so both print the same numbers
     psi = equatorial_batch([theta])
@@ -242,11 +246,7 @@ def _cmd_sweep(args) -> int:
     else:
         if args.measure is not None:
             raise UsageError("--measure applies to --param phi sweeps only")
-        phi = _angle(args.phi, args.deg) if args.phi is not None else None
-        if machine == "two-op" and phi is None:
-            raise UsageError("theta sweep of two-op requires --phi")
-        if machine != "two-op" and args.phi is not None:
-            raise UsageError(f"--phi is only meaningful for two-op, not {machine}")
+        phi = _two_op_phi(args)
         out = clone_batch(machine, equatorial_batch(grid), phi)
         columns = ["theta", "phi", "F_a", "F_b"]
         fids = [out.fidelity_a, out.fidelity_b]

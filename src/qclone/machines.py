@@ -16,17 +16,16 @@ once, scattered by the network's basis permutation:
   :func:`machine_isometries` applies it to a table row for a whole phi grid,
   and ``synth.verify_table2`` to each catalog circuit.  Tests hold every
   entry within 2 ulps of ``V`` compiled through :func:`clone_output`.
-* :func:`clone_batch` maps an (N, 2) batch of inputs through one ``V``,
-  column by column, and forms each one-wire channel on the row's wires as
-  ``M M^dagger`` from the reshaped amplitudes.  The checks of the reference
-  path (finite inputs, Hermitian unit-trace channels, the PSD floor, real
-  fidelities) are applied to the whole batch.  ``run``, the theta sweep and
-  :func:`pointwise_fidelities` read it, so one input gets one answer.
-* :func:`average_fidelities` is the one averaging kernel: it maps the whole
-  phi x node grid through the stack of isometries as one batch (in blocks
-  of at most ``_BATCH_ROWS`` rows) and reduces the statistics phi by phi.
-  ``average_fidelity``, the phi sweep, the case report and the invariant
-  suite all use it.
+* :func:`isometry_batch` is the one evaluation kernel: it maps normalized
+  (N, 2) inputs through a stack of isometries, column by column, and forms
+  each one-wire channel as ``M M^dagger`` from the reshaped amplitudes, with
+  the reference path's checks on the whole batch; a row's values do not
+  depend on its batch.  :func:`clone_batch` is the kernel on one machine's
+  ``V`` (``run``, the theta sweep, :func:`pointwise_fidelities`);
+  :func:`average_fidelities` runs it on the phi x node grid in blocks of at
+  most ``_BATCH_ROWS`` rows (``average_fidelity``, the phi sweep, the case
+  report, the invariant suite); ``synth.verify_table2`` on each catalog
+  circuit.
 * :func:`clone_output` is the readable reference: it runs a table row gate
   by gate on one :class:`PureState` and returns checked
   :class:`DensityMatrix` channels.  The per-machine functions use it, and
@@ -99,6 +98,7 @@ __all__ = [
     "reduced_qubits",
     "batch_fidelity",
     "projector_distances",
+    "isometry_batch",
     "clone_batch",
     "measure_nodes",
     "average_fidelity",
@@ -443,30 +443,33 @@ def projector_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(_outer(a) - _outer(b), axis=(1, 2))
 
 
+def isometry_batch(psi: np.ndarray, isometries: np.ndarray, clone_a: int, clone_b: int,
+                   original: int | None = None) -> CloneBatch:
+    """Normalized (N, 2) input rows through a (P, D, 2) stack of isometries.
+
+    P N rows, isometry-major (row ``p N + k`` is input k through isometry p),
+    with the channels of the given wires and their fidelities to the inputs.
+    """
+    # V psi as psi_0 V[:, 0] + psi_1 V[:, 1], so a row does not depend on its batch (a complex
+    # matrix product rounds a lone row differently); the in-place add saves a (P, N, D) temporary
+    joint = psi[:, :1] * isometries[:, None, :, 0]
+    joint += psi[:, 1:] * isometries[:, None, :, 1]
+    joint = joint.reshape(-1, isometries.shape[1])
+    rows = np.tile(psi, (len(isometries), 1))
+    rho = [None if w is None else reduced_qubits(joint, w) for w in (clone_a, clone_b, original)]
+    fid = [None if r is None else batch_fidelity(rows, r) for r in rho]
+    return CloneBatch(joint, rho[0], rho[1], fid[0], fid[1], rho[2], fid[2])
+
+
 def clone_batch(machine: str, amplitudes, phi: float | None = None) -> CloneBatch:
     """Evaluate a machine on an (N, 2) batch of real or complex input amplitudes.
 
-    Agrees with :func:`clone_output` run row by row (channels and fidelities)
-    up to rounding; see ``tests/test_batch.py``.  Each row's values are the
-    same bits whatever other rows share its batch.
+    :func:`isometry_batch` of the machine's isometry on its network's wires;
+    agrees with :func:`clone_output` row by row up to rounding.
     """
     psi = qubit_batch(amplitudes)
-    v = machine_isometries(machine, [phi])[0]
-    # V psi as psi_0 V[:, 0] + psi_1 V[:, 1]: a complex matrix product rounds a
-    # lone row differently, and a row must not depend on the batch it is in
-    return _clone_channels(_network(machine), psi, psi[:, :1] * v[:, 0] + psi[:, 1:] * v[:, 1])
-
-
-def _clone_channels(net: _Network, psi: np.ndarray, joint: np.ndarray) -> CloneBatch:
-    """Channels and fidelities on ``net``'s wires for input rows ``psi`` and outputs ``joint``."""
-    rho_a, rho_b = reduced_qubits(joint, net.clone_a), reduced_qubits(joint, net.clone_b)
-    rho_o = fid_o = None
-    if net.original is not None:
-        rho_o = reduced_qubits(joint, net.original)
-        fid_o = batch_fidelity(psi, rho_o)
-    return CloneBatch(
-        joint, rho_a, rho_b, batch_fidelity(psi, rho_a), batch_fidelity(psi, rho_b), rho_o, fid_o
-    )
+    net = _network(machine)
+    return isometry_batch(psi, machine_isometries(machine, [phi]), net.clone_a, net.clone_b, net.original)
 
 
 # --- averaging ----------------------------------------------------------------
@@ -527,10 +530,9 @@ def average_fidelities(machine: str, measure, phis=(None,)) -> list[FidelityStat
     """:func:`average_fidelity` at every ``phi`` of ``phis``, in order.
 
     The default ``phis`` is the one phi-free row of a machine without a
-    rotation.  The nodes x phi grid goes through a stack of
-    isometries (:func:`machine_isometries`) as one product, in blocks of at
-    most ``_BATCH_ROWS`` rows, and each clone channel of a block is one
-    :func:`reduced_qubits` call.  The statistics are then reduced phi by phi.
+    rotation.  The nodes x phi grid goes through the stack of isometries
+    (:func:`machine_isometries`) in one :func:`isometry_batch` call per block
+    of at most ``_BATCH_ROWS`` rows, and the statistics are reduced phi by phi.
     """
     thetas, weights = measure_nodes(measure)
     net = _network(machine)
@@ -541,8 +543,7 @@ def average_fidelities(machine: str, measure, phis=(None,)) -> list[FidelityStat
     stats = []
     for start in range(0, len(phis), block):
         v = machine_isometries(machine, phis[start:start + block])
-        joint = (psi @ v.transpose(0, 2, 1)).reshape(-1, v.shape[1])
-        out = _clone_channels(net, np.tile(psi, (len(v), 1)), joint)
+        out = isometry_batch(psi, v, net.clone_a, net.clone_b, net.original)
         fa, fb = out.fidelity_a.reshape(len(v), -1), out.fidelity_b.reshape(len(v), -1)
         stats.extend(_fidelity_stats(weights, a, b) for a, b in zip(fa, fb))
     return stats
@@ -566,8 +567,6 @@ def orthogonal_decomposition(rho: DensityMatrix, psi0: PureState) -> Decompositi
 
     The single row of :func:`orthogonal_decompositions`.
     """
-    if rho.n_qubits != 1 or psi0.n_qubits != 1:
-        raise WrongArity("orthogonal_decomposition works on single qubits")
     f0, f2 = orthogonal_decompositions(rho.entries[None], psi0.amplitudes[None])
     return DecompositionCoeffs(float(f0[0]), float(f2[0]))
 
@@ -577,11 +576,14 @@ def orthogonal_decompositions(rho: np.ndarray, amplitudes) -> tuple[np.ndarray, 
 
     The projectors of ``psi`` and its orthogonal complement are orthonormal
     under the Frobenius inner product, so the weights are the two diagonal
-    overlaps.  Raises :class:`NotDecomposable` when a row's off-basis residual
+    overlaps.  Raises :class:`WrongArity` unless ``rho`` is (N, 2, 2) for N
+    input rows, :class:`NotDecomposable` when a row's off-basis residual
     exceeds 1e-6, and ``ValueError`` when a weight is below -1e-9 or a pair's
     sum is off 1 by more than 1e-9; the weights are clamped to [0, 1].
     """
     psi = qubit_batch(amplitudes)
+    if np.shape(rho) != (len(psi), 2, 2):
+        raise WrongArity(f"{len(psi)} input rows need ({len(psi)}, 2, 2) channels, not {np.shape(rho)}")
     p0 = _outer(psi)
     p2 = _outer(np.stack([-psi[:, 1].conj(), psi[:, 0].conj()], axis=1))
     f0 = np.einsum("nij,nji->n", p0, rho).real

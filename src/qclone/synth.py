@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -51,11 +52,10 @@ from .machines import (
     PC_X,
     PC_Y,
     PC_Z,
-    batch_fidelity,
     equatorial_batch,
+    isometry_batch,
     permuted_isometries,
     projector_distances,
-    reduced_qubits,
 )
 from .prepsolver import AngleTriple, PrepCoeffs, coeff_formula, solve_prep_angles
 from .qnum import PureState, tensor
@@ -511,7 +511,7 @@ TABLE2: tuple[Table2Row, ...] = (
 def _as_row(row) -> Table2Row:
     if isinstance(row, Table2Row):
         return row
-    index = int(row)
+    index = operator.index(row)
     if not 1 <= index <= len(TABLE2):
         raise ValueError(f"row index {index} outside 1..{len(TABLE2)}")
     return TABLE2[index - 1]
@@ -567,7 +567,8 @@ def _wrapped_dev_deg(a_rad: float, b_rad: float) -> float:
 def verify_table2(row) -> RowReport:
     """Run the four-part verification of one catalog row (a :class:`Table2Row` or 1-based index).
 
-    An index outside 1..12 raises ``ValueError``; a failed check is reported in its record.
+    A non-integer index raises ``TypeError``, one outside 1..12 ``ValueError``;
+    a failed check is reported in its record.
     """
     row = _as_row(row)
     coeffs = row_prep_coeffs(row)
@@ -588,15 +589,12 @@ def verify_table2(row) -> RowReport:
     circuits = [parse_circuit(text, 3) for text in row.circuits]
     perms = [basis_permutation(circ) for circ in circuits]
     psi = equatorial_batch(2.0 * math.pi * np.arange(64) / 64.0)
-    joints = [psi @ permuted_isometries(prep, images)[0].T for images in perms]
-    fid_err = max(
-        float(np.abs(batch_fidelity(psi, reduced_qubits(joint, wire)) - PC_FIDELITY).max())
-        for joint in joints
-        for wire in (1, 2)
-    )
+    out = isometry_batch(psi, np.concatenate([permuted_isometries(prep, images) for images in perms]), 1, 2)
+    fid_err = float(np.abs(np.concatenate([out.fidelity_a, out.fidelity_b]) - PC_FIDELITY).max())
     # the second circuit's output with clone wires 1 and 2 exchanged
-    swapped = joints[1].reshape(-1, 2, 2, 2).transpose(0, 1, 3, 2).reshape(-1, 8)
-    swap_residual = float(projector_distances(joints[0], swapped).max())
+    first, second = out.joint.reshape(2, len(psi), 8)
+    swapped = second.reshape(-1, 2, 2, 2).transpose(0, 1, 3, 2).reshape(-1, 8)
+    swap_residual = float(projector_distances(first, swapped).max())
 
     fanout = fan_out_map()
     synth_ok = True

@@ -19,6 +19,7 @@ from qclone.machines import (
     clone_batch,
     clone_output,
     equatorial_batch,
+    isometry_batch,
     machine_isometries,
     measure_nodes,
     orthogonal_decomposition,
@@ -33,10 +34,12 @@ from qclone.qnum import (
     WrongArity,
     ZeroVector,
     basis_state,
+    density_of,
     equatorial_qubit,
     fidelity,
     haar_amplitudes,
     orthogonal_state,
+    tensor,
 )
 
 TOL = 1e-12
@@ -170,6 +173,19 @@ def test_batched_decomposition_rejects_off_basis_coherence():
         orthogonal_decomposition(DensityMatrix(batch.clone_a[1]), PureState(amplitudes[1]))
 
 
+def test_batched_decomposition_needs_one_channel_per_input():
+    amplitudes = equatorial_batch([0.0, 0.4, 1.1])
+    rho = clone_batch("bh", amplitudes).clone_a
+    for bad in (rho[:1], rho[:2], rho[0]):
+        with pytest.raises(WrongArity):
+            orthogonal_decompositions(bad, amplitudes)
+    psi = PureState(amplitudes[0])
+    with pytest.raises(WrongArity):
+        orthogonal_decomposition(density_of(tensor(psi, psi)), psi)
+    with pytest.raises(WrongArity):
+        orthogonal_decomposition(DensityMatrix(rho[0]), tensor(psi, psi))
+
+
 def test_input_batch_validation():
     with pytest.raises(ValueError):
         clone_batch("bh", [[1.0, math.nan]])
@@ -235,6 +251,24 @@ def test_a_row_does_not_depend_on_its_batch(machine, seed, n, phi, complex_rows)
                 assert np.array_equal(value[k], getattr(alone, field)[0]), field
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+def test_each_block_of_the_stacked_kernel_is_clone_batch(seed, n):
+    """Block p of ``isometry_batch`` over a phi stack equals ``clone_batch`` at phi p, in every field."""
+    rng = np.random.default_rng(seed)
+    amplitudes = haar_amplitudes(rng, n)
+    phis = rng.uniform(-10.0, 10.0, 5).tolist()
+    stacked = isometry_batch(qubit_batch(amplitudes), machine_isometries("two-op", phis), 0, 1)
+    for p, phi in enumerate(phis):
+        alone = clone_batch("two-op", amplitudes, phi)
+        for field, value in vars(alone).items():
+            got = getattr(stacked, field)
+            if value is None:
+                assert got is None, field
+            else:
+                assert np.array_equal(got[p * n:(p + 1) * n], value), field
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, None])
 def test_batched_resource_states_keep_the_reference_rejections(phi):
     with pytest.raises(ValueError):
@@ -279,11 +313,12 @@ def test_grid_equals_a_loop_of_one_phi_calls_exactly(monkeypatch, measure, rows)
 
 
 @pytest.mark.parametrize("machine", MACHINE_NAMES)
-def test_grid_covers_every_machine(machine):
+@pytest.mark.parametrize("measure", ["equatorial", "polar"])
+def test_grid_covers_every_machine(machine, measure):
     phis = [0.3, 2.0] if machine == "two-op" else [None, None]
-    grid = average_fidelities(machine, "polar", phis)
+    grid = average_fidelities(machine, measure, phis)
     for phi, st in zip(phis, grid):
-        assert _same_stats(st, _one_batch_stats(machine, "polar", phi))
+        assert _same_stats(st, _one_batch_stats(machine, measure, phi))
 
 
 @pytest.mark.parametrize("rows", [1, 127, 128, 3 * 128, 5 * 128 + 1])

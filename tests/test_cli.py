@@ -339,6 +339,14 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("machine, phi", [("two-op", ()), ("bh", ("--phi", "0.2"))])
+    def test_theta_sweep_and_run_share_the_phi_errors(self, capsys, machine, phi):
+        run = run_cli(capsys, "run", machine, "--theta", "0.3", *phi)
+        grid = ("--param", "theta", "--from", "0", "--to", "1", "--steps", "2")
+        sweep = run_cli(capsys, "sweep", machine, *grid, *phi)
+        assert run == sweep
+        assert run[0] == 2 and run[2].startswith("error: ")
+
     def test_steps_minimum(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -389,6 +389,12 @@ class TestCatalog:
         with pytest.raises(ValueError):
             verify_table2(13)
 
+    def test_row_lookup_takes_integers_only(self):
+        for row in (2.7, "2"):
+            with pytest.raises(TypeError):
+                verify_table2(row)
+        assert verify_table2(np.int64(2)).index == 2
+
     def test_reference_adjudication_is_stable(self):
         """Frozen verdicts: the transcription's forms are valid machines only
         for rows 1, 5, 8, 10, and its circuits realize a valid machine only
