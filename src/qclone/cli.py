@@ -99,7 +99,9 @@ def _clean(value):
 
 def _num(value) -> str:
     """15-significant-digit decimal rendering for CSV cells."""
-    if value is None or (isinstance(value, float) and not math.isfinite(value)):
+    if isinstance(value, float):
+        return format(value, ".15g") if math.isfinite(value) else ""
+    if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"

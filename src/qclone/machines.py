@@ -18,14 +18,15 @@ once, scattered by the network's basis permutation:
   entry within 2 ulps of ``V`` compiled through :func:`clone_output`.
 * :func:`isometry_batch` is the one evaluation kernel: it maps normalized
   (N, 2) inputs through a stack of isometries, column by column, and forms
-  each one-wire channel as ``M M^dagger`` from the reshaped amplitudes, with
-  the reference path's checks on the whole batch; a row's values do not
-  depend on its batch.  :func:`clone_batch` is the kernel on one machine's
-  ``V`` (``run``, the theta sweep, :func:`pointwise_fidelities`);
-  :func:`average_fidelities` runs it on the phi x node grid in blocks of at
-  most ``_BATCH_ROWS`` rows (``average_fidelity``, the phi sweep, the case
-  report, the invariant suite); ``synth.verify_table2`` on each catalog
-  circuit.
+  each one-wire channel from three row dot products of the reshaped
+  amplitudes (:func:`reduced_qubits`), with the reference path's checks on
+  the whole batch; a row's values do not depend on its batch.
+  :func:`clone_batch` is the kernel on one machine's ``V`` (``run``, the
+  theta sweep, :func:`pointwise_fidelities`); :func:`average_fidelities`
+  runs it on the phi x node grid in blocks of at most ``_BATCH_ROWS`` rows
+  and reduces each block's statistics in one pass (``average_fidelity``,
+  the phi sweep, the case report, the invariant suite);
+  ``synth.verify_table2`` on each catalog circuit.
 * :func:`clone_output` is the readable reference: it runs a table row gate
   by gate on one :class:`PureState` and returns checked
   :class:`DensityMatrix` channels.  The per-machine functions use it, and
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -106,6 +108,7 @@ __all__ = [
     "orthogonal_decomposition",
     "orthogonal_decompositions",
     "scaling_factor",
+    "two_op_case_statistics",
     "two_op_case_report",
 ]
 
@@ -383,25 +386,34 @@ def _outer(rows: np.ndarray) -> np.ndarray:
 
 
 def reduced_qubits(joint: np.ndarray, wire: int) -> np.ndarray:
-    """One-wire reduced states of a batch of pure states, as (N, 2, 2) ``M M^dagger``.
+    """One-wire reduced states of a batch of pure states, as (N, 2, 2) stacks.
 
     ``M`` is each row's amplitudes reshaped to (2, 2**(n-1)) with ``wire``
-    first, so no 2^n x 2^n density matrix is formed.  The stack is checked
-    like :class:`DensityMatrix` (Hermitian and unit trace within 1e-12, the
-    closed-form smaller eigenvalue against the PSD floor) and returned
-    symmetrized.
+    first, so no 2^n x 2^n density matrix is formed.  The entries of
+    ``M M^dagger`` are three row dot products of M's rows a and b:
+    ``<a|a>``, ``<b|b>`` and ``<b|a>``, with the lower corner its conjugate,
+    so the stack is Hermitian by construction up to the rounding left in the
+    diagonal's imaginary parts.  It is checked like :class:`DensityMatrix`
+    (Hermitian and unit trace within 1e-12, the closed-form smaller
+    eigenvalue against the PSD floor) and returned with a real diagonal.
     """
     rows, dim = joint.shape
     n = dim.bit_length() - 1
     m = np.moveaxis(joint.reshape((rows,) + (2,) * n), 1 + wire, 1).reshape(rows, 2, dim // 2)
-    rho = m @ m.conj().transpose(0, 2, 1)
-    adjoint = rho.conj().transpose(0, 2, 1)
-    if np.max(np.abs(rho - adjoint), initial=0.0) > ATOL_ALGEBRAIC:
+    a, b = m[:, 0], m[:, 1]
+    aa, bb = np.vecdot(a, a), np.vecdot(b, b)
+    # rho - rho^dagger is zero off the diagonal and 2i Im on it
+    diag_imag = max(np.max(np.abs(aa.imag), initial=0.0), np.max(np.abs(bb.imag), initial=0.0))
+    if 2.0 * diag_imag > ATOL_ALGEBRAIC:
         raise ValueError("reduced state is not Hermitian within 1e-12")
-    trace_dev = np.max(np.abs(rho[:, 0, 0] + rho[:, 1, 1] - 1.0), initial=0.0)
+    rho = np.empty((rows, 2, 2), dtype=np.complex128)
+    rho[:, 0, 0] = aa.real
+    rho[:, 1, 1] = bb.real
+    rho[:, 0, 1] = np.vecdot(b, a)
+    rho[:, 1, 0] = rho[:, 0, 1].conj()
+    trace_dev = np.max(np.abs(aa.real + bb.real - 1.0), initial=0.0)
     if trace_dev > ATOL_ALGEBRAIC:
         raise ValueError(f"trace differs from 1 by {trace_dev} beyond 1e-12")
-    rho = (rho + adjoint) / 2
     _require_psd(rho)
     return rho
 
@@ -532,7 +544,8 @@ def average_fidelities(machine: str, measure, phis=(None,)) -> list[FidelityStat
     The default ``phis`` is the one phi-free row of a machine without a
     rotation.  The nodes x phi grid goes through the stack of isometries
     (:func:`machine_isometries`) in one :func:`isometry_batch` call per block
-    of at most ``_BATCH_ROWS`` rows, and the statistics are reduced phi by phi.
+    of at most ``_BATCH_ROWS`` rows, and each block's statistics are reduced
+    in one pass (:func:`_block_stats`).
     """
     thetas, weights = measure_nodes(measure)
     net = _network(machine)
@@ -545,21 +558,31 @@ def average_fidelities(machine: str, measure, phis=(None,)) -> list[FidelityStat
         v = machine_isometries(machine, phis[start:start + block])
         out = isometry_batch(psi, v, net.clone_a, net.clone_b, net.original)
         fa, fb = out.fidelity_a.reshape(len(v), -1), out.fidelity_b.reshape(len(v), -1)
-        stats.extend(_fidelity_stats(weights, a, b) for a, b in zip(fa, fb))
+        stats.extend(_block_stats(weights, fa, fb))
     return stats
 
 
-def _fidelity_stats(weights: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> FidelityStats:
-    mean_a = float(weights @ fa)
-    mean_b = float(weights @ fb)
-    var_a = max(float(weights @ (fa - mean_a) ** 2), 0.0)
-    var_b = max(float(weights @ (fb - mean_b) ** 2), 0.0)
-    cov = float(weights @ ((fa - mean_a) * (fb - mean_b)))
-    if 8.0 * np.finfo(float).eps > _CORRELATION_ACCURACY * math.sqrt(min(var_a, var_b)):
-        corr = math.nan
-    else:
-        corr = min(max(cov / math.sqrt(var_a * var_b), -1.0), 1.0)
-    return FidelityStats(mean_a, mean_b, var_a, var_b, corr)
+def _block_stats(weights: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> list[FidelityStats]:
+    """Statistics of each row of (P, nodes) fidelity arrays under the node weights.
+
+    The means, the centred variances and the covariance are weighted row
+    sums of the whole block; each ``np.vecdot`` row rounds as ``weights @ row``
+    does.  Then, row by row, the variances are clamped at 0 and the
+    correlation is null (NaN) where its rounding bound exceeds
+    ``_CORRELATION_ACCURACY``, else clamped to [-1, 1].
+    """
+    mean_a, mean_b = np.vecdot(fa, weights), np.vecdot(fb, weights)
+    da, db = fa - mean_a[:, None], fb - mean_b[:, None]
+    sums = (mean_a, mean_b, *(np.vecdot(d, weights) for d in (da**2, db**2, da * db)))
+    stats = []
+    for ma, mb, va, vb, c in zip(*(x.tolist() for x in sums)):
+        va, vb = max(va, 0.0), max(vb, 0.0)
+        if 8.0 * sys.float_info.epsilon > _CORRELATION_ACCURACY * math.sqrt(min(va, vb)):
+            corr = math.nan
+        else:
+            corr = min(max(c / math.sqrt(va * vb), -1.0), 1.0)
+        stats.append(FidelityStats(ma, mb, va, vb, corr))
+    return stats
 
 
 def orthogonal_decomposition(rho: DensityMatrix, psi0: PureState) -> DecompositionCoeffs:
@@ -614,7 +637,22 @@ _CASE_PHIS = (
 )
 
 
-def two_op_case_report() -> list[dict]:
+def two_op_case_statistics() -> dict[str, tuple[FidelityStats, FidelityStats]]:
+    """The two-op machine's (equatorial, polar) statistics at each notable angle, by label.
+
+    One :func:`average_fidelities` call per measure over the four angles.
+    """
+    phis = [phi for _, phi in _CASE_PHIS]
+    per_measure = [
+        average_fidelities("two-op", measure, phis)
+        for measure in (AveragingMeasure.EQUATORIAL_UNIFORM, AveragingMeasure.POLAR_UNIFORM)
+    ]
+    return {label: pair for (label, _), pair in zip(_CASE_PHIS, zip(*per_measure))}
+
+
+def two_op_case_report(
+    statistics: dict[str, tuple[FidelityStats, FidelityStats]] | None = None,
+) -> list[dict]:
     """Computed statistics of the two-op machine at its four notable angles.
 
     Every value is produced by simulation + quadrature (no closed forms), so
@@ -622,12 +660,13 @@ def two_op_case_report() -> list[dict]:
     The 3pi/2 entry carries a non-null ``anomaly`` field: its polar-measure
     means are (2/3, 1/3) — an asymmetric pair whose midpoint 1/2 is *not*
     attained by either clone individually under either measure.
+    ``statistics`` is :func:`two_op_case_statistics`, computed when not given.
     """
-    phis = [phi for _, phi in _CASE_PHIS]
-    equatorial = average_fidelities("two-op", AveragingMeasure.EQUATORIAL_UNIFORM, phis)
-    polar = average_fidelities("two-op", AveragingMeasure.POLAR_UNIFORM, phis)
+    if statistics is None:
+        statistics = two_op_case_statistics()
     report = []
-    for (label, phi), eq, po in zip(_CASE_PHIS, equatorial, polar):
+    for label, phi in _CASE_PHIS:
+        eq, po = statistics[label]
         entry = {
             "phi": phi,
             "phi_label": label,

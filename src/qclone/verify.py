@@ -16,7 +16,6 @@ from .machines import (
     BH_FIDELITY,
     PC_FIDELITY,
     AveragingMeasure,
-    average_fidelities,
     clone_batch,
     equatorial_batch,
     measure_nodes,
@@ -24,6 +23,7 @@ from .machines import (
     projector_distances,
     qubit_batch,
     two_op_case_report,
+    two_op_case_statistics,
 )
 from .qnum import equatorial_qubit, haar_amplitudes
 from .synth import TABLE2, verify_table2
@@ -98,10 +98,11 @@ def invariant_checks() -> list[dict]:
     )
 
     psi = equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0)
+    # per measure, the statistics at the case report's angles: the identity case is
+    # pi/4 and the anticorrelated case pi/2
+    cases = two_op_case_statistics()
     phi = math.pi / 4.0
-    # per measure: the identity case at pi/4 and the anticorrelated case at pi/2
-    averages = [average_fidelities("two-op", m, [phi, math.pi / 2.0]) for m in AveragingMeasure]
-    var_max = max(identity.var_a for identity, _ in averages)
+    var_max = max(stats.var_a for stats in cases["pi/4"])
     # the input passes through untouched and the ancilla ends up rotated
     target = (psi[:, :, None] * equatorial_qubit(phi).amplitudes).reshape(-1, 4)
     joint_dev = float(projector_distances(clone_batch("two-op", psi, phi).joint, target).max())
@@ -119,7 +120,7 @@ def invariant_checks() -> list[dict]:
     phi = math.pi / 2.0
     two = clone_batch("two-op", psi, phi)
     sum_dev = float(np.abs(two.fidelity_a + two.fidelity_b - 1.0).max())
-    corr_dev = max(abs(anti.correlation + 1.0) for _, anti in averages)
+    corr_dev = max(abs(stats.correlation + 1.0) for stats in cases["pi/2"])
     records.append(
         _record(
             "invariants",
@@ -153,7 +154,7 @@ def invariant_checks() -> list[dict]:
         )
     )
 
-    anomalies = [entry["phi_label"] for entry in two_op_case_report() if entry.get("anomaly")]
+    anomalies = [entry["phi_label"] for entry in two_op_case_report(cases) if entry.get("anomaly")]
     records.append(
         _record(
             "invariants",

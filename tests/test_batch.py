@@ -25,6 +25,7 @@ from qclone.machines import (
     orthogonal_decomposition,
     orthogonal_decompositions,
     qubit_batch,
+    reduced_qubits,
     _qubit_min_eigenvalues,
     _require_psd,
 )
@@ -269,6 +270,56 @@ def test_each_block_of_the_stacked_kernel_is_clone_batch(seed, n):
                 assert np.array_equal(got[p * n:(p + 1) * n], value), field
 
 
+def _reduced_by_matmul(joint, wire):
+    """One-wire channels as batched ``M M^dagger`` products, symmetrized: the reference."""
+    rows, dim = joint.shape
+    n = dim.bit_length() - 1
+    m = np.moveaxis(joint.reshape((rows,) + (2,) * n), 1 + wire, 1).reshape(rows, 2, dim // 2)
+    rho = m @ m.conj().transpose(0, 2, 1)
+    return (rho + rho.conj().transpose(0, 2, 1)) / 2
+
+
+def _unit_rows(rng, rows, n, complex_rows):
+    """``rows`` random normalized states of ``n`` qubits, complex or with real amplitudes."""
+    joint = rng.normal(size=(rows, 2**n)).astype(np.complex128)
+    if complex_rows:
+        joint += 1j * rng.normal(size=(rows, 2**n))
+    return joint / np.linalg.norm(joint, axis=1)[:, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), n=st.sampled_from([2, 3]))
+def test_reduced_qubits_match_the_matmul_reference(seed, rows, n):
+    """Every wire's channels agree with ``M M^dagger`` within 1e-15 on complex rows, exactly on real ones."""
+    rng = np.random.default_rng(seed)
+    complex_joint, real_joint = _unit_rows(rng, rows, n, True), _unit_rows(rng, rows, n, False)
+    for wire in range(n):
+        got = reduced_qubits(complex_joint, wire)
+        assert np.abs(got - _reduced_by_matmul(complex_joint, wire)).max() <= 1e-15
+        assert np.array_equal(reduced_qubits(real_joint, wire), _reduced_by_matmul(real_joint, wire))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 40), n=st.sampled_from([2, 3]),
+       complex_rows=st.booleans())
+def test_a_reduced_row_does_not_depend_on_its_batch(seed, rows, n, complex_rows):
+    joint = _unit_rows(np.random.default_rng(seed), rows, n, complex_rows)
+    for wire in range(n):
+        batch = reduced_qubits(joint, wire)
+        for k in (0, rows // 2, rows - 1):
+            assert np.array_equal(reduced_qubits(joint[k:k + 1], wire)[0], batch[k])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reduced_qubits_reject_a_row_off_unit_norm(n):
+    joint = _unit_rows(np.random.default_rng(7), 5, n, True)
+    reduced_qubits(joint, 0)
+    joint[3] *= 1.0 + 1e-9
+    for wire in range(n):
+        with pytest.raises(ValueError, match="trace"):
+            reduced_qubits(joint, wire)
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, None])
 def test_batched_resource_states_keep_the_reference_rejections(phi):
     with pytest.raises(ValueError):
@@ -287,11 +338,25 @@ def _same_stats(got: FidelityStats, want: FidelityStats) -> bool:
     )
 
 
+def _fidelity_stats(weights, fa, fb) -> FidelityStats:
+    """The statistics of one phi's node fidelities, reduced one row at a time: the reference."""
+    mean_a = float(weights @ fa)
+    mean_b = float(weights @ fb)
+    var_a = max(float(weights @ (fa - mean_a) ** 2), 0.0)
+    var_b = max(float(weights @ (fb - mean_b) ** 2), 0.0)
+    cov = float(weights @ ((fa - mean_a) * (fb - mean_b)))
+    if 8.0 * np.finfo(float).eps > machines._CORRELATION_ACCURACY * math.sqrt(min(var_a, var_b)):
+        corr = math.nan
+    else:
+        corr = min(max(cov / math.sqrt(var_a * var_b), -1.0), 1.0)
+    return FidelityStats(mean_a, mean_b, var_a, var_b, corr)
+
+
 def _one_batch_stats(machine, measure, phi):
-    """Statistics of one phi through ``clone_batch``, with the arithmetic of the per-phi loop."""
+    """Statistics of one phi through ``clone_batch``, reduced by the reference."""
     thetas, weights = measure_nodes(measure)
     out = clone_batch(machine, equatorial_batch(thetas), phi)
-    return machines._fidelity_stats(weights, out.fidelity_a, out.fidelity_b)
+    return _fidelity_stats(weights, out.fidelity_a, out.fidelity_b)
 
 
 @pytest.mark.parametrize("measure", ["equatorial", "polar"])
@@ -319,6 +384,37 @@ def test_grid_covers_every_machine(machine):
         grid = average_fidelities(machine, measure, phis)
         for phi, st in zip(phis, grid):
             assert _same_stats(st, _one_batch_stats(machine, measure, phi))
+
+
+#: Standard deviation at which a correlation's rounding bound is the null threshold.
+_NULL_SD = 8.0 * np.finfo(float).eps / machines._CORRELATION_ACCURACY
+
+
+@pytest.mark.parametrize("measure", ["equatorial", "polar"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30))
+def test_block_statistics_equal_the_per_row_reference_exactly(measure, seed, rows):
+    """One pass over a (P, 17) block equals the per-row reduction bit for bit, NaN correlations included.
+
+    Rows are drawn as arbitrary fidelities, constant rows (zero variance, so a
+    null correlation) and rows whose spread straddles the null threshold, in
+    every pairing of clone A and clone B.
+    """
+    _, weights = measure_nodes(measure)
+    rng = np.random.default_rng(seed)
+
+    def block():
+        kind = rng.integers(0, 3, rows)
+        base = rng.uniform(0.0, 1.0, (rows, 1))
+        scale = np.select([kind == 0, kind == 1], [1.0, 0.0], _NULL_SD * rng.uniform(0.5, 4.0, rows))
+        values = base + scale[:, None] * rng.uniform(-1.0, 1.0, (rows, len(weights)))
+        return np.clip(values, 0.0, 1.0)
+
+    fa, fb = block(), block()
+    got = machines._block_stats(weights, fa, fb)
+    assert len(got) == rows
+    for st_, a, b in zip(got, fa, fb):
+        assert _same_stats(st_, _fidelity_stats(weights, a, b))
 
 
 @pytest.mark.parametrize("rows", [1, 127, 128, 3 * 128, 5 * 128 + 1])

@@ -1,10 +1,13 @@
 """The four cloning machines, averaging measures, and decompositions."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import qclone.machines as machines
+import qclone.verify as verify
 from qclone.machines import (
     BH_FIDELITY,
     MACHINE_NAMES,
@@ -166,6 +169,42 @@ class TestTwoOpCaseReport:
         entry = next(e for e in two_op_case_report() if e["phi_label"] == "0")
         assert abs(entry["equatorial"]["mean_a"] - 0.75) < 1e-9
         assert abs(entry["polar"]["mean_a"] - 2.0 / 3.0) < 1e-9
+
+
+    def test_invariant_suite_builds_the_same_report_from_its_shared_statistics(self, monkeypatch):
+        """``invariant_checks`` averages two-op twice, and its report equals ``two_op_case_report()``."""
+        averaged, built = [], []
+        average = machines.average_fidelities
+        report = machines.two_op_case_report
+
+        def counting_average(*args):
+            averaged.append(args[0])
+            return average(*args)
+
+        def recording_report(*args):
+            built.append(report(*args))
+            return built[-1]
+
+        monkeypatch.setattr(machines, "average_fidelities", counting_average)
+        monkeypatch.setattr(verify, "two_op_case_report", recording_report)
+        verify.invariant_checks()
+        assert averaged == ["two-op", "two-op"]
+        assert len(built) == 1
+        monkeypatch.undo()
+        # json renders a NaN correlation as NaN, so equal reports dump to equal text
+        assert json.dumps(built[0]) == json.dumps(two_op_case_report())
+
+    def test_invariant_records_keep_their_names_and_order(self):
+        assert [record["check"] for record in verify.invariant_checks()] == [
+            "bh-universality",
+            "pc-covariance",
+            "scaling-form",
+            "two-op-identity-case",
+            "two-op-anticorrelated-case",
+            "cross-term-condition",
+            "quadrature-sanity",
+            "case-report-erratum-flag",
+        ]
 
 
 class TestBH:
