@@ -111,8 +111,13 @@ def _num(value) -> str:
 
 
 def _csv_text(columns, rows) -> str:
+    """CSV lines; a row of finite floats is one ``%.15g`` pass, equal to ``_num`` cell by cell."""
     lines = [",".join(columns)]
+    row_format = ",".join(["%.15g"] * len(columns))
     for row in rows:
+        if all(type(cell) is float and math.isfinite(cell) for cell in row):
+            lines.append(row_format % tuple(row))
+            continue
         cells = []
         for cell in row:
             if isinstance(cell, str):
@@ -258,7 +263,9 @@ def _cmd_sweep(args) -> int:
         rows = [[theta, phi, *vals] for theta, *vals in zip(grid.tolist(), *(f.tolist() for f in fids))]
         meta = _metadata(machine=machine)
 
-    payload = {"columns": columns, "rows": [dict(zip(columns, row)) for row in rows], "metadata": meta}
+    payload = None
+    if args.format == "json":  # CSV writes the rows as they are
+        payload = {"columns": columns, "rows": [dict(zip(columns, row)) for row in rows], "metadata": meta}
     _report(args, payload, columns, rows)
     return 0
 

@@ -25,8 +25,12 @@ once, scattered by the network's basis permutation:
   theta sweep, :func:`pointwise_fidelities`); :func:`average_fidelities`
   runs it on the phi x node grid in blocks of at most ``_BATCH_ROWS`` rows
   and reduces each block's statistics in one pass (``average_fidelity``,
-  the phi sweep, the case report, the invariant suite);
-  ``synth.verify_table2`` on each catalog circuit.
+  the phi sweep); :func:`two_op_case_statistics` takes both measures'
+  statistics from one call over its four angles (the case report, the
+  invariant suite); ``synth.verify_table2`` on each catalog circuit.
+* The phi-free constants are built once, cached and immutable: the node
+  input states, which both measures share, and each network's basis
+  permutation, as a tuple.
 * :func:`clone_output` is the readable reference: it runs a table row gate
   by gate on one :class:`PureState` and returns checked
   :class:`DensityMatrix` channels.  The per-machine functions use it, and
@@ -223,9 +227,14 @@ _BLANK_PHASE = rotation_matrix(math.pi / 2)[1, 0]
 
 
 def _rotated_blanks(phis) -> np.ndarray:
-    """Unnormalized R(phi)|0> rows (cos phi, -i e^{i pi/2} sin phi); a missing or non-finite phi raises."""
-    ops = [_blank_rotation(phi) for phi in phis]
-    rows = [(math.cos(op.theta), _BLANK_PHASE * math.sin(op.theta)) for op in ops]
+    """Unnormalized R(phi)|0> rows (cos phi, -i e^{i pi/2} sin phi); a missing or non-finite phi raises.
+
+    The grid is checked in one pass (``None`` converts to NaN); the first
+    bad phi then raises the error its :class:`RotationOp` would.
+    """
+    if not np.all(np.isfinite(np.array(phis, dtype=np.float64))):
+        _blank_rotation(next(phi for phi in phis if phi is None or not math.isfinite(phi)))
+    rows = [(math.cos(phi), _BLANK_PHASE * math.sin(phi)) for phi in phis]
     return np.array(rows, dtype=np.complex128).reshape(-1, 2)
 
 
@@ -357,7 +366,13 @@ def machine_isometries(machine: str, phis) -> np.ndarray:
     else:
         preps = np.tile(net.prep(None).amplitudes, (len(phis), 1))
     n = preps.shape[1].bit_length()  # the input wire and log2(m) blank wires
-    return permuted_isometries(preps, basis_permutation(Circuit(n, net.cnots)))
+    return permuted_isometries(preps, _network_images(machine, n))
+
+
+@lru_cache(maxsize=len(_NETWORKS))
+def _network_images(machine: str, n: int) -> tuple[int, ...]:
+    """A table row's CNOT basis permutation on its ``n`` wires, built once per machine and immutable."""
+    return tuple(basis_permutation(Circuit(n, _NETWORKS[machine].cnots)))
 
 
 def qubit_batch(amplitudes) -> np.ndarray:
@@ -389,7 +404,8 @@ def reduced_qubits(joint: np.ndarray, wire: int) -> np.ndarray:
     """One-wire reduced states of a batch of pure states, as (N, 2, 2) stacks.
 
     ``M`` is each row's amplitudes reshaped to (2, 2**(n-1)) with ``wire``
-    first, so no 2^n x 2^n density matrix is formed.  The entries of
+    first: a (2**wire, 2, rest) view sliced at the wire bit, each half read
+    in basis order, so no 2^n x 2^n density matrix is formed.  The entries of
     ``M M^dagger`` are three row dot products of M's rows a and b:
     ``<a|a>``, ``<b|b>`` and ``<b|a>``, with the lower corner its conjugate,
     so the stack is Hermitian by construction up to the rounding left in the
@@ -398,9 +414,8 @@ def reduced_qubits(joint: np.ndarray, wire: int) -> np.ndarray:
     eigenvalue against the PSD floor) and returned with a real diagonal.
     """
     rows, dim = joint.shape
-    n = dim.bit_length() - 1
-    m = np.moveaxis(joint.reshape((rows,) + (2,) * n), 1 + wire, 1).reshape(rows, 2, dim // 2)
-    a, b = m[:, 0], m[:, 1]
+    m = joint.reshape(rows, 2**wire, 2, dim >> (wire + 1))
+    a, b = m[:, :, 0].reshape(rows, dim // 2), m[:, :, 1].reshape(rows, dim // 2)
     aa, bb = np.vecdot(a, a), np.vecdot(b, b)
     # rho - rho^dagger is zero off the diagonal and 2i Im on it
     diag_imag = max(np.max(np.abs(aa.imag), initial=0.0), np.max(np.abs(bb.imag), initial=0.0))
@@ -547,19 +562,34 @@ def average_fidelities(machine: str, measure, phis=(None,)) -> list[FidelityStat
     of at most ``_BATCH_ROWS`` rows, and each block's statistics are reduced
     in one pass (:func:`_block_stats`).
     """
-    thetas, weights = measure_nodes(measure)
-    net = _network(machine)
-    # the same two normalization passes as clone_batch(machine, equatorial_batch(thetas))
-    psi = qubit_batch(equatorial_batch(thetas))
+    _, weights = measure_nodes(measure)
+    _network(machine)  # an unknown machine raises even on an empty grid
     phis = list(phis)
-    block = max(1, _BATCH_ROWS // len(psi))
+    block = max(1, _BATCH_ROWS // EXACT_NODES)
     stats = []
     for start in range(0, len(phis), block):
-        v = machine_isometries(machine, phis[start:start + block])
-        out = isometry_batch(psi, v, net.clone_a, net.clone_b, net.original)
-        fa, fb = out.fidelity_a.reshape(len(v), -1), out.fidelity_b.reshape(len(v), -1)
-        stats.extend(_block_stats(weights, fa, fb))
+        stats.extend(_block_stats(weights, *_node_fidelities(machine, phis[start:start + block])))
     return stats
+
+
+@lru_cache(maxsize=1)
+def _node_states() -> np.ndarray:
+    """The rule's inputs (cos t_j, sin t_j), read-only; both measures share the nodes.
+
+    Normalized by the same two passes as ``clone_batch(machine, equatorial_batch(thetas))``.
+    """
+    thetas, _ = _exact_nodes(AveragingMeasure.EQUATORIAL_UNIFORM)
+    psi = qubit_batch(equatorial_batch(thetas))
+    psi.setflags(write=False)
+    return psi
+
+
+def _node_fidelities(machine: str, phis: list) -> tuple[np.ndarray, np.ndarray]:
+    """(P, nodes) clone fidelities at the rule's nodes, a row per phi, from one :func:`isometry_batch` call."""
+    net = _network(machine)
+    v = machine_isometries(machine, phis)
+    out = isometry_batch(_node_states(), v, net.clone_a, net.clone_b, net.original)
+    return out.fidelity_a.reshape(len(v), -1), out.fidelity_b.reshape(len(v), -1)
 
 
 def _block_stats(weights: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> list[FidelityStats]:
@@ -640,11 +670,13 @@ _CASE_PHIS = (
 def two_op_case_statistics() -> dict[str, tuple[FidelityStats, FidelityStats]]:
     """The two-op machine's (equatorial, polar) statistics at each notable angle, by label.
 
-    One :func:`average_fidelities` call per measure over the four angles.
+    The measures share their nodes, so one :func:`isometry_batch` call over
+    the four angles gives both: its (4, nodes) fidelity block is reduced once
+    with each measure's weights, as :func:`average_fidelities` reduces it.
     """
-    phis = [phi for _, phi in _CASE_PHIS]
+    fa, fb = _node_fidelities("two-op", [phi for _, phi in _CASE_PHIS])
     per_measure = [
-        average_fidelities("two-op", measure, phis)
+        _block_stats(measure_nodes(measure)[1], fa, fb)
         for measure in (AveragingMeasure.EQUATORIAL_UNIFORM, AveragingMeasure.POLAR_UNIFORM)
     ]
     return {label: pair for (label, _), pair in zip(_CASE_PHIS, zip(*per_measure))}

@@ -18,6 +18,8 @@ from .machines import (
     AveragingMeasure,
     clone_batch,
     equatorial_batch,
+    isometry_batch,
+    machine_isometries,
     measure_nodes,
     orthogonal_decompositions,
     projector_distances,
@@ -101,32 +103,34 @@ def invariant_checks() -> list[dict]:
     # per measure, the statistics at the case report's angles: the identity case is
     # pi/4 and the anticorrelated case pi/2
     cases = two_op_case_statistics()
-    phi = math.pi / 4.0
+    # both cases on the same inputs as one batch, renormalized as clone_batch does; two-op
+    # clones onto wires 0 and 1, and each case's rows equal clone_batch("two-op", psi, phi)
+    identity, anticorrelated = math.pi / 4.0, math.pi / 2.0
+    two = isometry_batch(qubit_batch(psi), machine_isometries("two-op", [identity, anticorrelated]), 0, 1)
+    rows = len(psi)
     var_max = max(stats.var_a for stats in cases["pi/4"])
     # the input passes through untouched and the ancilla ends up rotated
-    target = (psi[:, :, None] * equatorial_qubit(phi).amplitudes).reshape(-1, 4)
-    joint_dev = float(projector_distances(clone_batch("two-op", psi, phi).joint, target).max())
+    target = (psi[:, :, None] * equatorial_qubit(identity).amplitudes).reshape(-1, 4)
+    joint_dev = float(projector_distances(two.joint[:rows], target).max())
     records.append(
         _record(
             "invariants",
             "two-op-identity-case",
             var_max < 1e-12 and joint_dev <= 1e-10,
-            phi=phi,
+            phi=identity,
             max_variance_a=var_max,
             max_joint_residual=joint_dev,
         )
     )
 
-    phi = math.pi / 2.0
-    two = clone_batch("two-op", psi, phi)
-    sum_dev = float(np.abs(two.fidelity_a + two.fidelity_b - 1.0).max())
+    sum_dev = float(np.abs(two.fidelity_a[rows:] + two.fidelity_b[rows:] - 1.0).max())
     corr_dev = max(abs(stats.correlation + 1.0) for stats in cases["pi/2"])
     records.append(
         _record(
             "invariants",
             "two-op-anticorrelated-case",
             sum_dev <= 1e-12 and corr_dev <= 1e-9,
-            phi=phi,
+            phi=anticorrelated,
             max_sum_deviation=sum_dev,
             max_correlation_deviation=corr_dev,
         )

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qclone.machines as machines
+import qclone.verify as verify
 from qclone.machines import (
     MACHINE_NAMES,
     AveragingMeasure,
@@ -434,6 +435,80 @@ def test_empty_grid_and_bad_arguments():
         average_fidelities("three-op", "polar", [0.1])
     with pytest.raises(ValueError):
         average_fidelities("two-op", "polar", [0.1, None])  # two-op needs phi
+
+
+@pytest.mark.parametrize("phis, message", [
+    ([0.3, math.nan, None], "rotation angle must be finite"),
+    ([0.3, None, math.inf], "requires phi"),
+    ([-math.inf, 0.3], "rotation angle must be finite"),
+])
+def test_the_first_bad_phi_of_a_grid_names_the_error(phis, message):
+    with pytest.raises(ValueError, match=message):
+        machine_isometries("two-op", phis)
+
+
+# --- constants built once, and one kernel call per input batch -----------------
+
+
+def test_both_measures_share_their_node_angles_bit_for_bit():
+    """The premise of evaluating both measures' case statistics in one kernel call."""
+    equatorial, _ = measure_nodes("equatorial")
+    polar, _ = measure_nodes("polar")
+    assert equatorial.tobytes() == polar.tobytes()
+
+
+def test_cached_node_states_are_the_normalized_nodes_and_read_only():
+    psi = machines._node_states()
+    for measure in ("equatorial", "polar"):
+        assert np.array_equal(psi, qubit_batch(equatorial_batch(measure_nodes(measure)[0])))
+    with pytest.raises(ValueError):
+        psi[0, 0] = 0.0
+    assert machines._node_states() is psi
+
+
+@pytest.mark.parametrize("machine", MACHINE_NAMES)
+def test_cached_permutations_are_immutable(machine):
+    v = machine_isometries(machine, [0.3 if machine == "two-op" else None])
+    n = v.shape[1].bit_length() - 1
+    images = machines._network_images(machine, n)
+    assert machines._network_images(machine, n) is images
+    assert isinstance(images, tuple) and sorted(images) == list(range(2**n))
+    with pytest.raises(TypeError):
+        images[0] = images[1]
+
+
+@pytest.mark.parametrize("measure", list(AveragingMeasure))
+def test_case_statistics_equal_average_fidelities(measure):
+    cases = machines.two_op_case_statistics()
+    side = list(AveragingMeasure).index(measure)  # (equatorial, polar) pairs
+    labels, phis = zip(*machines._CASE_PHIS)
+    for label, want in zip(labels, average_fidelities("two-op", measure, phis)):
+        assert _same_stats(cases[label][side], want)
+
+
+def test_each_case_block_of_the_invariant_suite_is_clone_batch(monkeypatch):
+    """The suite's pi/4 and pi/2 cases come from one two-isometry kernel call; each block equals clone_batch."""
+    fused = []
+    kernel = verify.isometry_batch
+
+    def recording_kernel(psi, isometries, *wires):
+        out = kernel(psi, isometries, *wires)
+        fused.append(out)
+        return out
+
+    monkeypatch.setattr(verify, "isometry_batch", recording_kernel)
+    verify.invariant_checks()
+    (out,) = fused
+    inputs = equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0)
+    n = len(inputs)
+    for p, phi in enumerate((math.pi / 4.0, math.pi / 2.0)):
+        alone = clone_batch("two-op", inputs, phi)
+        for field, value in vars(alone).items():
+            got = getattr(out, field)
+            if value is None:
+                assert got is None, field
+            else:
+                assert got.shape[0] == 2 * n and np.array_equal(got[p * n:(p + 1) * n], value), field
 
 
 # --- the exact 17-node rule ----------------------------------------------------

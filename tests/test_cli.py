@@ -578,6 +578,22 @@ class TestConstants:
         assert [c["ok"] for c in json.loads(out)["angle_checks"]] == [True, True, False, True]
 
 
+#: CSV rows: any doubles (subnormals, +-0.0, NaN and +-inf included), or cells that
+#: the row pass must leave to ``_num``: None, bools, ints and plain strings among them
+_CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+_CSV_ROWS = st.one_of(
+    st.lists(_CSV_FLOATS, min_size=6, max_size=6),
+    st.lists(
+        st.one_of(_CSV_FLOATS, st.none(), st.booleans(), st.integers(), st.text(alphabet="ab c", max_size=3)),
+        min_size=6,
+        max_size=6,
+    ),
+)
+
+
 class TestInfrastructure:
     def test_version_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
@@ -650,6 +666,14 @@ class TestInfrastructure:
         raw = target.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(_CSV_ROWS, max_size=6))
+    def test_csv_row_pass_equals_the_per_cell_path(self, rows):
+        """A row of finite floats is formatted in one pass; every row reads as ``_num`` cell by cell."""
+        columns = ["param", "mean_a", "mean_b", "var_a", "var_b", "correlation"]
+        per_cell = [",".join(cell if isinstance(cell, str) else cli._num(cell) for cell in row) for row in rows]
+        assert cli._csv_text(columns, rows) == "\n".join([",".join(columns), *per_cell]) + "\n"
 
 
 PHI_SWEEP = ("sweep", "two-op", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3")

@@ -172,23 +172,25 @@ class TestTwoOpCaseReport:
 
 
     def test_invariant_suite_builds_the_same_report_from_its_shared_statistics(self, monkeypatch):
-        """``invariant_checks`` averages two-op twice, and its report equals ``two_op_case_report()``."""
-        averaged, built = [], []
-        average = machines.average_fidelities
+        """``invariant_checks`` takes its case statistics from one kernel call over the
+        rule's nodes, and its report equals ``two_op_case_report()``."""
+        node_calls, built = [], []
+        kernel = machines.isometry_batch
         report = machines.two_op_case_report
 
-        def counting_average(*args):
-            averaged.append(args[0])
-            return average(*args)
+        def counting_kernel(psi, isometries, *wires):
+            if len(psi) == machines.EXACT_NODES:
+                node_calls.append(len(isometries))
+            return kernel(psi, isometries, *wires)
 
         def recording_report(*args):
             built.append(report(*args))
             return built[-1]
 
-        monkeypatch.setattr(machines, "average_fidelities", counting_average)
+        monkeypatch.setattr(machines, "isometry_batch", counting_kernel)
         monkeypatch.setattr(verify, "two_op_case_report", recording_report)
         verify.invariant_checks()
-        assert averaged == ["two-op", "two-op"]
+        assert node_calls == [len(machines._CASE_PHIS)]
         assert len(built) == 1
         monkeypatch.undo()
         # json renders a NaN correlation as NaN, so equal reports dump to equal text
