@@ -132,7 +132,11 @@ def _csv_text(columns, rows) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        try:  # flushed here, so a full or closed stdout is a usage error, not a shutdown traceback
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise UsageError(f"cannot write stdout: {exc.strerror}") from None
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:

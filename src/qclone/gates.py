@@ -124,19 +124,12 @@ class Circuit:
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
-    """2x2 unitary [[cos t, -i e^{-i pi/2} sin t], [-i e^{i pi/2} sin t, cos t]].
+    """The real rotation [[cos t, -sin t], [sin t, cos t]], as a complex128 matrix.
 
-    That is [[cos t, -sin t], [sin t, cos t]] up to the rounding of the phase
-    factors, which reported residuals carry.
+    So R(t)|0> is the equatorial state (cos t, sin t) bit for bit.
     """
     c, s = math.cos(theta), math.sin(theta)
-    return np.array(
-        [
-            [c, -1j * np.exp(-1j * (math.pi / 2)) * s],
-            [-1j * np.exp(1j * (math.pi / 2)) * s, c],
-        ],
-        dtype=np.complex128,
-    )
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
 def apply_rotation(psi: PureState, op: RotationOp) -> PureState:

@@ -2,8 +2,9 @@
 
 Every machine prepares a resource state on its blank wires and runs a
 CNOT-only network on ``psi tensor prep``; ``two-op``'s rotation lives in its
-resource state R(phi)|0>.  One table, ``_NETWORKS``, holds each machine's
-resource state, its CNOTs in execution order and the output wires of clone
+resource state R(phi)|0> = (cos phi, sin phi).  One table of plain data,
+``_NETWORKS``, holds each machine's resource amplitudes (``None`` for
+two-op's blank), its CNOTs in execution order and the output wires of clone
 A, clone B, the degraded original and the ancilla (``None`` where a machine
 has none); the reference and the isometry builder both read it.
 
@@ -54,13 +55,11 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .gates import (
-    Circuit, CnotOp, RotationOp, apply_cnot, apply_rotation, basis_permutation, rotation_matrix,
-)
+from .gates import Circuit, CnotOp, RotationOp, apply_cnot, apply_rotation, basis_permutation
 from .qnum import (
     ATOL_ALGEBRAIC,
     PSD_FLOOR,
@@ -196,52 +195,33 @@ class DecompositionCoeffs:
     f2_sq: float
 
 
-def bh_prep() -> PureState:
-    """Two-wire resource state (sqrt(2/3), sqrt(1/6), sqrt(1/6), 0)."""
-    return PureState(
-        [math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0), 0.0]
-    )
-
-
-def pc_prep() -> PureState:
-    """Two-wire resource state (x, y, y, z), the equatorial-cloner optimum.
-
-    Equals R(pi/8)|0> tensor R(pi/8)|0>, so its Schmidt structure is trivial;
-    the cloning power comes from the copy network, not from entanglement here.
-    """
-    return PureState([PC_X, PC_Y, PC_Y, PC_Z])
-
-
 def _blank_rotation(phi: float | None) -> RotationOp:
     if phi is None:
         raise ValueError("two-op machine requires phi")
     return RotationOp(0, phi)  # rejects a non-finite phi
 
 
-def _rotated_blank(phi: float | None) -> PureState:
-    return apply_rotation(basis_state(1, 0), _blank_rotation(phi))
-
-
-#: -i e^{i pi/2}, the lower-left factor of ``rotation_matrix`` (sin(pi/2) is exactly 1.0)
-_BLANK_PHASE = rotation_matrix(math.pi / 2)[1, 0]
-
-
 def _rotated_blanks(phis) -> np.ndarray:
-    """Unnormalized R(phi)|0> rows (cos phi, -i e^{i pi/2} sin phi); a missing or non-finite phi raises.
+    """Unnormalized R(phi)|0> rows (cos phi, sin phi), complex128; a missing or non-finite phi raises.
 
     The grid is checked in one pass (``None`` converts to NaN); the first
-    bad phi then raises the error its :class:`RotationOp` would.
+    bad phi then raises the error its :class:`RotationOp` would.  The rows
+    equal, bit for bit, those of ``math.cos`` and ``math.sin`` per phi.
     """
-    if not np.all(np.isfinite(np.array(phis, dtype=np.float64))):
+    angles = np.array(phis, dtype=np.float64)
+    if not np.all(np.isfinite(angles)):
         _blank_rotation(next(phi for phi in phis if phi is None or not math.isfinite(phi)))
-    rows = [(math.cos(phi), _BLANK_PHASE * math.sin(phi)) for phi in phis]
-    return np.array(rows, dtype=np.complex128).reshape(-1, 2)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(np.complex128)
 
 
 class _Network(NamedTuple):
-    """``psi0 tensor prep(phi)``, then ``cnots`` in order, read on the named wires."""
+    """``psi0 tensor prep``, then ``cnots`` in order, read on the named wires.
 
-    prep: Callable[[float | None], PureState]
+    ``prep`` is the resource state's amplitudes, or ``None`` for two-op's
+    blank R(phi)|0>, which depends on phi.
+    """
+
+    prep: tuple[float, ...] | None
     cnots: tuple[CnotOp, ...]
     clone_a: int
     clone_b: int
@@ -250,22 +230,37 @@ class _Network(NamedTuple):
 
 
 _NETWORKS = {
-    "one-op": _Network(lambda _phi: basis_state(1, 0), (CnotOp(0, 1),), 0, 1),
-    "two-op": _Network(_rotated_blank, (CnotOp(0, 1),), 0, 1),
+    "one-op": _Network((1.0, 0.0), (CnotOp(0, 1),), 0, 1),
+    "two-op": _Network(None, (CnotOp(0, 1),), 0, 1),
     # P(2,1) P(0,2) P(1,0) as an operator product, rightmost factor first.  The
     # input wire itself becomes clone A, so there is no separate original.
     "bh": _Network(
-        lambda _phi: bh_prep(), (CnotOp(1, 0), CnotOp(0, 2), CnotOp(2, 1)), 0, 1, ancilla=2
+        (math.sqrt(2.0 / 3.0), math.sqrt(1.0 / 6.0), math.sqrt(1.0 / 6.0), 0.0),
+        (CnotOp(1, 0), CnotOp(0, 2), CnotOp(2, 1)), 0, 1, ancilla=2,
     ),
     # Copy the input across both working wires, then fold them back; all four
     # CNOTs are needed for an input-independent equatorial fidelity.  Wire 0
     # keeps the original with a quarter of orthogonal impurity on the equator.
     "pc": _Network(
-        lambda _phi: pc_prep(), (CnotOp(0, 1), CnotOp(0, 2), CnotOp(1, 0), CnotOp(2, 0)), 1, 2, original=0
+        (PC_X, PC_Y, PC_Y, PC_Z), (CnotOp(0, 1), CnotOp(0, 2), CnotOp(1, 0), CnotOp(2, 0)), 1, 2, original=0
     ),
 }
 
 MACHINE_NAMES = tuple(_NETWORKS)
+
+
+def bh_prep() -> PureState:
+    """Two-wire resource state (sqrt(2/3), sqrt(1/6), sqrt(1/6), 0)."""
+    return PureState(_NETWORKS["bh"].prep)
+
+
+def pc_prep() -> PureState:
+    """Two-wire resource state (x, y, y, z), the equatorial-cloner optimum.
+
+    Equals R(pi/8)|0> tensor R(pi/8)|0>, so its Schmidt structure is trivial;
+    the cloning power comes from the copy network, not from entanglement here.
+    """
+    return PureState(_NETWORKS["pc"].prep)
 
 
 def _network(machine: str) -> _Network:
@@ -282,7 +277,11 @@ def clone_output(machine: str, psi0: PureState, phi: float | None = None) -> Clo
     net = _network(machine)
     if psi0.n_qubits != 1:
         raise WrongArity("cloning machines take a single-qubit input")
-    joint = tensor(psi0, net.prep(phi))
+    if net.prep is None:
+        blank = apply_rotation(basis_state(1, 0), _blank_rotation(phi))
+    else:
+        blank = PureState(net.prep)
+    joint = tensor(psi0, blank)
     for op in net.cnots:
         joint = apply_cnot(joint, op)
     rho = density_of(joint)
@@ -338,13 +337,13 @@ class CloneBatch:
 def permuted_isometries(preps: np.ndarray, images) -> np.ndarray:
     """(P, 2m, 2) isometries of one basis permutation acting on ``|k> tensor prep``.
 
-    ``preps`` is a (P, m) array of resource states; each row is normalized
-    once with ``np.vdot``, as :func:`tensor` normalizes.  ``images`` lists the
-    2m basis images of a CNOT network (:func:`basis_permutation`).  Column k
+    ``preps`` is a (P, m) array of resource states; all rows are normalized
+    in one ``np.vecdot`` pass, as :func:`tensor` normalizes each.  ``images``
+    lists the 2m basis images of a CNOT network (:func:`basis_permutation`).  Column k
     of row p holds prep p at the images of the basis states ``k m + j``, so
     no gate is applied and no density matrix is formed.
     """
-    norms = np.sqrt([np.vdot(row, row).real for row in preps])
+    norms = np.sqrt(np.vecdot(preps, preps).real)
     images = np.asarray(images).reshape(2, -1)
     iso = np.zeros((len(preps), images.size, 2), dtype=np.complex128)
     iso[:, images.T, [0, 1]] = (preps / norms[:, None])[:, :, None]
@@ -361,10 +360,10 @@ def machine_isometries(machine: str, phis) -> np.ndarray:
     """
     net = _network(machine)
     phis = list(phis)
-    if net.prep is _rotated_blank:
+    if net.prep is None:
         preps = _rotated_blanks(phis)
     else:
-        preps = np.tile(net.prep(None).amplitudes, (len(phis), 1))
+        preps = np.tile(PureState(net.prep).amplitudes, (len(phis), 1))
     n = preps.shape[1].bit_length()  # the input wire and log2(m) blank wires
     return permuted_isometries(preps, _network_images(machine, n))
 
@@ -659,11 +658,18 @@ def scaling_factor(coeffs: DecompositionCoeffs) -> float:
     return coeffs.f0_sq - coeffs.f2_sq
 
 
-_CASE_PHIS = (
-    ("0", 0.0),
-    ("pi/4", math.pi / 4.0),
-    ("pi/2", math.pi / 2.0),
-    ("3pi/2", 3.0 * math.pi / 2.0),
+#: Two-op's notable angles as (label, phi, note, anomaly), the rows of :func:`two_op_case_report`.
+_CASES = (
+    ("0", 0.0, "identical to the single-CNOT copier", None),
+    ("pi/4", math.pi / 4.0, "clone A is exact; the joint output stays separable", None),
+    ("pi/2", math.pi / 2.0, "F_a + F_b = 1 pointwise; clones perfectly anticorrelated", None),
+    (
+        "3pi/2",
+        3.0 * math.pi / 2.0,
+        "clone means under the polar measure are (2/3, 1/3); their midpoint "
+        "is 1/2 but neither clone attains 1/2 under either measure",
+        "asymmetric-means",
+    ),
 )
 
 
@@ -674,12 +680,12 @@ def two_op_case_statistics() -> dict[str, tuple[FidelityStats, FidelityStats]]:
     the four angles gives both: its (4, nodes) fidelity block is reduced once
     with each measure's weights, as :func:`average_fidelities` reduces it.
     """
-    fa, fb = _node_fidelities("two-op", [phi for _, phi in _CASE_PHIS])
+    fa, fb = _node_fidelities("two-op", [phi for _, phi, _, _ in _CASES])
     per_measure = [
         _block_stats(measure_nodes(measure)[1], fa, fb)
         for measure in (AveragingMeasure.EQUATORIAL_UNIFORM, AveragingMeasure.POLAR_UNIFORM)
     ]
-    return {label: pair for (label, _), pair in zip(_CASE_PHIS, zip(*per_measure))}
+    return {label: pair for (label, *_), pair in zip(_CASES, zip(*per_measure))}
 
 
 def two_op_case_report(
@@ -697,34 +703,14 @@ def two_op_case_report(
     if statistics is None:
         statistics = two_op_case_statistics()
     report = []
-    for label, phi in _CASE_PHIS:
+    for label, phi, note, anomaly in _CASES:
         eq, po = statistics[label]
-        entry = {
+        report.append({
             "phi": phi,
             "phi_label": label,
-            "equatorial": {
-                "mean_a": eq.mean_a,
-                "mean_b": eq.mean_b,
-                "correlation": eq.correlation,
-            },
-            "polar": {
-                "mean_a": po.mean_a,
-                "mean_b": po.mean_b,
-                "correlation": po.correlation,
-            },
-            "anomaly": None,
-        }
-        if label == "0":
-            entry["note"] = "identical to the single-CNOT copier"
-        elif label == "pi/4":
-            entry["note"] = "clone A is exact; the joint output stays separable"
-        elif label == "pi/2":
-            entry["note"] = "F_a + F_b = 1 pointwise; clones perfectly anticorrelated"
-        else:
-            entry["note"] = (
-                "clone means under the polar measure are (2/3, 1/3); their midpoint "
-                "is 1/2 but neither clone attains 1/2 under either measure"
-            )
-            entry["anomaly"] = "asymmetric-means"
-        report.append(entry)
+            "equatorial": {"mean_a": eq.mean_a, "mean_b": eq.mean_b, "correlation": eq.correlation},
+            "polar": {"mean_a": po.mean_a, "mean_b": po.mean_b, "correlation": po.correlation},
+            "anomaly": anomaly,
+            "note": note,
+        })
     return report

@@ -158,13 +158,17 @@ def invariant_checks() -> list[dict]:
         )
     )
 
+    # the flag is a table constant; the computed polar means are what it asserts (A04)
     anomalies = [entry["phi_label"] for entry in two_op_case_report(cases) if entry.get("anomaly")]
+    polar = cases["3pi/2"][1]
+    mean_dev = max(abs(polar.mean_a - 2.0 / 3.0), abs(polar.mean_b - 1.0 / 3.0))
     records.append(
         _record(
             "invariants",
             "case-report-erratum-flag",
-            anomalies == ["3pi/2"],
+            anomalies == ["3pi/2"] and mean_dev <= 1e-9,
             flagged_cases=anomalies,
+            max_polar_mean_deviation=mean_dev,
         )
     )
     return records

@@ -331,6 +331,15 @@ def test_batched_resource_states_keep_the_reference_rejections(phi):
         machine_isometries("two-op", [0.3, phi])
 
 
+def test_rotated_blanks_are_the_per_phi_cos_sin_rows_byte_for_byte():
+    phis = [0.0, -0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 2, 1e6]
+    phis += list(np.random.default_rng(17).uniform(-1e4, 1e4, 2000))
+    rows = machines._rotated_blanks(phis)
+    want = np.array([(math.cos(phi), math.sin(phi)) for phi in phis], dtype=np.complex128)
+    assert rows.dtype == np.complex128
+    assert rows.tobytes() == want.tobytes()
+
+
 def _same_stats(got: FidelityStats, want: FidelityStats) -> bool:
     """Field-by-field equality; a NaN correlation equals only a NaN."""
     return all(
@@ -481,7 +490,7 @@ def test_cached_permutations_are_immutable(machine):
 def test_case_statistics_equal_average_fidelities(measure):
     cases = machines.two_op_case_statistics()
     side = list(AveragingMeasure).index(measure)  # (equatorial, polar) pairs
-    labels, phis = zip(*machines._CASE_PHIS)
+    labels, phis = zip(*(case[:2] for case in machines._CASES))
     for label, want in zip(labels, average_fidelities("two-op", measure, phis)):
         assert _same_stats(cases[label][side], want)
 

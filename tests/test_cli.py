@@ -2,17 +2,20 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qclone import __version__, cli
+from qclone import __version__, cli, verify
 from qclone.cli import build_parser, main
 from qclone.machines import (
     BH_FIDELITY,
@@ -553,6 +556,25 @@ class TestVerify:
         assert err == ""
         assert out == "".join(json.dumps(r, sort_keys=True) + "\n" for r in one_failing())
 
+    def test_erratum_flag_fails_when_the_flagged_polar_means_drift(self, capsys, monkeypatch):
+        """The flag is a table constant, so the check also holds the 3pi/2 polar means to (2/3, 1/3)."""
+        statistics = verify.two_op_case_statistics
+
+        def drifted():
+            cases = statistics()
+            equatorial, polar = cases["3pi/2"]
+            cases["3pi/2"] = (equatorial, dataclasses.replace(polar, mean_a=polar.mean_a + 1e-6))
+            return cases
+
+        monkeypatch.setattr(verify, "two_op_case_statistics", drifted)
+        record = invariant_checks()[-1]
+        assert record["check"] == "case-report-erratum-flag"
+        assert record["flagged_cases"] == ["3pi/2"]
+        assert not record["ok"]
+        assert math.isclose(record["max_polar_mean_deviation"], 1e-6, rel_tol=1e-6)
+        code, _, _ = run_cli(capsys, "verify", "invariants")
+        assert code == 1
+
     def test_row_out_of_range(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "table2", "--row", "13")
         assert code == 2
@@ -725,6 +747,22 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv", [("verify", "invariants"), PHI_SWEEP + ("--format", "csv"), ("run", "pc", "--theta", "0.4")]
+    )
+    def test_a_full_stdout_exits_2_with_one_error_line(self, argv):
+        """The write and its flush fail inside the command, not at interpreter shutdown."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qclone.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, text=True
+            )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write stdout: ") and proc.stderr.count("\n") == 1
 
     def test_bounds_are_inclusive(self, capsys):
         for steps in ("2", "10000"):

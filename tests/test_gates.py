@@ -28,6 +28,7 @@ from qclone.qnum import (
     IndexOutOfRange,
     PureState,
     basis_state,
+    equatorial_qubit,
     haar_qubit,
     tensor,
 )
@@ -73,18 +74,12 @@ class TestRotationMatrix:
         assert np.allclose(out, [-math.sin(theta), math.cos(theta)], atol=1e-12)
 
     def test_matrix_form(self):
-        """The documented form, phase factors included, bit for bit."""
-        theta = 0.5
-        mat = rotation_matrix(theta)
-        expected = np.array(
-            [
-                [math.cos(theta), -1j * np.exp(-1j * (math.pi / 2)) * math.sin(theta)],
-                [-1j * np.exp(1j * (math.pi / 2)) * math.sin(theta), math.cos(theta)],
-            ]
-        )
-        assert np.array_equal(mat, expected)
-        c, s = math.cos(theta), math.sin(theta)
-        assert np.allclose(mat, [[c, -s], [s, c]], atol=1e-15)
+        """The real rotation [[cos t, -sin t], [sin t, cos t]], bit for bit, as complex128."""
+        for theta in (0.5, -0.0, math.pi / 2, 3 * math.pi / 2, 1e6):
+            mat = rotation_matrix(theta)
+            c, s = math.cos(theta), math.sin(theta)
+            assert mat.dtype == np.complex128
+            assert mat.tobytes() == np.array([[c, -s], [s, c]], dtype=np.complex128).tobytes()
 
     def test_unitary(self):
         mat = rotation_matrix(0.9)
@@ -97,6 +92,13 @@ class TestRotationMatrix:
 
 
 class TestApplyRotation:
+    def test_rotated_zero_is_the_equatorial_state_byte_for_byte(self):
+        """R(phi)|0> is equatorial_qubit(phi) exactly: the two-op blank has no phase residue."""
+        special = [0.0, -0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 2, 1e6]
+        for phi in special + list(np.random.default_rng(2006).uniform(-1e3, 1e3, 500)):
+            out = apply_rotation(basis_state(1, 0), RotationOp(0, phi))
+            assert out.amplitudes.tobytes() == equatorial_qubit(phi).amplitudes.tobytes(), phi
+
     def test_quarter_on_zero(self):
         out = apply_rotation(basis_state(1, 0), RotationOp(0, math.pi / 4))
         s = 1 / math.sqrt(2)

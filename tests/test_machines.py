@@ -190,7 +190,7 @@ class TestTwoOpCaseReport:
         monkeypatch.setattr(machines, "isometry_batch", counting_kernel)
         monkeypatch.setattr(verify, "two_op_case_report", recording_report)
         verify.invariant_checks()
-        assert node_calls == [len(machines._CASE_PHIS)]
+        assert node_calls == [len(machines._CASES)]
         assert len(built) == 1
         monkeypatch.undo()
         # json renders a NaN correlation as NaN, so equal reports dump to equal text
