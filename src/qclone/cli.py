@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -136,6 +137,11 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
+            # The unwritten bytes stay buffered; with fd 1 on devnull the
+            # interpreter's flush at exit succeeds instead of failing again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             raise UsageError(f"cannot write stdout: {exc.strerror}") from None
         return
     try:

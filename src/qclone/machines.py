@@ -206,12 +206,12 @@ def _rotated_blanks(phis) -> np.ndarray:
 
     The grid is checked in one pass (``None`` converts to NaN); the first
     bad phi then raises the error its :class:`RotationOp` would.  The rows
-    equal, bit for bit, those of ``math.cos`` and ``math.sin`` per phi.
+    take ``math.cos`` and ``math.sin``, as ``rotation_matrix`` and
+    ``equatorial_qubit`` do, so they equal those states bit for bit.
     """
-    angles = np.array(phis, dtype=np.float64)
-    if not np.all(np.isfinite(angles)):
+    if not np.all(np.isfinite(np.array(phis, dtype=np.float64))):
         _blank_rotation(next(phi for phi in phis if phi is None or not math.isfinite(phi)))
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(np.complex128)
+    return np.array([(math.cos(phi), math.sin(phi)) for phi in phis], dtype=np.complex128).reshape(-1, 2)
 
 
 class _Network(NamedTuple):
@@ -708,8 +708,16 @@ def two_op_case_report(
         report.append({
             "phi": phi,
             "phi_label": label,
-            "equatorial": {"mean_a": eq.mean_a, "mean_b": eq.mean_b, "correlation": eq.correlation},
-            "polar": {"mean_a": po.mean_a, "mean_b": po.mean_b, "correlation": po.correlation},
+            "equatorial": {
+                "mean_a": eq.mean_a,
+                "mean_b": eq.mean_b,
+                "correlation": eq.correlation,
+            },
+            "polar": {
+                "mean_a": po.mean_a,
+                "mean_b": po.mean_b,
+                "correlation": po.correlation,
+            },
             "anomaly": anomaly,
             "note": note,
         })

@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -155,11 +157,15 @@ def make_qubit(alpha: complex, beta: complex) -> PureState:
 
 
 def equatorial_qubit(theta: float) -> PureState:
-    """Real-amplitude state ``cos(theta)|0> + sin(theta)|1>``."""
+    """Real-amplitude state ``cos(theta)|0> + sin(theta)|1>``.
+
+    Built from ``math.cos`` and ``math.sin``, as ``gates.rotation_matrix`` is,
+    so R(theta)|0> equals this state bit for bit.
+    """
     theta = float(theta)
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
-    return PureState([np.cos(theta), np.sin(theta)])
+    return PureState([math.cos(theta), math.sin(theta)])
 
 
 def basis_state(n_qubits: int, index: int) -> PureState:

@@ -753,16 +753,22 @@ class TestUsageErrors:
         "argv", [("verify", "invariants"), PHI_SWEEP + ("--format", "csv"), ("run", "pc", "--theta", "0.4")]
     )
     def test_a_full_stdout_exits_2_with_one_error_line(self, argv):
-        """The write and its flush fail inside the command, not at interpreter shutdown."""
+        """The write and its flush fail inside the command, and the flush at interpreter exit does not.
+
+        Buffered stdout keeps the unwritten bytes after the failed flush, so
+        both buffering modes are run.
+        """
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "qclone.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, text=True
-            )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: cannot write stdout: ") and proc.stderr.count("\n") == 1
+        env.pop("PYTHONUNBUFFERED", None)
+        for flags in ((), ("-u",)):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, *flags, "-m", "qclone.cli", *argv],
+                    stdout=full, stderr=subprocess.PIPE, env=env, text=True,
+                )
+            assert (proc.returncode, proc.stderr.count("\n")) == (2, 1), (flags, proc.stderr)
+            assert proc.stderr.startswith("error: cannot write stdout: ")
 
     def test_bounds_are_inclusive(self, capsys):
         for steps in ("2", "10000"):
