@@ -29,6 +29,7 @@ angles in radians, or in degrees with ``--deg``.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -131,11 +132,33 @@ def _csv_text(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of ``text`` to stdout and flush it, or raise ``OSError``.
+
+    An unbuffered stdout (``python -u``) hands each write to the raw file,
+    whose short write (a pipe closed part way) is a count, not an error; so
+    the encoded bytes go through the binary layer until every one is written.
+    """
+    stream = sys.stdout
+    binary = getattr(stream, "buffer", None)
+    if binary is None:  # a text-only stream, such as io.StringIO
+        stream.write(text)
+        stream.flush()
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        written = binary.write(data)
+        if not written:
+            raise OSError(errno.EIO, f"{len(data)} bytes left unwritten")
+        data = data[written:]
+    binary.flush()
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         try:  # flushed here, so a full or closed stdout is a usage error, not a shutdown traceback
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _write_stdout(text)
         except OSError as exc:
             # The unwritten bytes stay buffered; with fd 1 on devnull the
             # interpreter's flush at exit succeeds instead of failing again.

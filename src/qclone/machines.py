@@ -30,8 +30,10 @@ once, scattered by the network's basis permutation:
   statistics from one call over its four angles (the case report, the
   invariant suite); ``synth.verify_table2`` on each catalog circuit.
 * The phi-free constants are built once, cached and immutable: the node
-  input states, which both measures share, and each network's basis
-  permutation, as a tuple.
+  input states, which both measures share, each network's basis
+  permutation, as a tuple, and the one-op, bh and pc isometries, which
+  :func:`machine_isometries` broadcasts to a phi grid as read-only views.
+  ``qclone.verify`` caches the invariant suite's input batches the same way.
 * :func:`clone_output` is the readable reference: it runs a table row gate
   by gate on one :class:`PureState` and returns checked
   :class:`DensityMatrix` channels.  The per-machine functions use it, and
@@ -356,16 +358,26 @@ def machine_isometries(machine: str, phis) -> np.ndarray:
     :func:`permuted_isometries` of the row's resource states and its CNOTs'
     basis permutation.  ``two-op``'s resource states R(phi)|0> are built for
     the whole grid as one array (:func:`_rotated_blanks`); the other
-    machines' are fixed.
+    machines' isometry is a phi-free constant (:func:`_fixed_isometry`),
+    returned as a read-only view broadcast to ``len(phis)`` rows.
     """
     net = _network(machine)
     phis = list(phis)
-    if net.prep is None:
-        preps = _rotated_blanks(phis)
-    else:
-        preps = np.tile(PureState(net.prep).amplitudes, (len(phis), 1))
+    if net.prep is not None:
+        iso = _fixed_isometry(machine)
+        return np.broadcast_to(iso, (len(phis), *iso.shape[1:]))
+    preps = _rotated_blanks(phis)
+    return permuted_isometries(preps, _network_images(machine, preps.shape[1].bit_length()))
+
+
+@lru_cache(maxsize=len(_NETWORKS))
+def _fixed_isometry(machine: str) -> np.ndarray:
+    """(1, 2^n, 2) isometry of a table row with a fixed resource state, built once and read-only."""
+    preps = PureState(_NETWORKS[machine].prep).amplitudes[None]
     n = preps.shape[1].bit_length()  # the input wire and log2(m) blank wires
-    return permuted_isometries(preps, _network_images(machine, n))
+    iso = permuted_isometries(preps, _network_images(machine, n))
+    iso.setflags(write=False)
+    return iso
 
 
 @lru_cache(maxsize=len(_NETWORKS))

@@ -9,6 +9,7 @@ if any record has ``ok`` false.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .machines import (
     isometry_batch,
     machine_isometries,
     measure_nodes,
-    orthogonal_decompositions,
     projector_distances,
     qubit_batch,
     two_op_case_report,
@@ -47,45 +47,65 @@ def table2_checks(row: int | None = None) -> list[dict]:
     return [record for index in rows for record in verify_table2(index).records]
 
 
-def _scaling_residual(rho: np.ndarray, psi: np.ndarray) -> float:
-    """Worst distance of ``rho`` from ``s |psi><psi| + (1-s)/2 I``, s = f0_sq - f2_sq."""
-    f0, f2 = orthogonal_decompositions(rho, psi)
-    s = (f0 - f2)[:, None, None]
+def _scaling_residual(rho: np.ndarray, psi: np.ndarray, fidelity: np.ndarray) -> float:
+    """Worst distance of ``rho`` from ``s |psi><psi| + (1-s)/2 I``, s = 2 F - 1.
+
+    ``fidelity`` is the kernel's F = <psi|rho|psi>.  ``reduced_qubits`` checks
+    unit trace, so the weights of ``rho`` in the projector pair of ``psi`` are
+    F and 1 - F, and s = f0_sq - f2_sq is 2 F - 1.
+    """
+    s = (2.0 * fidelity - 1.0)[:, None, None]
     proj = psi[:, :, None] * psi.conj()[:, None, :]
     resid = rho - (s * proj + (1.0 - s) / 2.0 * np.eye(2))
     return float(np.linalg.norm(resid, axis=(1, 2)).max())
 
 
+@lru_cache(maxsize=1)
+def _suite_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The suite's input batches, built once and read-only.
+
+    1,000 Haar rows from a fixed seed (bh), and 256 (pc) and 32 (two-op)
+    equispaced equatorial rows.
+    """
+    batches = (
+        qubit_batch(haar_amplitudes(np.random.default_rng(20240901), 1000)),
+        equatorial_batch(2.0 * math.pi * np.arange(256) / 256.0),
+        equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0),
+    )
+    for batch in batches:
+        batch.setflags(write=False)
+    return batches
+
+
 def invariant_checks() -> list[dict]:
     """Eight records of machine invariants; ensemble averages use the exact 17-node rule."""
     records = []
+    haar, equator, psi = _suite_inputs()
 
-    psi = qubit_batch(haar_amplitudes(np.random.default_rng(20240901), 1000))
-    bh = clone_batch("bh", psi)
+    bh = clone_batch("bh", haar)
     worst_fid = float(np.abs(np.concatenate([bh.fidelity_a, bh.fidelity_b]) - BH_FIDELITY).max())
     worst_pair = float(np.abs(bh.clone_a - bh.clone_b).max())
-    worst_scaling = _scaling_residual(bh.clone_a, psi)
+    worst_scaling = _scaling_residual(bh.clone_a, haar, bh.fidelity_a)
     records.append(
         _record(
             "invariants",
             "bh-universality",
             worst_fid <= 1e-10 and worst_pair <= 1e-10,
-            samples=1000,
+            samples=len(haar),
             max_fidelity_error=worst_fid,
             max_clone_difference=worst_pair,
         )
     )
 
-    psi = equatorial_batch(2.0 * math.pi * np.arange(256) / 256.0)
-    pc = clone_batch("pc", psi)
+    pc = clone_batch("pc", equator)
     worst = float(np.abs(np.concatenate([pc.fidelity_a, pc.fidelity_b]) - PC_FIDELITY).max())
-    worst_pc_scaling = _scaling_residual(pc.clone_a, psi)
+    worst_pc_scaling = _scaling_residual(pc.clone_a, equator, pc.fidelity_a)
     records.append(
         _record(
             "invariants",
             "pc-covariance",
             worst <= 1e-10,
-            samples=256,
+            samples=len(equator),
             max_fidelity_error=worst,
         )
     )
@@ -99,7 +119,6 @@ def invariant_checks() -> list[dict]:
         )
     )
 
-    psi = equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0)
     # per measure, the statistics at the case report's angles: the identity case is
     # pi/4 and the anticorrelated case pi/2
     cases = two_op_case_statistics()

@@ -1,5 +1,6 @@
 """The batched kernel against the per-state reference path it replaces."""
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -518,6 +519,74 @@ def test_each_case_block_of_the_invariant_suite_is_clone_batch(monkeypatch):
                 assert got is None, field
             else:
                 assert got.shape[0] == 2 * n and np.array_equal(got[p * n:(p + 1) * n], value), field
+
+
+@pytest.mark.parametrize("machine", [m for m in MACHINE_NAMES if m != "two-op"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_fixed_isometries_are_one_cached_read_only_constant(machine, rows):
+    """A phi-free machine's stack is a view of one cached isometry, equal to a fresh build bit for bit."""
+    fixed = machines._fixed_isometry(machine)
+    assert machines._fixed_isometry(machine) is fixed and fixed.shape[0] == 1
+    v = machine_isometries(machine, [None] * rows)
+    n = v.shape[1].bit_length() - 1
+    preps = np.tile(PureState(machines._NETWORKS[machine].prep).amplitudes, (rows, 1))
+    built = machines.permuted_isometries(preps, machines._network_images(machine, n))
+    assert v.shape == built.shape and v.dtype == built.dtype
+    assert v.tobytes() == built.tobytes()
+    assert np.shares_memory(v, fixed)
+    for array in (fixed, v):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 0.0
+
+
+def test_suite_inputs_are_built_once_and_read_only():
+    batches = verify._suite_inputs()
+    assert verify._suite_inputs() is batches
+    fresh = (
+        qubit_batch(haar_amplitudes(np.random.default_rng(20240901), 1000)),
+        equatorial_batch(2.0 * math.pi * np.arange(256) / 256.0),
+        equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0),
+    )
+    for batch, want in zip(batches, fresh, strict=True):
+        assert batch.tobytes() == want.tobytes() and batch.shape == want.shape
+        with pytest.raises(ValueError):
+            batch[0, 0] = 0.0
+
+
+def _decomposition_residual(rho, psi):
+    """The scaling-form residual from a second decomposition pass: s = f0_sq - f2_sq."""
+    f0, f2 = orthogonal_decompositions(rho, psi)
+    s = (f0 - f2)[:, None, None]
+    proj = psi[:, :, None] * psi.conj()[:, None, :]
+    return float(np.linalg.norm(rho - (s * proj + (1.0 - s) / 2.0 * np.eye(2)), axis=(1, 2)).max())
+
+
+@pytest.mark.parametrize("machine, inputs", [("bh", 0), ("pc", 1)])
+def test_scaling_residual_from_the_kernel_fidelity_matches_the_decomposition(machine, inputs):
+    psi = verify._suite_inputs()[inputs]
+    out = clone_batch(machine, psi)
+    got = verify._scaling_residual(out.clone_a, psi, out.fidelity_a)
+    want = _decomposition_residual(out.clone_a, psi)
+    assert abs(got - want) <= 1e-15
+
+
+def test_a_coherence_of_1e_6_fails_the_scaling_form(monkeypatch):
+    """A bh channel off the scaling form by a 1e-6 coherence is a failed record, not a pass or an exception."""
+    kernel = verify.clone_batch
+
+    def perturbed(machine, amplitudes, phi=None):
+        out = kernel(machine, amplitudes, phi)
+        if machine != "bh":
+            return out
+        rho = out.clone_a + 1e-6 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        return dataclasses.replace(out, clone_a=rho, fidelity_a=machines.batch_fidelity(qubit_batch(amplitudes), rho))
+
+    monkeypatch.setattr(verify, "clone_batch", perturbed)
+    (record,) = [r for r in verify.invariant_checks() if r["check"] == "scaling-form"]
+    assert not record["ok"]
+    assert 1e-9 < record["bh_max_residual"] <= 2e-6
+    assert record["pc_max_residual"] <= 1e-9
 
 
 # --- the exact 17-node rule ----------------------------------------------------

@@ -524,6 +524,11 @@ class TestVerify:
         assert "bh-universality" in names
         assert "case-report-erratum-flag" in names
 
+    def test_invariants_print_the_same_bytes_on_a_second_call(self, capsys):
+        """The suite's cached inputs and isometries leave nothing behind that changes the next call."""
+        first, second = run_cli(capsys, "verify", "invariants"), run_cli(capsys, "verify", "invariants")
+        assert first == second and first[0] == 0 and first[1]
+
     def test_all(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "all")
         assert code == 0
@@ -704,6 +709,25 @@ THETA_SWEEP = ("sweep", "bh", "--param", "theta", "--from", "0", "--to", "1", "-
 UNWRITABLE = os.path.join(os.devnull, "x.json")
 
 
+class _ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most ``accept`` bytes per write, and none past ``total``."""
+
+    def __init__(self, accept, total=math.inf, fd=None):
+        super().__init__()
+        self.accept, self.total, self.fd, self.written = accept, total, fd, b""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        taken = bytes(data[:max(0, min(self.accept, self.total - len(self.written)))])
+        self.written += taken
+        return len(taken)
+
+    def fileno(self):
+        return super().fileno() if self.fd is None else self.fd
+
+
 class TestUsageErrors:
     """Bad values exit 2 with one ``error:`` line, before any work is done."""
 
@@ -769,6 +793,49 @@ class TestUsageErrors:
                 )
             assert (proc.returncode, proc.stderr.count("\n")) == (2, 1), (flags, proc.stderr)
             assert proc.stderr.startswith("error: cannot write stdout: ")
+
+    def test_a_reader_that_closes_early_exits_2_unbuffered_too(self):
+        """An unbuffered stdout reports a closed pipe's short write as a count; qclone still exits 2."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = ("sweep", "two-op", "--param", "phi", "--from", "0", "--to", "1", "--steps", "10000", "--format", "csv")
+        for flags in ((), ("-u",)):
+            # about 1 MB of CSV: more than a pipe holds, so the write is cut short however fast it runs
+            proc = subprocess.Popen(
+                [sys.executable, *flags, "-m", "qclone.cli", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+            assert head == b"param,mean"
+            assert (proc.wait(), err.count("\n")) == (2, 1), (flags, err)
+            assert err == "error: cannot write stdout: Broken pipe\n"
+
+    def test_a_stdout_whose_writes_come_up_short_gets_every_byte(self, monkeypatch):
+        """A raw stdout that takes a few bytes per write (as ``python -u`` can) still receives the whole report."""
+        raw = _ShortWrites(accept=7)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        assert main(list(PHI_SWEEP)) == 0
+        want = io.StringIO()
+        with contextlib.redirect_stdout(want):
+            assert main(list(PHI_SWEEP)) == 0
+        assert raw.written.decode() == want.getvalue() and len(raw.written) > 7
+
+    def test_a_stdout_that_stops_taking_bytes_exits_2_with_one_error_line(self, monkeypatch, capsys, tmp_path):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)  # the fd the error path points at devnull
+        try:
+            raw = _ShortWrites(accept=7, total=20, fd=fd)
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+                code = main(list(PHI_SWEEP))
+        finally:
+            os.close(fd)
+        err = capsys.readouterr().err
+        assert (code, len(raw.written)) == (2, 20)
+        assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
 
     def test_bounds_are_inclusive(self, capsys):
         for steps in ("2", "10000"):
