@@ -23,17 +23,17 @@ once, scattered by the network's basis permutation:
   amplitudes (:func:`reduced_qubits`), with the reference path's checks on
   the whole batch; a row's values do not depend on its batch.
   :func:`clone_batch` is the kernel on one machine's ``V`` (``run``, the
-  theta sweep, :func:`pointwise_fidelities`); :func:`average_fidelities`
-  runs it on the phi x node grid in blocks of at most ``_BATCH_ROWS`` rows
-  and reduces each block's statistics in one pass (``average_fidelity``,
-  the phi sweep); :func:`two_op_case_statistics` takes both measures'
-  statistics from one call over its four angles (the case report, the
-  invariant suite); ``synth.verify_table2`` on each catalog circuit.
-* The phi-free constants are built once, cached and immutable: the node
-  input states, which both measures share, each network's basis
-  permutation, as a tuple, and the one-op, bh and pc isometries, which
-  :func:`machine_isometries` broadcasts to a phi grid as read-only views.
-  ``qclone.verify`` caches the invariant suite's input batches the same way.
+  theta sweep, :func:`pointwise_fidelities`) and ``synth.verify_table2``
+  on each catalog circuit.
+* :func:`average_fidelities` (``average_fidelity``, the phi sweep) and
+  :func:`two_op_case_statistics` reduce (phi, node) fidelity grids in one
+  pass.  Two-op's output is linear in its blank (c, s) = R(phi)|0>, so each
+  clone fidelity at a node is a quadratic form in (c, s), which one kernel
+  call at three angles fixes for every phi (:func:`_two_op_forms`).
+* Constants are built once, cached and immutable: the node input states,
+  each network's basis permutation, as a tuple, the one-op, bh and pc
+  isometries (broadcast to a phi grid as read-only views) and two-op's
+  forms.  ``qclone.verify`` caches the invariant suite's inputs the same way.
 * :func:`clone_output` is the readable reference: it runs a table row gate
   by gate on one :class:`PureState` and returns checked
   :class:`DensityMatrix` channels.  The per-machine functions use it, and
@@ -560,27 +560,15 @@ def average_fidelity(machine: str, measure, *, phi: float | None = None) -> Fide
     return average_fidelities(machine, measure, [phi])[0]
 
 
-#: Most (phi, node) rows that :func:`average_fidelities` evaluates as one batch.
-_BATCH_ROWS = 2**16
-
-
 def average_fidelities(machine: str, measure, phis=(None,)) -> list[FidelityStats]:
     """:func:`average_fidelity` at every ``phi`` of ``phis``, in order.
 
     The default ``phis`` is the one phi-free row of a machine without a
-    rotation.  The nodes x phi grid goes through the stack of isometries
-    (:func:`machine_isometries`) in one :func:`isometry_batch` call per block
-    of at most ``_BATCH_ROWS`` rows, and each block's statistics are reduced
-    in one pass (:func:`_block_stats`).
+    rotation.  The grid's :func:`_node_fidelities` are reduced in one pass
+    (:func:`_block_stats`); two-op's come from its cached quadratic forms.
     """
     _, weights = measure_nodes(measure)
-    _network(machine)  # an unknown machine raises even on an empty grid
-    phis = list(phis)
-    block = max(1, _BATCH_ROWS // EXACT_NODES)
-    stats = []
-    for start in range(0, len(phis), block):
-        stats.extend(_block_stats(weights, *_node_fidelities(machine, phis[start:start + block])))
-    return stats
+    return _block_stats(weights, *_node_fidelities(machine, list(phis)))
 
 
 @lru_cache(maxsize=1)
@@ -595,12 +583,31 @@ def _node_states() -> np.ndarray:
     return psi
 
 
+@lru_cache(maxsize=1)
+def _two_op_forms() -> np.ndarray:
+    """(2, 3, nodes) coefficients (q0, q1, q2) of each clone's node fidelity ``c^2 q0 + 2 c s q1 + s^2 q2``
+    in two-op's blank (c, s): one :func:`isometry_batch` call at phi = 0, pi/4 and pi/2 mapped through
+    the constant inverse of those blanks' (c^2, 2 c s, s^2) rows; built once and read-only."""
+    phis, net = (0.0, math.pi / 4.0, math.pi / 2.0), _NETWORKS["two-op"]
+    out = isometry_batch(_node_states(), machine_isometries("two-op", phis), net.clone_a, net.clone_b)
+    c, s = _rotated_blanks(phis).real.T
+    fids = np.stack([out.fidelity_a, out.fidelity_b]).reshape(2, len(phis), -1)
+    forms = np.linalg.inv(np.stack([c * c, 2.0 * c * s, s * s], axis=1)) @ fids
+    forms.setflags(write=False)
+    return forms
+
+
 def _node_fidelities(machine: str, phis: list) -> tuple[np.ndarray, np.ndarray]:
-    """(P, nodes) clone fidelities at the rule's nodes, a row per phi, from one :func:`isometry_batch` call."""
+    """(P, nodes) clone fidelities at the rule's nodes, a row per phi: two-op's forms on each phi's
+    :func:`_rotated_blanks` row, clamped as :func:`batch_fidelity` clamps, elementwise so that a row
+    does not depend on its grid; any other machine's one :func:`isometry_batch` row, repeated."""
     net = _network(machine)
-    v = machine_isometries(machine, phis)
-    out = isometry_batch(_node_states(), v, net.clone_a, net.clone_b, net.original)
-    return out.fidelity_a.reshape(len(v), -1), out.fidelity_b.reshape(len(v), -1)
+    if net.prep is None:
+        c, s = _rotated_blanks(phis).real.T[:, :, None]
+        return tuple(np.clip(c * c * q0 + 2.0 * c * s * q1 + s * s * q2, 0.0, 1.0)
+                     for q0, q1, q2 in _two_op_forms())
+    out = isometry_batch(_node_states(), _fixed_isometry(machine), net.clone_a, net.clone_b, net.original)
+    return tuple(np.broadcast_to(f, (len(phis), f.size)) for f in (out.fidelity_a, out.fidelity_b))
 
 
 def _block_stats(weights: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> list[FidelityStats]:
@@ -688,15 +695,12 @@ _CASES = (
 def two_op_case_statistics() -> dict[str, tuple[FidelityStats, FidelityStats]]:
     """The two-op machine's (equatorial, polar) statistics at each notable angle, by label.
 
-    The measures share their nodes, so one :func:`isometry_batch` call over
-    the four angles gives both: its (4, nodes) fidelity block is reduced once
-    with each measure's weights, as :func:`average_fidelities` reduces it.
+    The measures share their nodes, so the (4, nodes) fidelity block of
+    two-op's forms is reduced once with each measure's weights, as
+    :func:`average_fidelities` reduces it.
     """
     fa, fb = _node_fidelities("two-op", [phi for _, phi, _, _ in _CASES])
-    per_measure = [
-        _block_stats(measure_nodes(measure)[1], fa, fb)
-        for measure in (AveragingMeasure.EQUATORIAL_UNIFORM, AveragingMeasure.POLAR_UNIFORM)
-    ]
+    per_measure = [_block_stats(measure_nodes(measure)[1], fa, fb) for measure in AveragingMeasure]
     return {label: pair for (label, *_), pair in zip(_CASES, zip(*per_measure))}
 
 
@@ -705,8 +709,9 @@ def two_op_case_report(
 ) -> list[dict]:
     """Computed statistics of the two-op machine at its four notable angles.
 
-    Every value is produced by simulation + quadrature (no closed forms), so
-    the report is an independent record of what the machine actually does.
+    Every value is produced by simulation + quadrature (no closed forms: the
+    node fidelities are the forms that the simulated kernel fixes at three
+    angles), so the report is an independent record of what the machine does.
     The 3pi/2 entry carries a non-null ``anomaly`` field: its polar-measure
     means are (2/3, 1/3) — an asymmetric pair whose midpoint 1/2 is *not*
     attained by either clone individually under either measure.

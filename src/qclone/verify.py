@@ -77,6 +77,16 @@ def _suite_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return batches
 
 
+@lru_cache(maxsize=1)
+def _two_op_inputs(*phis: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 32 equatorial rows renormalized as ``clone_batch`` does, and two-op's isometries at
+    ``phis``; built once and read-only."""
+    constants = (qubit_batch(_suite_inputs()[2]), machine_isometries("two-op", phis))
+    for array in constants:
+        array.setflags(write=False)
+    return constants
+
+
 def invariant_checks() -> list[dict]:
     """Eight records of machine invariants; ensemble averages use the exact 17-node rule."""
     records = []
@@ -122,10 +132,10 @@ def invariant_checks() -> list[dict]:
     # per measure, the statistics at the case report's angles: the identity case is
     # pi/4 and the anticorrelated case pi/2
     cases = two_op_case_statistics()
-    # both cases on the same inputs as one batch, renormalized as clone_batch does; two-op
-    # clones onto wires 0 and 1, and each case's rows equal clone_batch("two-op", psi, phi)
+    # both cases as one batch; two-op clones onto wires 0 and 1, and each case's rows equal
+    # clone_batch("two-op", psi, phi)
     identity, anticorrelated = math.pi / 4.0, math.pi / 2.0
-    two = isometry_batch(qubit_batch(psi), machine_isometries("two-op", [identity, anticorrelated]), 0, 1)
+    two = isometry_batch(*_two_op_inputs(identity, anticorrelated), 0, 1)
     rows = len(psi)
     var_max = max(stats.var_a for stats in cases["pi/4"])
     # the input passes through untouched and the ancilla ends up rotated

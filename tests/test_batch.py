@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import longdouble_oracle
 import qclone.machines as machines
 import qclone.verify as verify
 from qclone.machines import (
@@ -370,17 +371,37 @@ def _one_batch_stats(machine, measure, phi):
     return _fidelity_stats(weights, out.fidelity_a, out.fidelity_b)
 
 
+#: Bound on a node fidelity of two-op's quadratic forms against ``clone_batch`` at the same phi, for the
+#: coefficients' rounding and the blank's normalization; 5,005 phi in [-10, 10], the notable angles and 1e6 gave 1.6e-15.
+FORM_TOL = 4e-15
+
+
+def _assert_near_kernel_and_oracle(measure, phi, st: FidelityStats):
+    """Two-op's statistics at ``phi``: the means within ``FORM_TOL`` per unit weight (plus the
+    sums' rounding) of the kernel's, every statistic within the longdouble oracle's bound."""
+    _, weights = measure_nodes(measure)
+    kernel = _one_batch_stats("two-op", measure, phi)
+    tol = (FORM_TOL + 2 * EPS) * np.abs(weights).sum()
+    assert abs(st.mean_a - kernel.mean_a) <= tol and abs(st.mean_b - kernel.mean_b) <= tol
+    if longdouble_oracle.OK:
+        oracle = longdouble_oracle.statistics(measure, phi)
+        assert max(longdouble_oracle.deviations(dataclasses.astuple(st), oracle)) <= 1.0
+
+
 @pytest.mark.parametrize("measure", ["equatorial", "polar"])
-@pytest.mark.parametrize("rows", [33, 128, machines._BATCH_ROWS])
-def test_grid_equals_a_loop_of_one_phi_calls_exactly(monkeypatch, measure, rows):
-    # one phi per block, 7 per block (the last one ragged), the whole grid in one block
-    monkeypatch.setattr(machines, "_BATCH_ROWS", rows)
+@pytest.mark.parametrize("rows", [33, 128, 65536])
+def test_grid_equals_a_loop_of_one_phi_calls_exactly(measure, rows):
+    # calls of rows // 17 phis: one phi per call, 7 per call (the last one ragged), the whole grid in one call
     phis = GOLDEN_PHIS + NOTABLE_PHIS
-    grid = average_fidelities("two-op", measure, phis)
+    block = max(1, rows // machines.EXACT_NODES)
+    grid = [st for k in range(0, len(phis), block)
+            for st in average_fidelities("two-op", measure, phis[k:k + block])]
     assert len(grid) == len(phis)
+    whole = average_fidelities("two-op", measure, phis)
+    assert all(_same_stats(a, b) for a, b in zip(grid, whole))
     for phi, st in zip(phis, grid):
         assert _same_stats(st, average_fidelity("two-op", measure, phi=phi))
-        assert _same_stats(st, _one_batch_stats("two-op", measure, phi))
+        _assert_near_kernel_and_oracle(measure, phi, st)
     thetas, weights = measure_nodes(measure)
     for phi, st in zip(phis[::8] + NOTABLE_PHIS, grid[::8] + grid[-3:]):
         want = _reference_stats("two-op", thetas, weights, phi)[:4]
@@ -394,7 +415,10 @@ def test_grid_covers_every_machine(machine):
     for measure in ("equatorial", "polar"):
         grid = average_fidelities(machine, measure, phis)
         for phi, st in zip(phis, grid):
-            assert _same_stats(st, _one_batch_stats(machine, measure, phi))
+            if machine == "two-op":
+                _assert_near_kernel_and_oracle(measure, phi, st)
+            else:
+                assert _same_stats(st, _one_batch_stats(machine, measure, phi))
 
 
 #: Standard deviation at which a correlation's rounding bound is the null threshold.
@@ -429,12 +453,14 @@ def test_block_statistics_equal_the_per_row_reference_exactly(measure, seed, row
 
 
 @pytest.mark.parametrize("rows", [1, 127, 128, 3 * 128, 5 * 128 + 1])
-def test_blocking_does_not_change_the_result(monkeypatch, rows):
-    # 17 nodes a phi: 1 to 37 phis per block, so all but the largest split the 23 phis
+def test_blocking_does_not_change_the_result(rows):
+    """A phi grid split into separate calls of ``rows // 17`` phis (at least one) gives the
+    whole grid's statistics bit for bit: a row does not depend on the grid it came in."""
     phis = GOLDEN_PHIS[:23]
     whole = average_fidelities("two-op", "equatorial", phis)
-    monkeypatch.setattr(machines, "_BATCH_ROWS", rows)
-    blocked = average_fidelities("two-op", "equatorial", phis)
+    block = max(1, rows // machines.EXACT_NODES)
+    blocked = [st for k in range(0, len(phis), block)
+               for st in average_fidelities("two-op", "equatorial", phis[k:k + block])]
     assert len(blocked) == len(whole)
     assert all(_same_stats(a, b) for a, b in zip(blocked, whole))
 
@@ -496,6 +522,57 @@ def test_case_statistics_equal_average_fidelities(measure):
         assert _same_stats(cases[label][side], want)
 
 
+def test_two_op_forms_are_read_only_and_built_by_one_kernel_call(monkeypatch):
+    """The (clone, coefficient, node) table comes from one three-isometry kernel call, once per process."""
+    calls = []
+    kernel = machines.isometry_batch
+
+    def counting_kernel(psi, isometries, *wires):
+        calls.append((len(psi), len(isometries)))
+        return kernel(psi, isometries, *wires)
+
+    monkeypatch.setattr(machines, "isometry_batch", counting_kernel)
+    machines._two_op_forms.cache_clear()
+    forms = machines._two_op_forms()
+    assert forms.shape == (2, 3, machines.EXACT_NODES)
+    average_fidelities("two-op", "polar", GOLDEN_PHIS)
+    average_fidelity("two-op", "equatorial", phi=0.3)
+    machines.two_op_case_statistics()
+    assert machines._two_op_forms() is forms
+    assert calls == [(machines.EXACT_NODES, 3)]
+    assert not forms.flags.writeable
+    with pytest.raises(ValueError):
+        forms[0, 0, 0] = 0.0
+
+
+form_phis = st.one_of(angles, st.sampled_from([0.0, -0.0, 1e6, -1e6] + NOTABLE_PHIS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(phis=st.lists(form_phis, min_size=1, max_size=40))
+def test_two_op_form_fidelities_match_the_kernel_and_a_lone_phi(phis):
+    """Each node fidelity is within ``FORM_TOL`` of ``clone_batch`` at its phi, and a lone-phi
+    call gives its grid row bit for bit."""
+    thetas, _ = measure_nodes("equatorial")
+    fa, fb = machines._node_fidelities("two-op", phis)
+    assert fa.shape == fb.shape == (len(phis), machines.EXACT_NODES)
+    for k, phi in enumerate(phis):
+        out = clone_batch("two-op", equatorial_batch(thetas), phi)
+        assert np.abs(fa[k] - out.fidelity_a).max() <= FORM_TOL
+        assert np.abs(fb[k] - out.fidelity_b).max() <= FORM_TOL
+        alone_a, alone_b = machines._node_fidelities("two-op", [phi])
+        assert alone_a.tobytes() == fa[k].tobytes() and alone_b.tobytes() == fb[k].tobytes()
+
+
+@pytest.mark.skipif(not longdouble_oracle.OK, reason=longdouble_oracle.SKIP_REASON)
+def test_case_statistics_are_within_rounding_of_the_longdouble_oracle():
+    cases = machines.two_op_case_statistics()
+    for label, phi, *_ in machines._CASES:
+        for measure, st_ in zip(AveragingMeasure, cases[label]):
+            oracle = longdouble_oracle.statistics(measure, phi)
+            assert max(longdouble_oracle.deviations(dataclasses.astuple(st_), oracle)) <= 1.0, (label, measure)
+
+
 def test_each_case_block_of_the_invariant_suite_is_clone_batch(monkeypatch):
     """The suite's pi/4 and pi/2 cases come from one two-isometry kernel call; each block equals clone_batch."""
     fused = []
@@ -552,6 +629,19 @@ def test_suite_inputs_are_built_once_and_read_only():
         assert batch.tobytes() == want.tobytes() and batch.shape == want.shape
         with pytest.raises(ValueError):
             batch[0, 0] = 0.0
+
+
+def test_two_op_case_constants_are_built_once_and_read_only():
+    """The suite's two-op cases read one cached renormalized batch and isometry stack,
+    equal bit for bit to what ``clone_batch`` builds for the same inputs."""
+    phis = (math.pi / 4.0, math.pi / 2.0)
+    psi, iso = verify._two_op_inputs(*phis)
+    assert verify._two_op_inputs(*phis)[0] is psi
+    assert psi.tobytes() == qubit_batch(verify._suite_inputs()[2]).tobytes()
+    assert iso.tobytes() == machine_isometries("two-op", list(phis)).tobytes()
+    for array in (psi, iso):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
 
 
 def _decomposition_residual(rho, psi):

@@ -25,7 +25,10 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import longdouble_oracle
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 
@@ -141,6 +144,45 @@ def test_cli_matches_golden(case):
 
 def test_derive_machines_matches_golden():
     assert derived_images() == _golden()["derive_machines"]
+
+
+#: the golden sweeps of two-op's statistics over phi
+PHI_SWEEPS = [argv for argv in CASES if argv[:4] == ("sweep", "two-op", "--param", "phi")]
+STAT_COLUMNS = ("mean_a", "mean_b", "var_a", "var_b", "correlation")
+
+
+def _flag(argv, name, default=None):
+    return argv[argv.index(name) + 1] if name in argv else default
+
+
+def _printed_rows(argv, stdout) -> list[tuple[float, list[float]]]:
+    """(param, statistics) per printed row; an empty CSV cell or a JSON null is NaN."""
+    if _flag(argv, "--format") == "json":
+        rows = json.loads(stdout)["rows"]
+        return [(row["param"], [math.nan if row[c] is None else row[c] for c in STAT_COLUMNS]) for row in rows]
+    header, *lines = stdout.splitlines()
+    assert header.split(",") == ["param", *STAT_COLUMNS]
+    cells = [[float(cell) if cell else math.nan for cell in line.split(",")] for line in lines]
+    return [(row[0], row[1:]) for row in cells]
+
+
+@pytest.mark.skipif(not longdouble_oracle.OK, reason=longdouble_oracle.SKIP_REASON)
+@pytest.mark.parametrize("argv", PHI_SWEEPS, ids=" ".join)
+def test_phi_sweep_statistics_are_within_rounding_of_the_longdouble_oracle(argv):
+    """Every printed statistic lies within ``longdouble_oracle.bounds`` of the closed forms
+    (plus the %.15g rounding of a CSV cell); a null correlation only where a clone is flat."""
+    run = invoke(argv)
+    assert run["exit"] == 0
+    angle = math.radians if "--deg" in argv else float
+    phis = np.linspace(angle(float(_flag(argv, "--from"))), angle(float(_flag(argv, "--to"))),
+                       int(_flag(argv, "--steps"))).tolist()
+    rows = _printed_rows(argv, run["stdout"])
+    assert len(rows) == len(phis)
+    measure = _flag(argv, "--measure", "equatorial")
+    for phi, (param, got) in zip(phis, rows):
+        assert math.isclose(param, phi, rel_tol=1e-14, abs_tol=1e-15)
+        oracle = longdouble_oracle.statistics(measure, phi)
+        assert max(longdouble_oracle.deviations(got, oracle, printed=True)) <= 1.0, (phi, got, oracle)
 
 
 def _passes(got: dict, want: dict) -> bool:
