@@ -573,6 +573,36 @@ def test_case_statistics_are_within_rounding_of_the_longdouble_oracle():
             assert max(longdouble_oracle.deviations(dataclasses.astuple(st_), oracle)) <= 1.0, (label, measure)
 
 
+@pytest.mark.skipif(not longdouble_oracle.OK, reason=longdouble_oracle.SKIP_REASON)
+def test_the_oracle_maps_reproduce_the_closed_form_fidelities():
+    """The hand-written maps against the per-machine closed forms: one-op's cos^4 + sin^4, bh's 5/6,
+    pc's 1/2 + 1/sqrt 8 and 3/4 on the original, and two-op's statistics at every notable angle."""
+    thetas = np.random.default_rng(2101).uniform(-10.0, 10.0, 50)
+    ld = np.longdouble
+    t = thetas.astype(ld)
+    tol = 1e-17
+    (one_a, one_b) = longdouble_oracle.wire_fidelities("one-op", thetas)
+    assert np.abs(one_a - (np.cos(t) ** 4 + np.sin(t) ** 4)).max() <= tol and np.array_equal(one_a, one_b)
+    assert np.abs(np.concatenate(longdouble_oracle.wire_fidelities("bh", thetas)) - ld(5) / 6).max() <= tol
+    pc_a, pc_b, pc_orig = longdouble_oracle.wire_fidelities("pc", thetas)
+    assert np.abs(np.concatenate([pc_a, pc_b]) - (ld(1) / 2 + 1 / np.sqrt(ld(8)))).max() <= tol
+    assert np.abs(pc_orig - ld(3) / 4).max() <= tol
+    for phi in [0.0, 0.3] + NOTABLE_PHIS:
+        for measure in ("equatorial", "polar"):
+            got = longdouble_oracle.machine_statistics("two-op", measure, phi)
+            want = longdouble_oracle.statistics(measure, phi)
+            assert np.allclose(got[:4], want[:4], rtol=0.0, atol=tol), (phi, measure)
+
+
+@pytest.mark.skipif(not longdouble_oracle.OK, reason=longdouble_oracle.SKIP_REASON)
+@pytest.mark.parametrize("machine", ["one-op", "bh", "pc"])
+@pytest.mark.parametrize("measure", ["equatorial", "polar"])
+def test_fixed_machine_averages_are_within_rounding_of_the_longdouble_oracle(machine, measure):
+    st_ = average_fidelity(machine, measure)
+    oracle = longdouble_oracle.machine_statistics(machine, measure)
+    assert max(longdouble_oracle.deviations(dataclasses.astuple(st_), oracle)) <= 1.0, (st_, oracle)
+
+
 def test_each_case_block_of_the_invariant_suite_is_clone_batch(monkeypatch):
     """The suite's pi/4 and pi/2 cases come from one two-isometry kernel call; each block equals clone_batch."""
     fused = []

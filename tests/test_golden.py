@@ -18,6 +18,7 @@ cases the corpus lacks); every passing entry is kept as captured.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -183,6 +184,89 @@ def test_phi_sweep_statistics_are_within_rounding_of_the_longdouble_oracle(argv)
         assert math.isclose(param, phi, rel_tol=1e-14, abs_tol=1e-15)
         oracle = longdouble_oracle.statistics(measure, phi)
         assert max(longdouble_oracle.deviations(got, oracle, printed=True)) <= 1.0, (phi, got, oracle)
+
+
+#: the golden runs that print fidelities (two-op without --phi is a usage error) and theta sweeps
+RUNS = [argv for argv in CASES if argv[0] == "run" and (argv[1] != "two-op" or "--phi" in argv)]
+THETA_SWEEPS = [argv for argv in CASES if argv[0] == "sweep" and "theta" in argv]
+
+
+def _angles(argv):
+    return math.radians if "--deg" in argv else float
+
+
+def _bound(want: float, csv_cell: bool) -> float:
+    """A fidelity's rounding allowance, plus the %.15g rounding of a CSV cell."""
+    return longdouble_oracle.K * longdouble_oracle.EPS + (longdouble_oracle.PRINTED * abs(want) if csv_cell else 0.0)
+
+
+@pytest.mark.skipif(not longdouble_oracle.OK, reason=longdouble_oracle.SKIP_REASON)
+@pytest.mark.parametrize("argv", RUNS, ids=" ".join)
+def test_run_fields_are_within_rounding_of_the_longdouble_oracle(argv):
+    """Each printed fidelity and decomposition weight lies within 8 eps (plus a CSV cell's rounding)
+    of the wires' closed-form maps: f0_sq is F_a, f2_sq is 1 - F_a, the scaling factor 2 F_a - 1."""
+    run = invoke(argv)
+    assert run["exit"] == 0
+    csv_cell = _flag(argv, "--format") == "csv"
+    if csv_cell:
+        header, row = csv.reader(io.StringIO(run["stdout"]))
+        got = {k: float(v) if v else None for k, v in zip(header, row) if k not in ("machine", "note")}
+    else:
+        got = json.loads(run["stdout"])
+    machine = argv[1]
+    phi = _flag(argv, "--phi")
+    phi = None if phi is None else _angles(argv)(float(phi))
+    fids = [float(f[0]) for f in longdouble_oracle.wire_fidelities(machine, [_angles(argv)(float(_flag(argv, "--theta")))], phi)]
+    fa, fb = fids[:2]
+    want = {"fidelity_a": fa, "fidelity_b": fb, "f0_sq": fa, "f2_sq": 1.0 - fa, "scaling_factor": 2.0 * fa - 1.0}
+    if machine == "pc":
+        want.update(original_f0_sq=fids[2], original_f2_sq=1.0 - fids[2])
+    if machine in ("bh", "pc"):
+        assert got["f0_sq"] is not None
+    for field, value in want.items():
+        if got[field] is not None:
+            assert abs(got[field] - value) <= _bound(value, csv_cell), (field, got[field], value)
+
+
+@pytest.mark.skipif(not longdouble_oracle.OK, reason=longdouble_oracle.SKIP_REASON)
+@pytest.mark.parametrize("argv", THETA_SWEEPS, ids=" ".join)
+def test_theta_sweep_fidelities_are_within_rounding_of_the_longdouble_oracle(argv):
+    run = invoke(argv)
+    assert run["exit"] == 0
+    angle = _angles(argv)
+    thetas = np.linspace(angle(float(_flag(argv, "--from"))), angle(float(_flag(argv, "--to"))),
+                         int(_flag(argv, "--steps"))).tolist()
+    phi = _flag(argv, "--phi")
+    phi = None if phi is None else angle(float(phi))
+    csv_cell = _flag(argv, "--format", "csv") == "csv"
+    if csv_cell:
+        header, *lines = csv.reader(io.StringIO(run["stdout"]))
+        rows = [dict(zip(header, (float(v) if v else None for v in line))) for line in lines]
+    else:
+        rows = json.loads(run["stdout"])["rows"]
+    columns = ["F_a", "F_b"] + (["F_orig"] if argv[1] == "pc" else [])
+    oracle = longdouble_oracle.wire_fidelities(argv[1], thetas, phi)
+    assert len(rows) == len(thetas)
+    for k, (theta, row) in enumerate(zip(thetas, rows)):
+        assert math.isclose(row["theta"], theta, rel_tol=1e-14, abs_tol=1e-15)
+        for column, wire in zip(columns, oracle):
+            want = float(wire[k])
+            assert abs(row[column] - want) <= _bound(want, csv_cell), (theta, column, row[column], want)
+
+
+@pytest.mark.skipif(not longdouble_oracle.OK, reason=longdouble_oracle.SKIP_REASON)
+def test_table2_fidelity_errors_are_within_rounding_of_the_longdouble_oracle():
+    """Every catalog row is an equatorial cloner, so its clones' error from the printed target is
+    the target's own distance from the closed form plus at most 8 eps."""
+    run = invoke(("verify", "table2"))
+    records = [json.loads(line) for line in run["stdout"].splitlines()]
+    fidelity = [r for r in records if r["check"] == "fidelity"]
+    assert len(fidelity) == 12
+    exact = longdouble_oracle.wire_fidelities("pc", [0.0])[0][0]
+    for record in fidelity:
+        target_error = float(abs(np.longdouble(record["target"]) - exact))
+        assert target_error <= longdouble_oracle.K * longdouble_oracle.EPS
+        assert record["max_error"] <= target_error + longdouble_oracle.K * longdouble_oracle.EPS, record
 
 
 def _passes(got: dict, want: dict) -> bool:
