@@ -14,9 +14,9 @@ constants    evaluate the catalog's angle constants and named values
 Each command but ``verify`` writes one report, as JSON or CSV per
 ``--format`` (``_report``); ``verify`` prints each check record of
 :mod:`qclone.verify` as one JSON line.  Reports are deterministic: fixed
-averaging rules, fixed seeds for the optimizer starts and the invariants'
-random inputs, sorted JSON keys, 15-significant-digit CSV with LF line
-endings, no timestamps.  Ensemble averages (``sweep --param phi``,
+averaging rules, fixed seeds for the optimizer starts, invariants checked
+on the machines' channel tables, sorted JSON keys, 15-significant-digit CSV
+with LF line endings, no timestamps.  Ensemble averages (``sweep --param phi``,
 ``verify invariants``) use the exact 17-node rule, and a phi sweep's JSON
 metadata records ``"quadrature": "exact"``.  Exit codes: 0 success, 1
 failed verification or unrealizable request, 2 usage error.  A failed
@@ -48,9 +48,11 @@ from .machines import (
     PC_Z,
     NotDecomposable,
     average_fidelities,
-    clone_batch,
+    channel_tables,
     equatorial_batch,
     orthogonal_decompositions,
+    table_channels,
+    table_fidelities,
 )
 from .prepsolver import (
     ConvergenceFailure,
@@ -221,28 +223,28 @@ def _cmd_run(args) -> int:
     phi = _two_op_phi(args)
     theta = _angle(args.theta, args.deg)
 
-    # row 0 of the batch a theta sweep evaluates, so both print the same numbers
-    psi = equatorial_batch([theta])
-    out = clone_batch(machine, psi, phi)
+    # the elementwise evaluation a theta sweep runs, so both print the same numbers
+    tables, psi = channel_tables(machine, [phi])[0], equatorial_batch([theta])
+    fids, channels = table_fidelities(tables, psi), table_channels(tables, psi)
 
     note = None
     f0_sq = f2_sq = s = None
     try:
-        f0, f2 = orthogonal_decompositions(out.clone_a, psi)
+        f0, f2 = orthogonal_decompositions(channels[0], psi)
         f0_sq, f2_sq, s = f0[0], f2[0], f0[0] - f2[0]
     except NotDecomposable:
         note = "clone channel is not diagonal in the input's projector basis"
 
     orig_f0 = orig_f2 = None
-    if out.original_channel is not None:
-        orig_f0, orig_f2 = (f[0] for f in orthogonal_decompositions(out.original_channel, psi))
+    if len(channels) == 3:  # the degraded original (pc)
+        orig_f0, orig_f2 = (f[0] for f in orthogonal_decompositions(channels[2], psi))
 
     payload = {
         "machine": machine,
         "theta": theta,
         "phi": phi,
-        "fidelity_a": out.fidelity_a[0],
-        "fidelity_b": out.fidelity_b[0],
+        "fidelity_a": fids[0, 0],
+        "fidelity_b": fids[1, 0],
         "f0_sq": f0_sq,
         "f2_sq": f2_sq,
         "scaling_factor": s,
@@ -287,13 +289,9 @@ def _cmd_sweep(args) -> int:
         if args.measure is not None:
             raise UsageError("--measure applies to --param phi sweeps only")
         phi = _two_op_phi(args)
-        out = clone_batch(machine, equatorial_batch(grid), phi)
-        columns = ["theta", "phi", "F_a", "F_b"]
-        fids = [out.fidelity_a, out.fidelity_b]
-        if machine == "pc":
-            columns.append("F_orig")
-            fids.append(out.fidelity_original)
-        rows = [[theta, phi, *vals] for theta, *vals in zip(grid.tolist(), *(f.tolist() for f in fids))]
+        fids = table_fidelities(channel_tables(machine, [phi])[0], equatorial_batch(grid))
+        columns = ["theta", "phi", "F_a", "F_b", "F_orig"][:2 + len(fids)]  # pc also reads its original
+        rows = [[theta, phi, *vals] for theta, *vals in zip(grid.tolist(), *fids.tolist())]
         meta = _metadata(machine=machine)
 
     payload = None

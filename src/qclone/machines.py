@@ -8,36 +8,30 @@ two-op's blank), its CNOTs in execution order and the output wires of clone
 A, clone B, the degraded original and the ancilla (``None`` where a machine
 has none); the reference and the isometry builder both read it.
 
-Each network is a linear isometry ``V`` (2^n x 2) of the input qubit.  A CNOT
-network only permutes basis states, so ``V`` is the resource state, normalized
-once, scattered by the network's basis permutation:
-
-* :func:`permuted_isometries` is the one builder: column k of ``V`` holds the
-  resource state at the images of ``|k> tensor |j>``.
-  :func:`machine_isometries` applies it to a table row for a whole phi grid,
-  and ``synth.verify_table2`` to each catalog circuit.  Tests hold every
-  entry within 2 ulps of ``V`` compiled through :func:`clone_output`.
-* :func:`isometry_batch` is the one evaluation kernel: it maps normalized
-  (N, 2) inputs through a stack of isometries, column by column, and forms
-  each one-wire channel from three row dot products of the reshaped
-  amplitudes (:func:`reduced_qubits`), with the reference path's checks on
-  the whole batch; a row's values do not depend on its batch.
-  :func:`clone_batch` is the kernel on one machine's ``V`` (``run``, the
-  theta sweep, :func:`pointwise_fidelities`) and ``synth.verify_table2``
-  on each catalog circuit.
-* :func:`average_fidelities` (``average_fidelity``, the phi sweep) and
-  :func:`two_op_case_statistics` reduce (phi, node) fidelity grids in one
-  pass.  Two-op's output is linear in its blank (c, s) = R(phi)|0>, so each
-  clone fidelity at a node is a quadratic form in (c, s), which one kernel
-  call at three angles fixes for every phi (:func:`_two_op_forms`).
-* Constants are built once, cached and immutable: the node input states,
-  each network's basis permutation, as a tuple, the one-op, bh and pc
-  isometries (broadcast to a phi grid as read-only views) and two-op's
-  forms.  ``qclone.verify`` caches the invariant suite's inputs the same way.
 * :func:`clone_output` is the readable reference: it runs a table row gate
   by gate on one :class:`PureState` and returns checked
   :class:`DensityMatrix` channels.  The per-machine functions use it, and
   property tests hold the fast paths to it.
+* Each network is a linear isometry ``V`` (2^n x 2) of the input qubit: a
+  CNOT network only permutes basis states, so ``V`` is the resource state,
+  normalized once, scattered by the network's basis permutation
+  (:func:`permuted_isometries`; :func:`machine_isometries` for a table row).
+  :func:`isometry_batch` maps normalized (N, 2) inputs through a stack of
+  isometries and forms each one-wire channel from three row dot products
+  (:func:`reduced_qubits`), with the reference path's checks.  It builds
+  the channel tables, and ``synth.verify_table2`` runs it on each catalog
+  circuit.
+* Each output wire maps an input's Bloch vector r to its channel's
+  ``M r + t``, so F = (1 + r . (M r + t)) / 2.  :func:`channel_tables`
+  holds every wire's ``[M | t]``, built once per process, cached and
+  read-only, from one kernel call on four probe inputs; two-op's map is
+  quadratic in its blank (c, s), so three angles fix it for every phi.
+  :func:`table_fidelities` and :func:`table_channels` evaluate it
+  elementwise, so ``run``, the theta sweep, :func:`pointwise_fidelities`,
+  the averaging nodes and the invariant suite read it and run no kernel.
+* :func:`average_fidelities` (``average_fidelity``, the phi sweep) and
+  :func:`two_op_case_statistics` reduce (phi, node) fidelity grids in one
+  pass.
 
 Averaging is exact.  Both measures draw real inputs (cos t, sin t), and a
 copy is a few CNOTs on a fixed resource state, so each clone fidelity is a
@@ -98,6 +92,9 @@ __all__ = [
     "pc_clone",
     "clone_output",
     "pointwise_fidelities",
+    "channel_tables",
+    "table_fidelities",
+    "table_channels",
     "permuted_isometries",
     "machine_isometries",
     "qubit_batch",
@@ -106,7 +103,6 @@ __all__ = [
     "batch_fidelity",
     "projector_distances",
     "isometry_batch",
-    "clone_batch",
     "measure_nodes",
     "average_fidelity",
     "average_fidelities",
@@ -312,9 +308,9 @@ def pc_clone(psi0: PureState) -> CloneOutput:
 
 
 def pointwise_fidelities(machine: str, theta: float, phi: float | None = None) -> tuple[float, float]:
-    """Both clone fidelities at the equatorial input ``theta``: the single row of :func:`clone_batch`."""
-    out = clone_batch(machine, equatorial_batch([theta]), phi)
-    return float(out.fidelity_a[0]), float(out.fidelity_b[0])
+    """Both clone fidelities at the equatorial input ``theta``, read from the machine's channel tables."""
+    fids = table_fidelities(channel_tables(machine, [phi]), equatorial_batch([theta]))
+    return float(fids[0, 0, 0]), float(fids[0, 1, 0])
 
 
 # --- batched kernel -----------------------------------------------------------
@@ -464,8 +460,7 @@ def batch_fidelity(psi: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     ``einsum`` rounds a one-row batch through another kernel than the rows
     of a larger one, so a lone row is evaluated twice: a row's value then
-    does not depend on the batch it came in, and ``run`` prints what a
-    theta sweep prints for the same input.
+    does not depend on the batch it came in.
     """
     rows = len(psi)
     if rows == 1:
@@ -499,15 +494,85 @@ def isometry_batch(psi: np.ndarray, isometries: np.ndarray, clone_a: int, clone_
     return CloneBatch(joint, rho[0], rho[1], fid[0], fid[1], rho[2], fid[2])
 
 
-def clone_batch(machine: str, amplitudes, phi: float | None = None) -> CloneBatch:
-    """Evaluate a machine on an (N, 2) batch of real or complex input amplitudes.
+# --- channel tables -----------------------------------------------------------
 
-    :func:`isometry_batch` of the machine's isometry on its network's wires;
-    agrees with :func:`clone_output` row by row up to rounding.
+#: The probe inputs |0>, |1>, |+> and |+i>, whose channels fix each wire's Bloch-affine map.
+_PROBES = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0j))
+
+
+def _bloch(rho: np.ndarray) -> np.ndarray:
+    """(3, ...) Bloch vectors (x, y, z) of a (..., 2, 2) stack of one-qubit states."""
+    off = rho[..., 0, 1]
+    return np.stack([2.0 * off.real, -2.0 * off.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real])
+
+
+@lru_cache(maxsize=len(_NETWORKS))
+def _channel_forms(machine: str) -> np.ndarray:
+    """(K, W, 3, 4) tables ``[M | t]`` of a machine's wires, built once and read-only.
+
+    One :func:`isometry_batch` call on the four probes: |0> and |1> give
+    t +- M e_z, |+> and |+i> give M e_x + t and M e_y + t.  A fixed machine
+    has K = 1.  Two-op's tables are quadratic in its blank (c, s), so its
+    three tables at phi = 0, pi/4 and pi/2 are mapped through the constant
+    inverse of those blanks' (c^2, 2 c s, s^2) rows to its coefficients
+    (T0, T1, T2).
     """
-    psi = qubit_batch(amplitudes)
+    net = _NETWORKS[machine]
+    phis = (None,) if net.prep is not None else (0.0, math.pi / 4.0, math.pi / 2.0)
+    out = isometry_batch(qubit_batch(_PROBES), machine_isometries(machine, phis), net.clone_a, net.clone_b,
+                         net.original)
+    wires = [rho for rho in (out.clone_a, out.clone_b, out.original_channel) if rho is not None]
+    # (component, phi, probe, wire) to (probe, phi, wire, component)
+    v0, v1, vx, vy = _bloch(np.stack(wires, axis=1)).reshape(3, len(phis), len(_PROBES), -1).transpose(2, 1, 3, 0)
+    t = (v0 + v1) / 2.0
+    tables = np.stack([vx - t, vy - t, (v0 - v1) / 2.0, t], axis=-1)
+    if net.prep is None:
+        c, s = _rotated_blanks(phis).real.T
+        tables = np.tensordot(np.linalg.inv(np.stack([c * c, 2.0 * c * s, s * s], axis=1)), tables, axes=1)
+    tables.setflags(write=False)
+    return tables
+
+
+def channel_tables(machine: str, phis=(None,)) -> np.ndarray:
+    """(P, W, 3, 4) Bloch-affine maps ``[M | t]`` of a machine's wires, one per ``phi``.
+
+    The wires are clone A, clone B and, for pc, the degraded original; each
+    maps an input's Bloch vector r to its channel's ``M r + t``.  A fixed
+    machine's cached table is returned as a read-only view broadcast to
+    ``len(phis)`` rows; two-op's is ``c^2 T0 + 2 c s T1 + s^2 T2`` on each
+    phi's :func:`_rotated_blanks` row, elementwise, so a row does not depend
+    on its grid.
+    """
     net = _network(machine)
-    return isometry_batch(psi, machine_isometries(machine, [phi]), net.clone_a, net.clone_b, net.original)
+    phis = list(phis)
+    forms = _channel_forms(machine)
+    if net.prep is not None:
+        return np.broadcast_to(forms, (len(phis), *forms.shape[1:]))
+    c, s = _rotated_blanks(phis).real.T[:, :, None, None, None]
+    return c * c * forms[0] + 2.0 * c * s * forms[1] + s * s * forms[2]
+
+
+def _images(tables: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (3, N) Bloch vectors r of normalized (N, 2) inputs and their (..., 3, N) images
+    ``M r + t`` under (..., 3, 4) tables, elementwise."""
+    r = _bloch(_outer(psi))
+    m = tables[..., None]
+    return r, m[..., 0, :] * r[0] + m[..., 1, :] * r[1] + m[..., 2, :] * r[2] + m[..., 3, :]
+
+
+def table_fidelities(tables: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(..., N) fidelities ``(1 + r . (M r + t)) / 2`` of normalized (N, 2) inputs, clamped to [0, 1].
+
+    Elementwise, so an input's value does not depend on its batch.
+    """
+    r, v = _images(tables, psi)
+    return np.clip(0.5 * (1.0 + (r[0] * v[..., 0, :] + r[1] * v[..., 1, :] + r[2] * v[..., 2, :])), 0.0, 1.0)
+
+
+def table_channels(tables: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(..., N, 2, 2) channels ``(I + v . sigma) / 2``, v = ``M r + t``, of normalized (N, 2) inputs."""
+    x, y, z = np.moveaxis(_images(tables, psi)[1], -2, 0)
+    return 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1).reshape(*z.shape, 2, 2)
 
 
 # --- averaging ----------------------------------------------------------------
@@ -565,49 +630,16 @@ def average_fidelities(machine: str, measure, phis=(None,)) -> list[FidelityStat
 
     The default ``phis`` is the one phi-free row of a machine without a
     rotation.  The grid's :func:`_node_fidelities` are reduced in one pass
-    (:func:`_block_stats`); two-op's come from its cached quadratic forms.
+    (:func:`_block_stats`); they come from the cached channel tables.
     """
     _, weights = measure_nodes(measure)
     return _block_stats(weights, *_node_fidelities(machine, list(phis)))
 
 
-@lru_cache(maxsize=1)
-def _node_states() -> np.ndarray:
-    """The rule's inputs (cos t_j, sin t_j), read-only; both measures share the nodes.
-
-    Normalized by the same two passes as ``clone_batch(machine, equatorial_batch(thetas))``.
-    """
-    thetas, _ = _exact_nodes(AveragingMeasure.EQUATORIAL_UNIFORM)
-    psi = qubit_batch(equatorial_batch(thetas))
-    psi.setflags(write=False)
-    return psi
-
-
-@lru_cache(maxsize=1)
-def _two_op_forms() -> np.ndarray:
-    """(2, 3, nodes) coefficients (q0, q1, q2) of each clone's node fidelity ``c^2 q0 + 2 c s q1 + s^2 q2``
-    in two-op's blank (c, s): one :func:`isometry_batch` call at phi = 0, pi/4 and pi/2 mapped through
-    the constant inverse of those blanks' (c^2, 2 c s, s^2) rows; built once and read-only."""
-    phis, net = (0.0, math.pi / 4.0, math.pi / 2.0), _NETWORKS["two-op"]
-    out = isometry_batch(_node_states(), machine_isometries("two-op", phis), net.clone_a, net.clone_b)
-    c, s = _rotated_blanks(phis).real.T
-    fids = np.stack([out.fidelity_a, out.fidelity_b]).reshape(2, len(phis), -1)
-    forms = np.linalg.inv(np.stack([c * c, 2.0 * c * s, s * s], axis=1)) @ fids
-    forms.setflags(write=False)
-    return forms
-
-
 def _node_fidelities(machine: str, phis: list) -> tuple[np.ndarray, np.ndarray]:
-    """(P, nodes) clone fidelities at the rule's nodes, a row per phi: two-op's forms on each phi's
-    :func:`_rotated_blanks` row, clamped as :func:`batch_fidelity` clamps, elementwise so that a row
-    does not depend on its grid; any other machine's one :func:`isometry_batch` row, repeated."""
-    net = _network(machine)
-    if net.prep is None:
-        c, s = _rotated_blanks(phis).real.T[:, :, None]
-        return tuple(np.clip(c * c * q0 + 2.0 * c * s * q1 + s * s * q2, 0.0, 1.0)
-                     for q0, q1, q2 in _two_op_forms())
-    out = isometry_batch(_node_states(), _fixed_isometry(machine), net.clone_a, net.clone_b, net.original)
-    return tuple(np.broadcast_to(f, (len(phis), f.size)) for f in (out.fidelity_a, out.fidelity_b))
+    """(P, nodes) clone fidelities at the rule's nodes, a row per phi, from the machine's channel tables."""
+    fids = table_fidelities(channel_tables(machine, phis), equatorial_batch(measure_nodes("equatorial")[0]))
+    return fids[:, 0], fids[:, 1]
 
 
 def _block_stats(weights: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> list[FidelityStats]:
@@ -696,7 +728,7 @@ def two_op_case_statistics() -> dict[str, tuple[FidelityStats, FidelityStats]]:
     """The two-op machine's (equatorial, polar) statistics at each notable angle, by label.
 
     The measures share their nodes, so the (4, nodes) fidelity block of
-    two-op's forms is reduced once with each measure's weights, as
+    two-op's tables is reduced once with each measure's weights, as
     :func:`average_fidelities` reduces it.
     """
     fa, fb = _node_fidelities("two-op", [phi for _, phi, _, _ in _CASES])
@@ -710,8 +742,9 @@ def two_op_case_report(
     """Computed statistics of the two-op machine at its four notable angles.
 
     Every value is produced by simulation + quadrature (no closed forms: the
-    node fidelities are the forms that the simulated kernel fixes at three
-    angles), so the report is an independent record of what the machine does.
+    node fidelities are read from the channel table that the simulated kernel
+    fixes at three angles), so the report is an independent record of what
+    the machine does.
     The 3pi/2 entry carries a non-null ``anomaly`` field: its polar-measure
     means are (2/3, 1/3) — an asymmetric pair whose midpoint 1/2 is *not*
     attained by either clone individually under either measure.

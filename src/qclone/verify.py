@@ -9,25 +9,18 @@ if any record has ``ok`` false.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .machines import (
-    BH_FIDELITY,
-    PC_FIDELITY,
     AveragingMeasure,
-    clone_batch,
-    equatorial_batch,
-    isometry_batch,
+    channel_tables,
     machine_isometries,
     measure_nodes,
-    projector_distances,
-    qubit_batch,
     two_op_case_report,
     two_op_case_statistics,
 )
-from .qnum import equatorial_qubit, haar_amplitudes
+from .qnum import equatorial_qubit
 from .synth import TABLE2, verify_table2
 
 __all__ = ["table2_checks", "invariant_checks"]
@@ -47,112 +40,82 @@ def table2_checks(row: int | None = None) -> list[dict]:
     return [record for index in rows for record in verify_table2(index).records]
 
 
-def _scaling_residual(rho: np.ndarray, psi: np.ndarray, fidelity: np.ndarray) -> float:
-    """Worst distance of ``rho`` from ``s |psi><psi| + (1-s)/2 I``, s = 2 F - 1.
-
-    ``fidelity`` is the kernel's F = <psi|rho|psi>.  ``reduced_qubits`` checks
-    unit trace, so the weights of ``rho`` in the projector pair of ``psi`` are
-    F and 1 - F, and s = f0_sq - f2_sq is 2 F - 1.
-    """
-    s = (2.0 * fidelity - 1.0)[:, None, None]
-    proj = psi[:, :, None] * psi.conj()[:, None, :]
-    resid = rho - (s * proj + (1.0 - s) / 2.0 * np.eye(2))
-    return float(np.linalg.norm(resid, axis=(1, 2)).max())
-
-
-@lru_cache(maxsize=1)
-def _suite_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The suite's input batches, built once and read-only.
-
-    1,000 Haar rows from a fixed seed (bh), and 256 (pc) and 32 (two-op)
-    equispaced equatorial rows.
-    """
-    batches = (
-        qubit_batch(haar_amplitudes(np.random.default_rng(20240901), 1000)),
-        equatorial_batch(2.0 * math.pi * np.arange(256) / 256.0),
-        equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0),
-    )
-    for batch in batches:
-        batch.setflags(write=False)
-    return batches
-
-
-@lru_cache(maxsize=1)
-def _two_op_inputs(*phis: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 32 equatorial rows renormalized as ``clone_batch`` does, and two-op's isometries at
-    ``phis``; built once and read-only."""
-    constants = (qubit_batch(_suite_inputs()[2]), machine_isometries("two-op", phis))
-    for array in constants:
-        array.setflags(write=False)
-    return constants
+def _deviation(array) -> float:
+    """The largest entry of ``array`` in absolute value."""
+    return float(np.abs(array).max())
 
 
 def invariant_checks() -> list[dict]:
-    """Eight records of machine invariants; ensemble averages use the exact 17-node rule."""
-    records = []
-    haar, equator, psi = _suite_inputs()
+    """Eight records of machine invariants; ensemble averages use the exact 17-node rule.
 
-    bh = clone_batch("bh", haar)
-    worst_fid = float(np.abs(np.concatenate([bh.fidelity_a, bh.fidelity_b]) - BH_FIDELITY).max())
-    worst_pair = float(np.abs(bh.clone_a - bh.clone_b).max())
-    worst_scaling = _scaling_residual(bh.clone_a, haar, bh.fidelity_a)
+    The first six read the machines' channel tables (``channel_tables``):
+    each wire's map r -> M r + t of an input's Bloch vector, so a check of
+    M and t against its ideal holds for every input.  The first five state
+    their largest table deviation; a deviation d of every entry moves no
+    fidelity by more than 2.4 d.
+    """
+    records = []
+    bh, pc = channel_tables("bh")[0], channel_tables("pc")[0]
+
+    # M = (2/3) I and t = 0 on both clones: F = 5/6 for every input
+    bh_ideal = np.hstack([2.0 / 3.0 * np.eye(3), np.zeros((3, 1))])
+    bh_dev = _deviation(bh - bh_ideal)
+    bh_pair = _deviation(bh[0] - bh[1])
     records.append(
         _record(
             "invariants",
             "bh-universality",
-            worst_fid <= 1e-10 and worst_pair <= 1e-10,
-            samples=len(haar),
-            max_fidelity_error=worst_fid,
-            max_clone_difference=worst_pair,
+            bh_dev <= 1e-10 and bh_pair <= 1e-10,
+            max_table_deviation=bh_dev,
+            max_clone_difference=bh_pair,
         )
     )
 
-    pc = clone_batch("pc", equator)
-    worst = float(np.abs(np.concatenate([pc.fidelity_a, pc.fidelity_b]) - PC_FIDELITY).max())
-    worst_pc_scaling = _scaling_residual(pc.clone_a, equator, pc.fidelity_a)
-    records.append(
-        _record(
-            "invariants",
-            "pc-covariance",
-            worst <= 1e-10,
-            samples=len(equator),
-            max_fidelity_error=worst,
-        )
-    )
+    # on the x-z plane of real inputs, M = I / sqrt 2 and t = 0: F = 1/2 + 1/sqrt 8
+    xz = [0, 2, 3]  # the x and z columns of M, and t
+    pc_ideal = np.hstack([np.eye(3) / math.sqrt(2.0), np.zeros((3, 1))])[:, xz]
+    pc_dev = _deviation(pc[:2, :, xz] - pc_ideal)
+    records.append(_record("invariants", "pc-covariance", pc_dev <= 1e-10, max_table_deviation=pc_dev))
+
+    # rho -> s rho + (1 - s) I / 2 is M = s I and t = 0, with s read from the table
+    bh_s = float(np.trace(bh[0, :, :3])) / 3.0
+    pc_s = float(pc[0, 0, 0] + pc[0, 2, 2]) / 2.0
+    bh_scaling = _deviation(bh[:2] - bh_s * np.eye(3, 4))
+    pc_scaling = _deviation(pc[:2, :, xz] - (pc_s * np.eye(3, 4))[:, xz])
     records.append(
         _record(
             "invariants",
             "scaling-form",
-            worst_scaling <= 1e-9 and worst_pc_scaling <= 1e-9,
-            bh_max_residual=worst_scaling,
-            pc_max_residual=worst_pc_scaling,
+            bh_scaling <= 1e-9 and pc_scaling <= 1e-9,
+            bh_max_residual=bh_scaling,
+            pc_max_residual=pc_scaling,
         )
     )
 
     # per measure, the statistics at the case report's angles: the identity case is
     # pi/4 and the anticorrelated case pi/2
     cases = two_op_case_statistics()
-    # both cases as one batch; two-op clones onto wires 0 and 1, and each case's rows equal
-    # clone_batch("two-op", psi, phi)
     identity, anticorrelated = math.pi / 4.0, math.pi / 2.0
-    two = isometry_batch(*_two_op_inputs(identity, anticorrelated), 0, 1)
-    rows = len(psi)
+    two = channel_tables("two-op", [identity, anticorrelated])
     var_max = max(stats.var_a for stats in cases["pi/4"])
-    # the input passes through untouched and the ancilla ends up rotated
-    target = (psi[:, :, None] * equatorial_qubit(identity).amplitudes).reshape(-1, 4)
-    joint_dev = float(projector_distances(two.joint[:rows], target).max())
+    # clone A passes the input through untouched, and the blank ends up rotated
+    identity_dev = _deviation(two[0, 0] - np.eye(3, 4))
+    columns = np.kron(np.eye(2), equatorial_qubit(identity).amplitudes[:, None])
+    iso_dev = _deviation(machine_isometries("two-op", [identity])[0] - columns)
     records.append(
         _record(
             "invariants",
             "two-op-identity-case",
-            var_max < 1e-12 and joint_dev <= 1e-10,
+            var_max < 1e-12 and identity_dev <= 1e-10 and iso_dev <= 1e-10,
             phi=identity,
             max_variance_a=var_max,
-            max_joint_residual=joint_dev,
+            max_table_deviation=identity_dev,
+            max_isometry_deviation=iso_dev,
         )
     )
 
-    sum_dev = float(np.abs(two.fidelity_a[rows:] + two.fidelity_b[rows:] - 1.0).max())
+    # M_A + M_B = 0 and t_A + t_B = 0: F_a + F_b = 1 for every input
+    sum_dev = _deviation(two[1, 0] + two[1, 1])
     corr_dev = max(abs(stats.correlation + 1.0) for stats in cases["pi/2"])
     records.append(
         _record(
@@ -165,9 +128,12 @@ def invariant_checks() -> list[dict]:
         )
     )
 
-    f0_sq, f2_sq = 5.0 / 6.0, 1.0 / 6.0
+    # the paper's condition on bh's weights f0_sq = (1 + s)/2 and f2_sq = (1 - s)/2
+    f0_sq, f2_sq = (1.0 + bh_s) / 2.0, (1.0 - bh_s) / 2.0
     cross = abs(2.0 * math.sqrt(f2_sq) * math.sqrt(f0_sq - f2_sq) - (f0_sq - f2_sq))
-    records.append(_record("invariants", "cross-term-condition", cross <= 1e-12, residual=cross))
+    records.append(
+        _record("invariants", "cross-term-condition", cross <= 1e-12, residual=cross, f0_sq=f0_sq, f2_sq=f2_sq)
+    )
 
     devs = []
     for measure, target in (

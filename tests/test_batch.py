@@ -1,6 +1,8 @@
 """The batched kernel against the per-state reference path it replaces."""
 
+import contextlib
 import dataclasses
+import io
 import math
 from functools import lru_cache
 
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 
 import longdouble_oracle
 import qclone.machines as machines
+import qclone.qnum as qnum
 import qclone.verify as verify
+from qclone.cli import main
 from qclone.machines import (
     MACHINE_NAMES,
     AveragingMeasure,
@@ -19,7 +23,7 @@ from qclone.machines import (
     NotDecomposable,
     average_fidelities,
     average_fidelity,
-    clone_batch,
+    channel_tables,
     clone_output,
     equatorial_batch,
     isometry_batch,
@@ -29,6 +33,8 @@ from qclone.machines import (
     orthogonal_decompositions,
     qubit_batch,
     reduced_qubits,
+    table_channels,
+    table_fidelities,
     _qubit_min_eigenvalues,
     _require_psd,
 )
@@ -49,6 +55,13 @@ from qclone.qnum import (
 TOL = 1e-12
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 theta_lists = st.lists(angles, min_size=1, max_size=12)
+
+
+def clone_batch(machine, amplitudes, phi=None):
+    """The kernel on one machine's isometry, as the channel tables are built from it."""
+    psi = qubit_batch(amplitudes)
+    net = machines._network(machine)
+    return isometry_batch(psi, machine_isometries(machine, [phi]), net.clone_a, net.clone_b, net.original)
 
 
 def _phi_for(machine, phi):
@@ -371,20 +384,21 @@ def _one_batch_stats(machine, measure, phi):
     return _fidelity_stats(weights, out.fidelity_a, out.fidelity_b)
 
 
-#: Bound on a node fidelity of two-op's quadratic forms against ``clone_batch`` at the same phi, for the
-#: coefficients' rounding and the blank's normalization; 5,005 phi in [-10, 10], the notable angles and 1e6 gave 1.6e-15.
+#: Bound on a node fidelity of a channel table against ``clone_batch`` at the same phi, for the table's
+#: rounding (and two-op's form coefficients and blank normalization); 5,005 phi in [-10, 10], the
+#: notable angles and 1e6 gave 1.6e-15 on the earlier node forms.
 FORM_TOL = 4e-15
 
 
-def _assert_near_kernel_and_oracle(measure, phi, st: FidelityStats):
-    """Two-op's statistics at ``phi``: the means within ``FORM_TOL`` per unit weight (plus the
+def _assert_near_kernel_and_oracle(machine, measure, phi, st: FidelityStats):
+    """A machine's statistics at ``phi``: the means within ``FORM_TOL`` per unit weight (plus the
     sums' rounding) of the kernel's, every statistic within the longdouble oracle's bound."""
     _, weights = measure_nodes(measure)
-    kernel = _one_batch_stats("two-op", measure, phi)
+    kernel = _one_batch_stats(machine, measure, phi)
     tol = (FORM_TOL + 2 * EPS) * np.abs(weights).sum()
     assert abs(st.mean_a - kernel.mean_a) <= tol and abs(st.mean_b - kernel.mean_b) <= tol
     if longdouble_oracle.OK:
-        oracle = longdouble_oracle.statistics(measure, phi)
+        oracle = longdouble_oracle.machine_statistics(machine, measure, phi)
         assert max(longdouble_oracle.deviations(dataclasses.astuple(st), oracle)) <= 1.0
 
 
@@ -401,7 +415,7 @@ def test_grid_equals_a_loop_of_one_phi_calls_exactly(measure, rows):
     assert all(_same_stats(a, b) for a, b in zip(grid, whole))
     for phi, st in zip(phis, grid):
         assert _same_stats(st, average_fidelity("two-op", measure, phi=phi))
-        _assert_near_kernel_and_oracle(measure, phi, st)
+        _assert_near_kernel_and_oracle("two-op", measure, phi, st)
     thetas, weights = measure_nodes(measure)
     for phi, st in zip(phis[::8] + NOTABLE_PHIS, grid[::8] + grid[-3:]):
         want = _reference_stats("two-op", thetas, weights, phi)[:4]
@@ -415,10 +429,7 @@ def test_grid_covers_every_machine(machine):
     for measure in ("equatorial", "polar"):
         grid = average_fidelities(machine, measure, phis)
         for phi, st in zip(phis, grid):
-            if machine == "two-op":
-                _assert_near_kernel_and_oracle(measure, phi, st)
-            else:
-                assert _same_stats(st, _one_batch_stats(machine, measure, phi))
+            _assert_near_kernel_and_oracle(machine, measure, phi, st)
 
 
 #: Standard deviation at which a correlation's rounding bound is the null threshold.
@@ -493,15 +504,6 @@ def test_both_measures_share_their_node_angles_bit_for_bit():
     assert equatorial.tobytes() == polar.tobytes()
 
 
-def test_cached_node_states_are_the_normalized_nodes_and_read_only():
-    psi = machines._node_states()
-    for measure in ("equatorial", "polar"):
-        assert np.array_equal(psi, qubit_batch(equatorial_batch(measure_nodes(measure)[0])))
-    with pytest.raises(ValueError):
-        psi[0, 0] = 0.0
-    assert machines._node_states() is psi
-
-
 @pytest.mark.parametrize("machine", MACHINE_NAMES)
 def test_cached_permutations_are_immutable(machine):
     v = machine_isometries(machine, [0.3 if machine == "two-op" else None])
@@ -522,8 +524,15 @@ def test_case_statistics_equal_average_fidelities(measure):
         assert _same_stats(cases[label][side], want)
 
 
-def test_two_op_forms_are_read_only_and_built_by_one_kernel_call(monkeypatch):
-    """The (clone, coefficient, node) table comes from one three-isometry kernel call, once per process."""
+def _quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+
+def test_channel_tables_are_read_only_and_built_by_one_kernel_call_per_machine(monkeypatch):
+    """Each machine's [M | t] table comes from one kernel call on the four probes (two-op's at its three
+    form angles), once per process; then run, both sweeps, the case statistics and the invariants read
+    it and make no kernel call."""
     calls = []
     kernel = machines.isometry_batch
 
@@ -532,17 +541,27 @@ def test_two_op_forms_are_read_only_and_built_by_one_kernel_call(monkeypatch):
         return kernel(psi, isometries, *wires)
 
     monkeypatch.setattr(machines, "isometry_batch", counting_kernel)
-    machines._two_op_forms.cache_clear()
-    forms = machines._two_op_forms()
-    assert forms.shape == (2, 3, machines.EXACT_NODES)
+    machines._channel_forms.cache_clear()
+    forms = {machine: machines._channel_forms(machine) for machine in MACHINE_NAMES}
+    assert calls == [(4, 3 if machine == "two-op" else 1) for machine in MACHINE_NAMES]
+    for machine, form in forms.items():
+        assert form.shape == (3 if machine == "two-op" else 1, 3 if machine == "pc" else 2, 3, 4)
+        assert machines._channel_forms(machine) is form and not form.flags.writeable
+        with pytest.raises(ValueError):
+            form[0, 0, 0, 0] = 0.0
+        view = channel_tables(machine, [0.3, 0.4])
+        assert view.shape == (2, *form.shape[1:])
+        if machine != "two-op":
+            assert np.shares_memory(view, form) and not view.flags.writeable
+    for machine, phi in (("one-op", ()), ("two-op", ("--phi", "0.3")), ("bh", ()), ("pc", ())):
+        _quietly(("run", machine, "--theta", "0.7", *phi))
+        _quietly(("sweep", machine, "--param", "theta", "--from", "0", "--to", "1", "--steps", "9", *phi))
+    _quietly(("sweep", "two-op", "--param", "phi", "--from", "0", "--to", "6.2832", "--steps", "65"))
+    _quietly(("verify", "invariants"))
     average_fidelities("two-op", "polar", GOLDEN_PHIS)
-    average_fidelity("two-op", "equatorial", phi=0.3)
+    average_fidelity("pc", "equatorial")
     machines.two_op_case_statistics()
-    assert machines._two_op_forms() is forms
-    assert calls == [(machines.EXACT_NODES, 3)]
-    assert not forms.flags.writeable
-    with pytest.raises(ValueError):
-        forms[0, 0, 0] = 0.0
+    assert len(calls) == len(MACHINE_NAMES)
 
 
 form_phis = st.one_of(angles, st.sampled_from([0.0, -0.0, 1e6, -1e6] + NOTABLE_PHIS))
@@ -603,29 +622,27 @@ def test_fixed_machine_averages_are_within_rounding_of_the_longdouble_oracle(mac
     assert max(longdouble_oracle.deviations(dataclasses.astuple(st_), oracle)) <= 1.0, (st_, oracle)
 
 
-def test_each_case_block_of_the_invariant_suite_is_clone_batch(monkeypatch):
-    """The suite's pi/4 and pi/2 cases come from one two-isometry kernel call; each block equals clone_batch."""
-    fused = []
-    kernel = verify.isometry_batch
+def test_the_invariant_suite_runs_no_kernel_and_builds_no_input_batch(monkeypatch):
+    """Once the tables are built, every invariant passes with the kernel and the Haar sampler gone,
+    and the only inputs formed are the averaging rule's 17 nodes."""
+    for machine in MACHINE_NAMES:
+        machines._channel_forms(machine)
+    rows = []
+    normalize = machines.qubit_batch
 
-    def recording_kernel(psi, isometries, *wires):
-        out = kernel(psi, isometries, *wires)
-        fused.append(out)
-        return out
+    def gone(*args, **kwargs):
+        raise AssertionError("called")
 
-    monkeypatch.setattr(verify, "isometry_batch", recording_kernel)
-    verify.invariant_checks()
-    (out,) = fused
-    inputs = equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0)
-    n = len(inputs)
-    for p, phi in enumerate((math.pi / 4.0, math.pi / 2.0)):
-        alone = clone_batch("two-op", inputs, phi)
-        for field, value in vars(alone).items():
-            got = getattr(out, field)
-            if value is None:
-                assert got is None, field
-            else:
-                assert got.shape[0] == 2 * n and np.array_equal(got[p * n:(p + 1) * n], value), field
+    def recording_normalize(amplitudes):
+        rows.append(len(amplitudes))
+        return normalize(amplitudes)
+
+    monkeypatch.setattr(machines, "isometry_batch", gone)
+    monkeypatch.setattr(qnum, "haar_amplitudes", gone)
+    monkeypatch.setattr(machines, "qubit_batch", recording_normalize)
+    records = verify.invariant_checks()
+    assert len(records) == 8 and all(record["ok"] for record in records)
+    assert set(rows) == {machines.EXACT_NODES}
 
 
 @pytest.mark.parametrize("machine", [m for m in MACHINE_NAMES if m != "two-op"])
@@ -647,66 +664,97 @@ def test_fixed_isometries_are_one_cached_read_only_constant(machine, rows):
             array[0, 0, 0] = 0.0
 
 
-def test_suite_inputs_are_built_once_and_read_only():
-    batches = verify._suite_inputs()
-    assert verify._suite_inputs() is batches
-    fresh = (
-        qubit_batch(haar_amplitudes(np.random.default_rng(20240901), 1000)),
-        equatorial_batch(2.0 * math.pi * np.arange(256) / 256.0),
-        equatorial_batch(2.0 * math.pi * np.arange(32) / 32.0),
-    )
-    for batch, want in zip(batches, fresh, strict=True):
-        assert batch.tobytes() == want.tobytes() and batch.shape == want.shape
-        with pytest.raises(ValueError):
-            batch[0, 0] = 0.0
-
-
-def test_two_op_case_constants_are_built_once_and_read_only():
-    """The suite's two-op cases read one cached renormalized batch and isometry stack,
-    equal bit for bit to what ``clone_batch`` builds for the same inputs."""
-    phis = (math.pi / 4.0, math.pi / 2.0)
-    psi, iso = verify._two_op_inputs(*phis)
-    assert verify._two_op_inputs(*phis)[0] is psi
-    assert psi.tobytes() == qubit_batch(verify._suite_inputs()[2]).tobytes()
-    assert iso.tobytes() == machine_isometries("two-op", list(phis)).tobytes()
-    for array in (psi, iso):
-        with pytest.raises(ValueError):
-            array[0, 0] = 0.0
-
-
-def _decomposition_residual(rho, psi):
-    """The scaling-form residual from a second decomposition pass: s = f0_sq - f2_sq."""
-    f0, f2 = orthogonal_decompositions(rho, psi)
-    s = (f0 - f2)[:, None, None]
-    proj = psi[:, :, None] * psi.conj()[:, None, :]
-    return float(np.linalg.norm(rho - (s * proj + (1.0 - s) / 2.0 * np.eye(2)), axis=(1, 2)).max())
-
-
-@pytest.mark.parametrize("machine, inputs", [("bh", 0), ("pc", 1)])
-def test_scaling_residual_from_the_kernel_fidelity_matches_the_decomposition(machine, inputs):
-    psi = verify._suite_inputs()[inputs]
+@pytest.mark.parametrize("machine", ["bh", "pc"])
+def test_the_table_scaling_factor_reproduces_the_kernel_channels(machine):
+    """The scaling form rho -> s rho + (1 - s) I / 2 with s read from the table, as the invariant suite
+    reads it, gives every sampled kernel channel of both clones: 1,000 Haar rows for bh, 256 equatorial
+    rows for pc."""
+    m = channel_tables(machine)[0, 0, :, :3]
+    if machine == "bh":
+        s, psi = np.trace(m) / 3.0, qubit_batch(haar_amplitudes(np.random.default_rng(20240901), 1000))
+    else:
+        s, psi = (m[0, 0] + m[2, 2]) / 2.0, equatorial_batch(2.0 * math.pi * np.arange(256) / 256.0)
+    want = s * machines._outer(psi) + (1.0 - s) / 2.0 * np.eye(2)
     out = clone_batch(machine, psi)
-    got = verify._scaling_residual(out.clone_a, psi, out.fidelity_a)
-    want = _decomposition_residual(out.clone_a, psi)
-    assert abs(got - want) <= 1e-15
+    for rho in (out.clone_a, out.clone_b):
+        assert np.abs(rho - want).max() <= 8 * EPS
+
+
+def _assert_only_these_fail(monkeypatch, target, target_phi, entry, failing):
+    """Perturb one entry of a table by 1e-6 and run the suite: exactly the ``failing`` records fail, each
+    stating the deviation in its named field, and none raises."""
+    tables = verify.channel_tables
+
+    def perturbed(machine, phis=(None,)):
+        out = np.array(tables(machine, phis))
+        for row, phi in zip(out, phis):
+            if machine == target and phi == target_phi:
+                row[entry] += 1e-6
+        return out
+
+    monkeypatch.setattr(verify, "channel_tables", perturbed)
+    records = {record["check"]: record for record in verify.invariant_checks()}
+    assert len(records) == 8
+    assert {check for check, record in records.items() if not record["ok"]} == set(failing)
+    for check, field in failing.items():
+        assert 1e-7 <= records[check][field] <= 2e-6, (check, field)
 
 
 def test_a_coherence_of_1e_6_fails_the_scaling_form(monkeypatch):
-    """A bh channel off the scaling form by a 1e-6 coherence is a failed record, not a pass or an exception."""
-    kernel = verify.clone_batch
+    """A bh clone whose table has a 1e-6 coherence M_xy is off the scaling form and off (2/3) I."""
+    _assert_only_these_fail(monkeypatch, "bh", None, (0, 0, 1), {"bh-universality": "max_table_deviation",
+                                                                "scaling-form": "bh_max_residual"})
 
-    def perturbed(machine, amplitudes, phi=None):
-        out = kernel(machine, amplitudes, phi)
-        if machine != "bh":
-            return out
-        rho = out.clone_a + 1e-6 * np.array([[0.0, 1.0], [1.0, 0.0]])
-        return dataclasses.replace(out, clone_a=rho, fidelity_a=machines.batch_fidelity(qubit_batch(amplitudes), rho))
 
-    monkeypatch.setattr(verify, "clone_batch", perturbed)
-    (record,) = [r for r in verify.invariant_checks() if r["check"] == "scaling-form"]
-    assert not record["ok"]
-    assert 1e-9 < record["bh_max_residual"] <= 2e-6
-    assert record["pc_max_residual"] <= 1e-9
+#: A table entry off by 1e-6 as (machine, phi, (wire, row, column) of [M | t]) and the records it
+#: fails, each with the field that states the deviation.
+MUTATIONS = {
+    "bh-shrink": ("bh", None, (0, 0, 0), {"bh-universality": "max_table_deviation",
+                                          "scaling-form": "bh_max_residual",
+                                          "cross-term-condition": "residual"}),
+    "bh-clone-b": ("bh", None, (1, 2, 3), {"bh-universality": "max_clone_difference",
+                                           "scaling-form": "bh_max_residual"}),
+    "pc-clone-b-shift": ("pc", None, (1, 2, 3), {"pc-covariance": "max_table_deviation",
+                                                 "scaling-form": "pc_max_residual"}),
+    # the y axis lies off the real inputs' x-z plane, where pc makes no claim
+    "pc-y-axis": ("pc", None, (0, 1, 1), {}),
+    "two-op-identity": ("two-op", math.pi / 4.0, (0, 1, 1), {"two-op-identity-case": "max_table_deviation"}),
+    "two-op-anticorrelated": ("two-op", math.pi / 2.0, (1, 0, 3),
+                              {"two-op-anticorrelated-case": "max_sum_deviation"}),
+}
+
+
+@pytest.mark.parametrize("case", MUTATIONS)
+def test_a_table_entry_off_by_1e_6_fails_its_record(monkeypatch, case):
+    _assert_only_these_fail(monkeypatch, *MUTATIONS[case])
+
+
+#: Bound on a table-built channel entry or fidelity against ``clone_output``: both round the same
+#: channel by a few eps; 5,400 Haar rows over every machine, with phi at its notable values, 0, -0
+#: and +-1e6, gave 5.5 eps.
+TABLE_TOL = 12 * np.finfo(np.float64).eps
+
+table_phis = st.one_of(angles, st.sampled_from([0.0, -0.0, 1e6, -1e6] + NOTABLE_PHIS))
+
+
+@pytest.mark.parametrize("machine", MACHINE_NAMES)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), phi=table_phis)
+def test_table_channels_and_fidelities_match_the_reference(machine, seed, n, phi):
+    """Every wire's channel and fidelity from its table, at Haar complex inputs, within ``TABLE_TOL`` of
+    the gate-by-gate run."""
+    phi = _phi_for(machine, phi)
+    amplitudes = qubit_batch(haar_amplitudes(np.random.default_rng(seed), n))
+    tables = channel_tables(machine, [phi])[0]
+    channels, fids = table_channels(tables, amplitudes), table_fidelities(tables, amplitudes)
+    for k, row in enumerate(amplitudes):
+        psi = PureState(row)
+        ref = clone_output(machine, psi, phi)
+        wires = [rho for rho in (ref.clone_a, ref.clone_b, ref.original_channel) if rho is not None]
+        assert len(wires) == len(channels)
+        for channel, fid, rho in zip(channels[:, k], fids[:, k], wires):
+            assert np.abs(channel - rho.entries).max() <= TABLE_TOL
+            assert abs(fid - fidelity(psi, rho)) <= TABLE_TOL
 
 
 # --- the exact 17-node rule ----------------------------------------------------

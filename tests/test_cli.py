@@ -15,16 +15,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qclone import __version__, cli, verify
+from qclone import __version__, cli, machines, verify
 from qclone.cli import build_parser, main
 from qclone.machines import (
     BH_FIDELITY,
     MACHINE_NAMES,
     PC_FIDELITY,
     NotDecomposable,
-    clone_batch,
+    channel_tables,
     equatorial_batch,
+    isometry_batch,
+    machine_isometries,
     orthogonal_decompositions,
+    table_channels,
+    table_fidelities,
 )
 from qclone.prepsolver import ConvergenceFailure, NoSolution
 from qclone.synth import angle_constant_check
@@ -147,8 +151,9 @@ class TestRun:
     @pytest.mark.parametrize("machine", MACHINE_NAMES)
     def test_run_prints_its_theta_sweep_row_bit_for_bit(self, capsys, machine):
         """At every theta of a seeded sweep grid, ``run`` prints the sweep row's
-        fidelities and the matching ``clone_batch`` row's fidelities and
-        decompositions, bit for bit."""
+        fidelities and the matching rows of the machine's channel-table
+        fidelities and decompositions, bit for bit; the fidelities are within
+        1e-15 of the kernel's."""
         rng = np.random.default_rng(1301)
         lo, hi, phi = (float(v) for v in rng.uniform(-10.0, 10.0, 3))
         extra = (f"--phi={phi!r}",) if machine == "two-op" else ()
@@ -160,16 +165,21 @@ class TestRun:
         rows = json.loads(out)["rows"]
         thetas = [row["theta"] for row in rows]
         psi = equatorial_batch(thetas)
-        batch = clone_batch(machine, psi, phi)
-        want = {"fidelity_a": batch.fidelity_a, "fidelity_b": batch.fidelity_b}
+        tables = channel_tables(machine, [phi])[0]
+        fids, channels = table_fidelities(tables, psi), table_channels(tables, psi)
+        want = {"fidelity_a": fids[0], "fidelity_b": fids[1]}
+        net = machines._network(machine)
+        batch = isometry_batch(psi, machine_isometries(machine, [phi]), net.clone_a, net.clone_b)
+        assert np.abs(fids[:2] - [batch.fidelity_a, batch.fidelity_b]).max() <= 1e-15
         try:
-            f0, f2 = orthogonal_decompositions(batch.clone_a, psi)
+            f0, f2 = orthogonal_decompositions(channels[0], psi)
             want.update(f0_sq=f0, f2_sq=f2, scaling_factor=f0 - f2)
         except NotDecomposable:
             pass
-        if batch.original_channel is not None:
-            want.update(zip(("original_f0_sq", "original_f2_sq"), orthogonal_decompositions(batch.original_channel, psi)))
+        if len(channels) == 3:
+            want.update(zip(("original_f0_sq", "original_f2_sq"), orthogonal_decompositions(channels[2], psi)))
         assert ("f0_sq" in want) == (machine in ("bh", "pc"))
+        assert ("original_f0_sq" in want) == (machine == "pc")
         for k, (theta, row) in enumerate(zip(thetas, rows)):
             code, out, _ = run_cli(capsys, "run", machine, f"--theta={theta!r}", *extra)
             got = json.loads(out)

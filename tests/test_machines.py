@@ -172,10 +172,10 @@ class TestTwoOpCaseReport:
 
 
     def test_invariant_suite_builds_the_same_report_from_its_shared_statistics(self, monkeypatch):
-        """``invariant_checks`` takes its case statistics from two-op's cached forms, with no
-        kernel call over the rule's nodes once they are built, and its report equals
+        """``invariant_checks`` takes its case statistics from two-op's cached channel table, with
+        no kernel call over the rule's nodes once it is built, and its report equals
         ``two_op_case_report()``."""
-        machines._two_op_forms()
+        machines._channel_forms("two-op")
         node_calls, built = [], []
         kernel = machines.isometry_batch
         report = machines.two_op_case_report
