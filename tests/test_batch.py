@@ -600,7 +600,7 @@ def test_the_oracle_maps_reproduce_the_closed_form_fidelities():
     ld = np.longdouble
     t = thetas.astype(ld)
     tol = 1e-17
-    (one_a, one_b) = longdouble_oracle.wire_fidelities("one-op", thetas)
+    one_a, one_b = longdouble_oracle.wire_fidelities("one-op", thetas)
     assert np.abs(one_a - (np.cos(t) ** 4 + np.sin(t) ** 4)).max() <= tol and np.array_equal(one_a, one_b)
     assert np.abs(np.concatenate(longdouble_oracle.wire_fidelities("bh", thetas)) - ld(5) / 6).max() <= tol
     pc_a, pc_b, pc_orig = longdouble_oracle.wire_fidelities("pc", thetas)
@@ -730,8 +730,8 @@ def test_a_table_entry_off_by_1e_6_fails_its_record(monkeypatch, case):
 
 
 #: Bound on a table-built channel entry or fidelity against ``clone_output``: both round the same
-#: channel by a few eps; 5,400 Haar rows over every machine, with phi at its notable values, 0, -0
-#: and +-1e6, gave 5.5 eps.
+#: channel by a few eps; 6,000 Haar rows over the four machines, two-op's at its notable phi, +-0,
+#: +-1e6 and 20 phi in [-10, 10], gave 5.5 eps.
 TABLE_TOL = 12 * np.finfo(np.float64).eps
 
 table_phis = st.one_of(angles, st.sampled_from([0.0, -0.0, 1e6, -1e6] + NOTABLE_PHIS))

@@ -167,6 +167,10 @@ def _printed_rows(argv, stdout) -> list[tuple[float, list[float]]]:
     return [(row[0], row[1:]) for row in cells]
 
 
+def _angles(argv):
+    return math.radians if "--deg" in argv else float
+
+
 @pytest.mark.skipif(not longdouble_oracle.OK, reason=longdouble_oracle.SKIP_REASON)
 @pytest.mark.parametrize("argv", PHI_SWEEPS, ids=" ".join)
 def test_phi_sweep_statistics_are_within_rounding_of_the_longdouble_oracle(argv):
@@ -174,7 +178,7 @@ def test_phi_sweep_statistics_are_within_rounding_of_the_longdouble_oracle(argv)
     (plus the %.15g rounding of a CSV cell); a null correlation only where a clone is flat."""
     run = invoke(argv)
     assert run["exit"] == 0
-    angle = math.radians if "--deg" in argv else float
+    angle = _angles(argv)
     phis = np.linspace(angle(float(_flag(argv, "--from"))), angle(float(_flag(argv, "--to"))),
                        int(_flag(argv, "--steps"))).tolist()
     rows = _printed_rows(argv, run["stdout"])
@@ -189,10 +193,6 @@ def test_phi_sweep_statistics_are_within_rounding_of_the_longdouble_oracle(argv)
 #: the golden runs that print fidelities (two-op without --phi is a usage error) and theta sweeps
 RUNS = [argv for argv in CASES if argv[0] == "run" and (argv[1] != "two-op" or "--phi" in argv)]
 THETA_SWEEPS = [argv for argv in CASES if argv[0] == "sweep" and "theta" in argv]
-
-
-def _angles(argv):
-    return math.radians if "--deg" in argv else float
 
 
 def _bound(want: float, csv_cell: bool) -> float:
@@ -214,9 +214,10 @@ def test_run_fields_are_within_rounding_of_the_longdouble_oracle(argv):
     else:
         got = json.loads(run["stdout"])
     machine = argv[1]
-    phi = _flag(argv, "--phi")
-    phi = None if phi is None else _angles(argv)(float(phi))
-    fids = [float(f[0]) for f in longdouble_oracle.wire_fidelities(machine, [_angles(argv)(float(_flag(argv, "--theta")))], phi)]
+    angle, phi = _angles(argv), _flag(argv, "--phi")
+    phi = None if phi is None else angle(float(phi))
+    theta = angle(float(_flag(argv, "--theta")))
+    fids = [float(f[0]) for f in longdouble_oracle.wire_fidelities(machine, [theta], phi)]
     fa, fb = fids[:2]
     want = {"fidelity_a": fa, "fidelity_b": fb, "f0_sq": fa, "f2_sq": 1.0 - fa, "scaling_factor": 2.0 * fa - 1.0}
     if machine == "pc":
