@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -429,21 +431,26 @@ def _add_common(parser, *, fmt_default="json", angles=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a formatter per argument and subparser, and each looks the terminal up unless
+    # given a width; one lookup per build gives the same width (it subtracts 2 only when it looks up)
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
         description="Quantum cloning machine workbench",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                                   formatter_class=formatter)
 
-    p_run = sub.add_parser("run", help="evaluate one machine at a single input angle")
+    p_run = add_parser("run", help="evaluate one machine at a single input angle")
     p_run.add_argument("machine", choices=MACHINE_NAMES)
     p_run.add_argument("--theta", type=float, required=True)
     p_run.add_argument("--phi", type=float, default=None)
     _add_common(p_run, angles=True)
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="tabulate fidelities over a parameter grid")
+    p_sweep = add_parser("sweep", help="tabulate fidelities over a parameter grid")
     p_sweep.add_argument("machine", choices=MACHINE_NAMES)
     p_sweep.add_argument("--param", choices=("phi", "theta"), required=True)
     p_sweep.add_argument("--from", type=float, required=True)
@@ -459,30 +466,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep, fmt_default="csv", angles=True)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_solve = sub.add_parser("solve-prep", help="invert resource coefficients to angles")
+    p_solve = add_parser("solve-prep", help="invert resource coefficients to angles")
     p_solve.add_argument("--coeffs", required=True, metavar="C1,C2,C3,C4")
     _add_common(p_solve, angles=True)
     p_solve.set_defaults(func=_cmd_solve_prep)
 
-    p_opt = sub.add_parser("optimize-pc", help="maximize the equatorial clone weight")
+    p_opt = add_parser("optimize-pc", help="maximize the equatorial clone weight")
     p_opt.add_argument("--fix-z0", action="store_true", help="constrain z = 0")
     p_opt.add_argument("--starts", type=int, default=100, help=f"optimizer starts, 1..{MAX_STARTS}")
     p_opt.add_argument("--seed", type=int, default=None)
     _add_common(p_opt)
     p_opt.set_defaults(func=_cmd_optimize_pc)
 
-    p_synth = sub.add_parser("synth", help="CNOT network for a basis permutation")
+    p_synth = add_parser("synth", help="CNOT network for a basis permutation")
     p_synth.add_argument("--perm", required=True, metavar="I0,I1,...")
     _add_common(p_synth)
     p_synth.set_defaults(func=_cmd_synth)
 
-    p_verify = sub.add_parser("verify", help="run the verification suites")
+    p_verify = add_parser("verify", help="run the verification suites")
     p_verify.add_argument("target", choices=("table2", "invariants", "all"))
     p_verify.add_argument("--row", type=int, default=None)
     p_verify.add_argument("--out", metavar="FILE", default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_const = sub.add_parser("constants", help="catalog angle constants and named values")
+    p_const = add_parser("constants", help="catalog angle constants and named values")
     _add_common(p_const)
     p_const.set_defaults(func=_cmd_constants)
 

@@ -41,7 +41,7 @@ equispaced nodes t_j = 2 pi j / 17 with weights
 w_j = (1/17) sum_{|k|<=8} I_k e^{-ik t_j}, where I_k is the measure's k-th
 moment; it integrates every trigonometric polynomial of degree <= 8
 exactly.  Its nodes and weights are cached per measure and returned
-read-only.
+read-only, and so are the Bloch vectors of the node inputs.
 """
 
 from __future__ import annotations
@@ -552,12 +552,10 @@ def channel_tables(machine: str, phis=(None,)) -> np.ndarray:
     return c * c * forms[0] + 2.0 * c * s * forms[1] + s * s * forms[2]
 
 
-def _images(tables: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (3, N) Bloch vectors r of normalized (N, 2) inputs and their (..., 3, N) images
-    ``M r + t`` under (..., 3, 4) tables, elementwise."""
-    r = _bloch(_outer(psi))
+def _images(tables: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (..., 3, N) images ``M r + t`` of (3, N) Bloch vectors r under (..., 3, 4) tables, elementwise."""
     m = tables[..., None]
-    return r, m[..., 0, :] * r[0] + m[..., 1, :] * r[1] + m[..., 2, :] * r[2] + m[..., 3, :]
+    return m[..., 0, :] * r[0] + m[..., 1, :] * r[1] + m[..., 2, :] * r[2] + m[..., 3, :]
 
 
 def table_fidelities(tables: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -565,13 +563,17 @@ def table_fidelities(tables: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
     Elementwise, so an input's value does not depend on its batch.
     """
-    r, v = _images(tables, psi)
+    return _bloch_fidelities(tables, _bloch(_outer(psi)))
+
+
+def _bloch_fidelities(tables: np.ndarray, r: np.ndarray) -> np.ndarray:
+    v = _images(tables, r)
     return np.clip(0.5 * (1.0 + (r[0] * v[..., 0, :] + r[1] * v[..., 1, :] + r[2] * v[..., 2, :])), 0.0, 1.0)
 
 
 def table_channels(tables: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """(..., N, 2, 2) channels ``(I + v . sigma) / 2``, v = ``M r + t``, of normalized (N, 2) inputs."""
-    x, y, z = np.moveaxis(_images(tables, psi)[1], -2, 0)
+    x, y, z = np.moveaxis(_images(tables, _bloch(_outer(psi))), -2, 0)
     return 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1).reshape(*z.shape, 2, 2)
 
 
@@ -638,8 +640,17 @@ def average_fidelities(machine: str, measure, phis=(None,)) -> list[FidelityStat
 
 def _node_fidelities(machine: str, phis: list) -> tuple[np.ndarray, np.ndarray]:
     """(P, nodes) clone fidelities at the rule's nodes, a row per phi, from the machine's channel tables."""
-    fids = table_fidelities(channel_tables(machine, phis), equatorial_batch(measure_nodes("equatorial")[0]))
+    fids = _bloch_fidelities(channel_tables(machine, phis), _node_bloch())
     return fids[:, 0], fids[:, 1]
+
+
+@lru_cache(maxsize=1)
+def _node_bloch() -> np.ndarray:
+    """(3, nodes) Bloch vectors of the rule's node inputs, formed as :func:`table_fidelities` forms
+    them, built once and read-only."""
+    r = _bloch(_outer(equatorial_batch(measure_nodes("equatorial")[0])))
+    r.setflags(write=False)
+    return r
 
 
 def _block_stats(weights: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> list[FidelityStats]:

@@ -515,6 +515,18 @@ def test_cached_permutations_are_immutable(machine):
         images[0] = images[1]
 
 
+@pytest.mark.parametrize("machine", MACHINE_NAMES)
+def test_cached_node_inputs_give_the_table_fidelities_bit_for_bit(machine):
+    r = machines._node_bloch()
+    assert machines._node_bloch() is r
+    with pytest.raises(ValueError):
+        r[0, 0] = 0.0
+    phis = GOLDEN_PHIS + NOTABLE_PHIS if machine == "two-op" else [None]
+    fa, fb = machines._node_fidelities(machine, phis)
+    want = table_fidelities(channel_tables(machine, phis), equatorial_batch(measure_nodes("equatorial")[0]))
+    assert np.array_equal(fa, want[:, 0]) and np.array_equal(fb, want[:, 1])
+
+
 @pytest.mark.parametrize("measure", list(AveragingMeasure))
 def test_case_statistics_equal_average_fidelities(measure):
     cases = machines.two_op_case_statistics()
@@ -623,10 +635,11 @@ def test_fixed_machine_averages_are_within_rounding_of_the_longdouble_oracle(mac
 
 
 def test_the_invariant_suite_runs_no_kernel_and_builds_no_input_batch(monkeypatch):
-    """Once the tables are built, every invariant passes with the kernel and the Haar sampler gone,
-    and the only inputs formed are the averaging rule's 17 nodes."""
+    """Once the tables and the averaging rule's node inputs are built, every invariant passes with
+    the kernel and the Haar sampler gone, and no input is formed."""
     for machine in MACHINE_NAMES:
         machines._channel_forms(machine)
+    machines._node_bloch()
     rows = []
     normalize = machines.qubit_batch
 
@@ -642,7 +655,7 @@ def test_the_invariant_suite_runs_no_kernel_and_builds_no_input_batch(monkeypatc
     monkeypatch.setattr(machines, "qubit_batch", recording_normalize)
     records = verify.invariant_checks()
     assert len(records) == 8 and all(record["ok"] for record in records)
-    assert set(rows) == {machines.EXACT_NODES}
+    assert rows == []
 
 
 @pytest.mark.parametrize("machine", [m for m in MACHINE_NAMES if m != "two-op"])

@@ -631,6 +631,66 @@ _CSV_ROWS = st.one_of(
 )
 
 
+def _parsers(parser):
+    """The top-level parser and every command's subparser."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [parser, *sub.choices.values()]
+
+
+def _set_columns(monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+
+class TestParser:
+    """``build_parser`` looks the terminal width up once and hands it to every formatter; the help,
+    usage and error text must be what argparse's own width lookup gives, and nothing may carry over
+    from one ``main`` call to the next."""
+
+    @pytest.mark.parametrize("columns", [None, "40", "80", "200"])
+    def test_help_and_usage_equal_the_default_formatter(self, monkeypatch, columns):
+        _set_columns(monkeypatch, columns)
+        parsers = _parsers(build_parser())
+        assert len(parsers) == 8
+        for parser in parsers:
+            fast = parser.format_help(), parser.format_usage()
+            parser.formatter_class = argparse.HelpFormatter
+            assert (parser.format_help(), parser.format_usage()) == fast
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(), ("sweep", "pc", "--param", "x"), ("run", "bh", "--theta", "1", "--bogus"),
+         ("optimize-pc", "--starts", "many")],
+    )
+    def test_a_usage_error_prints_what_the_default_formatter_prints(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "40")
+        code, out, err = run_cli(capsys, *argv)
+        reference = build_parser()
+        for parser in _parsers(reference):
+            parser.formatter_class = argparse.HelpFormatter
+        monkeypatch.setattr(cli, "build_parser", lambda: reference)
+        assert run_cli(capsys, *argv) == (code, out, err)
+        assert code == 2 and out == "" and err.startswith("usage: qclone")
+
+    def test_the_width_is_read_on_each_build(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = [p.format_help() for p in _parsers(build_parser())]
+        monkeypatch.setenv("COLUMNS", "120")
+        wide = [p.format_help() for p in _parsers(build_parser())]
+        assert all(a != b for a, b in zip(narrow, wide))
+        assert max(len(line) for line in wide[0].splitlines()) > 40
+
+    def test_no_state_carries_over_between_calls(self, capsys):
+        alone = run_cli(capsys, "run", "pc", "--theta", "0")
+        assert alone[0] == 0
+        assert run_cli(capsys, "run", "two-op", "--theta", "0", "--phi", "1")[0] == 0
+        assert run_cli(capsys, "run", "pc", "--theta", "0") == alone
+        assert run_cli(capsys, "sweep", "pc", "--param", "x")[0] == 2  # rejected by argparse
+        assert run_cli(capsys, "run", "pc", "--theta", "0") == alone
+
+
 class TestInfrastructure:
     def test_version_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--version")

@@ -200,6 +200,14 @@ def _bound(want: float, csv_cell: bool) -> float:
     return longdouble_oracle.K * longdouble_oracle.EPS + (longdouble_oracle.PRINTED * abs(want) if csv_cell else 0.0)
 
 
+def _printed_fields(stdout: str, csv_cell: bool) -> dict:
+    """A one-record report's fields by name; a CSV cell as a float (empty: None), text columns left out."""
+    if not csv_cell:
+        return json.loads(stdout)
+    header, row = csv.reader(io.StringIO(stdout))
+    return {k: float(v) if v else None for k, v in zip(header, row) if k not in ("machine", "note")}
+
+
 @pytest.mark.skipif(not longdouble_oracle.OK, reason=longdouble_oracle.SKIP_REASON)
 @pytest.mark.parametrize("argv", RUNS, ids=" ".join)
 def test_run_fields_are_within_rounding_of_the_longdouble_oracle(argv):
@@ -208,11 +216,7 @@ def test_run_fields_are_within_rounding_of_the_longdouble_oracle(argv):
     run = invoke(argv)
     assert run["exit"] == 0
     csv_cell = _flag(argv, "--format") == "csv"
-    if csv_cell:
-        header, row = csv.reader(io.StringIO(run["stdout"]))
-        got = {k: float(v) if v else None for k, v in zip(header, row) if k not in ("machine", "note")}
-    else:
-        got = json.loads(run["stdout"])
+    got = _printed_fields(run["stdout"], csv_cell)
     machine = argv[1]
     angle, phi = _angles(argv), _flag(argv, "--phi")
     phi = None if phi is None else angle(float(phi))
@@ -253,6 +257,30 @@ def test_theta_sweep_fidelities_are_within_rounding_of_the_longdouble_oracle(arg
         for column, wire in zip(columns, oracle):
             want = float(wire[k])
             assert abs(row[column] - want) <= _bound(want, csv_cell), (theta, column, row[column], want)
+
+
+OPTIMIZE_PC = [argv for argv in CASES if argv[0] == "optimize-pc"]
+
+
+@pytest.mark.skipif(not longdouble_oracle.OK, reason=longdouble_oracle.SKIP_REASON)
+@pytest.mark.parametrize("argv", OPTIMIZE_PC, ids=" ".join)
+def test_optimize_pc_fields_are_within_rounding_of_their_closed_forms(argv):
+    """The free optimum is (1/2 + 1/sqrt 8, 1/sqrt 8, 1/2 - 1/sqrt 8) with f0_sq = x; under z = 0 it
+    is (sqrt(2/3), 1/sqrt 6, 0) with f0_sq = 5/6.  Each printed field lies within the run fields'
+    rounding bound of these."""
+    run = invoke(argv)
+    assert run["exit"] == 0
+    csv_cell = _flag(argv, "--format") == "csv"
+    got = _printed_fields(run["stdout"], csv_cell)
+    ld = np.longdouble
+    if "--fix-z0" in argv:
+        want = {"x": np.sqrt(ld(2) / 3), "y": 1 / np.sqrt(ld(6)), "z": ld(0), "f0_sq": ld(5) / 6}
+    else:
+        q = 1 / np.sqrt(ld(8))
+        want = {"x": ld(0.5) + q, "y": q, "z": ld(0.5) - q, "f0_sq": ld(0.5) + q}
+    for field, value in want.items():
+        value = float(value)
+        assert abs(got[field] - value) <= _bound(value, csv_cell), (field, got[field], value)
 
 
 @pytest.mark.skipif(not longdouble_oracle.OK, reason=longdouble_oracle.SKIP_REASON)
