@@ -637,13 +637,6 @@ def _parsers(parser):
     return [parser, *sub.choices.values()]
 
 
-def _set_columns(monkeypatch, columns):
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
-    else:
-        monkeypatch.setenv("COLUMNS", columns)
-
-
 class TestParser:
     """``build_parser`` looks the terminal width up once and hands it to every formatter; the help,
     usage and error text must be what argparse's own width lookup gives, and nothing may carry over
@@ -651,7 +644,10 @@ class TestParser:
 
     @pytest.mark.parametrize("columns", [None, "40", "80", "200"])
     def test_help_and_usage_equal_the_default_formatter(self, monkeypatch, columns):
-        _set_columns(monkeypatch, columns)
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
         parsers = _parsers(build_parser())
         assert len(parsers) == 8
         for parser in parsers:
