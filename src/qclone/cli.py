@@ -23,7 +23,9 @@ failed verification or unrealizable request, 2 usage error.  A failed
 ``verify`` or ``constants`` check exits 1 with its full report on stdout,
 the only nonzero exit that writes to stdout; every other failure writes one
 ``error:`` line to stderr.  ``run``, ``sweep`` and ``solve-prep`` read
-angles in radians, or in degrees with ``--deg``.
+angles in radians, or in degrees with ``--deg``.  Each call builds a new
+parser with all seven commands, but adds the arguments only of the commands
+its argv names (``_COMMANDS``, :func:`build_parser`).
 """
 
 from __future__ import annotations
@@ -430,7 +432,73 @@ def _add_common(parser, *, fmt_default="json", angles=False):
         parser.add_argument("--deg", action="store_true", help="interpret angle arguments as degrees")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _run_arguments(parser):
+    parser.add_argument("machine", choices=MACHINE_NAMES)
+    parser.add_argument("--theta", type=float, required=True)
+    parser.add_argument("--phi", type=float, default=None)
+    _add_common(parser, angles=True)
+
+
+def _sweep_arguments(parser):
+    parser.add_argument("machine", choices=MACHINE_NAMES)
+    parser.add_argument("--param", choices=("phi", "theta"), required=True)
+    parser.add_argument("--from", type=float, required=True)
+    parser.add_argument("--to", type=float, required=True)
+    parser.add_argument("--steps", type=int, required=True, help=f"grid points, 2..{MAX_STEPS}")
+    parser.add_argument(
+        "--measure",
+        choices=("equatorial", "polar"),
+        default=None,
+        help=f"averaging measure for --param phi sweeps (default {DEFAULT_MEASURE})",
+    )
+    parser.add_argument("--phi", type=float, default=None, help="fixed phi for theta sweeps")
+    _add_common(parser, fmt_default="csv", angles=True)
+
+
+def _solve_prep_arguments(parser):
+    parser.add_argument("--coeffs", required=True, metavar="C1,C2,C3,C4")
+    _add_common(parser, angles=True)
+
+
+def _optimize_pc_arguments(parser):
+    parser.add_argument("--fix-z0", action="store_true", help="constrain z = 0")
+    parser.add_argument("--starts", type=int, default=100, help=f"optimizer starts, 1..{MAX_STARTS}")
+    parser.add_argument("--seed", type=int, default=None)
+    _add_common(parser)
+
+
+def _synth_arguments(parser):
+    parser.add_argument("--perm", required=True, metavar="I0,I1,...")
+    _add_common(parser)
+
+
+def _verify_arguments(parser):
+    parser.add_argument("target", choices=("table2", "invariants", "all"))
+    parser.add_argument("--row", type=int, default=None)
+    parser.add_argument("--out", metavar="FILE", default=None)
+
+
+#: command -> (help, handler, function that adds its arguments), in the order the help lists them.
+_COMMANDS = {
+    "run": ("evaluate one machine at a single input angle", _cmd_run, _run_arguments),
+    "sweep": ("tabulate fidelities over a parameter grid", _cmd_sweep, _sweep_arguments),
+    "solve-prep": ("invert resource coefficients to angles", _cmd_solve_prep, _solve_prep_arguments),
+    "optimize-pc": ("maximize the equatorial clone weight", _cmd_optimize_pc, _optimize_pc_arguments),
+    "synth": ("CNOT network for a basis permutation", _cmd_synth, _synth_arguments),
+    "verify": ("run the verification suites", _cmd_verify, _verify_arguments),
+    "constants": ("catalog angle constants and named values", _cmd_constants, _add_common),
+}
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The top-level parser with all seven subparsers, filling only those named in ``commands``.
+
+    ``commands=None`` fills every subparser.  A subparser left empty changes no output: argparse
+    runs one only when an argv token equals its name (no abbreviation, no alias, and no top-level
+    option takes a value), and the top-level help, usage and invalid-choice error read only the
+    names and their help.  So :func:`main` passes the set of its argv tokens, which holds the
+    name of any subparser that runs.
+    """
     # argparse makes a formatter per argument and subparser, and each looks the terminal up unless
     # given a width; one lookup per build gives the same width (it subtracts 2 only when it looks up)
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -440,65 +508,18 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
-    add_parser = functools.partial(parser.add_subparsers(dest="command", required=True).add_parser,
-                                   formatter_class=formatter)
-
-    p_run = add_parser("run", help="evaluate one machine at a single input angle")
-    p_run.add_argument("machine", choices=MACHINE_NAMES)
-    p_run.add_argument("--theta", type=float, required=True)
-    p_run.add_argument("--phi", type=float, default=None)
-    _add_common(p_run, angles=True)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = add_parser("sweep", help="tabulate fidelities over a parameter grid")
-    p_sweep.add_argument("machine", choices=MACHINE_NAMES)
-    p_sweep.add_argument("--param", choices=("phi", "theta"), required=True)
-    p_sweep.add_argument("--from", type=float, required=True)
-    p_sweep.add_argument("--to", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True, help=f"grid points, 2..{MAX_STEPS}")
-    p_sweep.add_argument(
-        "--measure",
-        choices=("equatorial", "polar"),
-        default=None,
-        help=f"averaging measure for --param phi sweeps (default {DEFAULT_MEASURE})",
-    )
-    p_sweep.add_argument("--phi", type=float, default=None, help="fixed phi for theta sweeps")
-    _add_common(p_sweep, fmt_default="csv", angles=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_solve = add_parser("solve-prep", help="invert resource coefficients to angles")
-    p_solve.add_argument("--coeffs", required=True, metavar="C1,C2,C3,C4")
-    _add_common(p_solve, angles=True)
-    p_solve.set_defaults(func=_cmd_solve_prep)
-
-    p_opt = add_parser("optimize-pc", help="maximize the equatorial clone weight")
-    p_opt.add_argument("--fix-z0", action="store_true", help="constrain z = 0")
-    p_opt.add_argument("--starts", type=int, default=100, help=f"optimizer starts, 1..{MAX_STARTS}")
-    p_opt.add_argument("--seed", type=int, default=None)
-    _add_common(p_opt)
-    p_opt.set_defaults(func=_cmd_optimize_pc)
-
-    p_synth = add_parser("synth", help="CNOT network for a basis permutation")
-    p_synth.add_argument("--perm", required=True, metavar="I0,I1,...")
-    _add_common(p_synth)
-    p_synth.set_defaults(func=_cmd_synth)
-
-    p_verify = add_parser("verify", help="run the verification suites")
-    p_verify.add_argument("target", choices=("table2", "invariants", "all"))
-    p_verify.add_argument("--row", type=int, default=None)
-    p_verify.add_argument("--out", metavar="FILE", default=None)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_const = add_parser("constants", help="catalog angle constants and named values")
-    _add_common(p_const)
-    p_const.set_defaults(func=_cmd_constants)
-
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, add_arguments) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text, formatter_class=formatter)
+        sub.set_defaults(func=handler)
+        if commands is None or name in commands:
+            add_arguments(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(set(argv)).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

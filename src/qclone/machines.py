@@ -354,26 +354,14 @@ def machine_isometries(machine: str, phis) -> np.ndarray:
     :func:`permuted_isometries` of the row's resource states and its CNOTs'
     basis permutation.  ``two-op``'s resource states R(phi)|0> are built for
     the whole grid as one array (:func:`_rotated_blanks`); the other
-    machines' isometry is a phi-free constant (:func:`_fixed_isometry`),
-    returned as a read-only view broadcast to ``len(phis)`` rows.
+    machines' isometry is phi-free, built once per call and returned as a
+    read-only view broadcast to ``len(phis)`` rows.
     """
     net = _network(machine)
     phis = list(phis)
-    if net.prep is not None:
-        iso = _fixed_isometry(machine)
-        return np.broadcast_to(iso, (len(phis), *iso.shape[1:]))
-    preps = _rotated_blanks(phis)
-    return permuted_isometries(preps, _network_images(machine, preps.shape[1].bit_length()))
-
-
-@lru_cache(maxsize=len(_NETWORKS))
-def _fixed_isometry(machine: str) -> np.ndarray:
-    """(1, 2^n, 2) isometry of a table row with a fixed resource state, built once and read-only."""
-    preps = PureState(_NETWORKS[machine].prep).amplitudes[None]
-    n = preps.shape[1].bit_length()  # the input wire and log2(m) blank wires
-    iso = permuted_isometries(preps, _network_images(machine, n))
-    iso.setflags(write=False)
-    return iso
+    preps = _rotated_blanks(phis) if net.prep is None else PureState(net.prep).amplitudes[None]
+    iso = permuted_isometries(preps, _network_images(machine, preps.shape[1].bit_length()))
+    return iso if net.prep is None else np.broadcast_to(iso, (len(phis), *iso.shape[1:]))
 
 
 @lru_cache(maxsize=len(_NETWORKS))

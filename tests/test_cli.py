@@ -666,7 +666,7 @@ class TestParser:
         reference = build_parser()
         for parser in _parsers(reference):
             parser.formatter_class = argparse.HelpFormatter
-        monkeypatch.setattr(cli, "build_parser", lambda: reference)
+        monkeypatch.setattr(cli, "build_parser", lambda commands=None: reference)
         assert run_cli(capsys, *argv) == (code, out, err)
         assert code == 2 and out == "" and err.startswith("usage: qclone")
 
@@ -677,6 +677,16 @@ class TestParser:
         wide = [p.format_help() for p in _parsers(build_parser())]
         assert all(a != b for a, b in zip(narrow, wide))
         assert max(len(line) for line in wide[0].splitlines()) > 40
+
+    def test_only_the_named_commands_are_filled(self):
+        full = _parsers(build_parser())
+        assert all(len(parser._actions) > 1 for parser in full)  # -h and at least one more
+        top, *subs = _parsers(build_parser({"sweep", "--to", "x"}))
+        assert [a.dest for a in top._actions] == [a.dest for a in full[0]._actions]
+        for sub, reference in zip(subs, full[1:]):
+            want = reference._actions if sub.prog.endswith(" sweep") else reference._actions[:1]
+            assert [a.option_strings for a in sub._actions] == [a.option_strings for a in want]
+            assert sub.get_default("func") is reference.get_default("func")
 
     def test_no_state_carries_over_between_calls(self, capsys):
         alone = run_cli(capsys, "run", "pc", "--theta", "0")
@@ -1014,6 +1024,21 @@ def _argv(draw, out_dir):
     return argv
 
 
+@st.composite
+def _argv_naming_commands(draw, out_dir):
+    """A command's ``-h``, or ``_argv`` with a second command name inserted anywhere (as in
+    ``--out run``) and a leading ``--`` or ``-1``, each half the time."""
+    names = st.sampled_from(sorted(SUBCOMMANDS))
+    if draw(st.integers(0, 4)) == 0:
+        return [draw(names), "-h"]
+    argv = draw(_argv(out_dir))
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(names))
+    if draw(st.booleans()):
+        argv.insert(0, draw(st.sampled_from(["--", "-1"])))
+    return argv
+
+
 def _invoke(argv):
     """(exit code, whether qclone returned it rather than argparse, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -1052,3 +1077,21 @@ class TestExitCodeContract:
             else:  # argparse: usage lines, then one "qclone <command>: error: ..." line
                 assert lines[-1].startswith(cli.TOOL_NAME)
                 assert sum("error: " in line for line in lines) == 1
+
+    @pytest.mark.parametrize("columns", ["40", "120"])
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_filling_only_the_named_commands_changes_no_output(self, monkeypatch, tmp_path, columns, data):
+        """``main`` fills only the subparsers its argv names; with every one filled, as
+        ``build_parser()`` does, the exit code, stdout and stderr are the same."""
+        monkeypatch.setenv("COLUMNS", columns)
+        argv = data.draw(_one_in(5, st.lists(JUNK, max_size=4), _argv_naming_commands(tmp_path)), label="argv")
+        fast = _invoke(argv)
+        full = cli.build_parser
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda commands=None: full())
+            assert _invoke(argv) == fast
