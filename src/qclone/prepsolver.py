@@ -29,13 +29,15 @@ triple reported there still rebuilds the coefficients to rounding level.
 The equatorial-cloner constraint 2 (x y + y z) = x^2 - z^2 factors as
 (x + z)(2 y - x + z) = 0 (with z = 0: x (2 y - x) = 0): two planes cut by the
 normalization ellipsoid, on each of which the maximum of f0^2 is the top
-eigenpair of a 2x2 (1x1 with z = 0) pencil, solved exactly with NumPy.
+eigenpair of a 2x2 (1x1 with z = 0) pencil, solved exactly with NumPy.  The
+two systems' branch optima are constants, solved once per process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -266,6 +268,18 @@ def _branch_optimum(normal: np.ndarray, weights: np.ndarray) -> tuple[float, np.
     return float(point[0] ** 2 + point[1] ** 2), point
 
 
+@lru_cache(maxsize=2)
+def _branch_system(normals: tuple, weights: tuple) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Read-only :func:`_branch_optimum` per plane, normals and normal norms of the pc or bh system."""
+    normals = np.array(normals, dtype=float)
+    weights = np.array(weights, dtype=float)
+    optima = tuple(_branch_optimum(normal, weights) for normal in normals)
+    norms = np.linalg.norm(normals, axis=1)
+    for array in (normals, norms, *(point for _, point in optima)):
+        array.setflags(write=False)
+    return optima, normals, norms
+
+
 def _maximize_f0(normals, weights, n_starts: int, seed: int) -> PcSolution:
     """Shared multistart driver over the constraint's branch planes.
 
@@ -275,11 +289,9 @@ def _maximize_f0(normals, weights, n_starts: int, seed: int) -> PcSolution:
     """
     if n_starts < 1:
         raise ConvergenceFailure("no feasible optimizer candidate")
-    normals = np.array(normals, dtype=float)
-    weights = np.array(weights, dtype=float)
-    optima = [_branch_optimum(normal, weights) for normal in normals]
+    optima, normals, norms = _branch_system(normals, weights)
     starts = np.random.default_rng(seed).normal(size=(n_starts, len(weights)))
-    nearest = np.argmin(np.abs(starts @ normals.T) / np.linalg.norm(normals, axis=1), axis=1)
+    nearest = np.argmin(np.abs(starts @ normals.T) / norms, axis=1)
     best = None
     for branch in nearest.tolist():
         if best is None or optima[branch][0] > best[0] + 1e-15:

@@ -559,6 +559,32 @@ def _reference_readings(circuit_text: str) -> dict[str, BasisBijection]:
     return readings
 
 
+@lru_cache(maxsize=1)
+def _equatorial_inputs() -> np.ndarray:
+    """The 64 equatorial inputs every row's circuits are checked on, read-only."""
+    psi = equatorial_batch(2.0 * math.pi * np.arange(64) / 64.0)
+    psi.setflags(write=False)
+    return psi
+
+
+@lru_cache(maxsize=len(TABLE2))
+def _row_inputs(row: Table2Row) -> tuple:
+    """A row's parsed text, once per row value: the stored circuits' basis
+    permutations, the output forms composed with the fan-out, and the composed
+    images of the reference forms and of each reference circuit's readings.
+    Inputs only; :func:`verify_table2` runs every check on them per call.
+    """
+    fanout = fan_out_map()
+    perms = tuple(tuple(basis_permutation(parse_circuit(text, 3))) for text in row.circuits)
+    machines = tuple(compose(parse_form(text), fanout) for text in row.output_forms)
+    ref_images = tuple(compose(parse_form(text), fanout).images for text in row.reference_forms)
+    readings = tuple(
+        tuple((label, compose(bij, fanout).images) for label, bij in _reference_readings(text).items())
+        for text in row.reference_circuits
+    )
+    return perms, machines, ref_images, readings
+
+
 def _wrapped_dev_deg(a_rad: float, b_rad: float) -> float:
     d = math.degrees(a_rad - b_rad) % 360.0
     return min(d, 360.0 - d)
@@ -586,9 +612,8 @@ def verify_table2(row) -> RowReport:
     angle_max_dev = devs[best]
     prep = coeff_formula(*solutions[best].as_tuple())[None]
 
-    circuits = [parse_circuit(text, 3) for text in row.circuits]
-    perms = [basis_permutation(circ) for circ in circuits]
-    psi = equatorial_batch(2.0 * math.pi * np.arange(64) / 64.0)
+    perms, machines, ref_images, ref_readings = _row_inputs(row)
+    psi = _equatorial_inputs()
     out = isometry_batch(psi, np.concatenate([permuted_isometries(prep, images) for images in perms]), 1, 2)
     fid_err = float(np.abs(np.concatenate([out.fidelity_a, out.fidelity_b]) - PC_FIDELITY).max())
     # the second circuit's output with clone wires 1 and 2 exchanged
@@ -596,27 +621,13 @@ def verify_table2(row) -> RowReport:
     swapped = second.reshape(-1, 2, 2, 2).transpose(0, 1, 3, 2).reshape(-1, 8)
     swap_residual = float(projector_distances(first, swapped).max())
 
-    fanout = fan_out_map()
-    synth_ok = True
-    for form_text, stored in zip(row.output_forms, perms):
-        machine = compose(parse_form(form_text), fanout)
-        emitted = synthesize_cnots(machine)
-        if tuple(stored) != tuple(basis_permutation(emitted)):
-            synth_ok = False
-
-    valid_images = {tuple(images) for images in perms}
-    ref_valid = [
-        compose(parse_form(text), fanout).images in valid_images
-        for text in row.reference_forms
-    ]
-    readings = [
-        [
-            label
-            for label, bij in _reference_readings(text).items()
-            if compose(bij, fanout).images in valid_images
-        ]
-        for text in row.reference_circuits
-    ]
+    synth_ok = all(
+        stored == tuple(basis_permutation(synthesize_cnots(machine)))
+        for stored, machine in zip(perms, machines)
+    )
+    valid_images = set(perms)
+    ref_valid = [images in valid_images for images in ref_images]
+    readings = [[label for label, images in reading if images in valid_images] for reading in ref_readings]
 
     def record(check, ok, **detail):
         return {"suite": "table2", "check": check, "ok": bool(ok), "row": row.index, **detail}

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qclone import prepsolver
+from qclone.cli import main
 from qclone.machines import PC_X, PC_Y, PC_Z, bh_prep, pc_prep
 from qclone.prepsolver import (
     AngleTriple,
@@ -319,6 +320,59 @@ class TestBranchSolve:
     def test_no_start_is_a_convergence_failure(self):
         with pytest.raises(ConvergenceFailure):
             pc_optimize(n_starts=0)
+
+    @given(st.integers(1, 300), st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_cached_branch_optima_give_the_reference_result(self, n_starts, seed):
+        for optimize, normals, weights in SYSTEMS:
+            assert optimize(n_starts, seed) == _reference_optimum(normals, weights, n_starts, seed)
+
+    def test_cached_points_and_normals_are_read_only(self):
+        for optimize, normals, weights in SYSTEMS:
+            optimize(1, 0)
+            optima, cached_normals, norms = prepsolver._branch_system(normals, weights)
+            assert np.array_equal(cached_normals, normals)
+            for array in (cached_normals, norms, *(point for _, point in optima)):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+        assert prepsolver._branch_system.cache_info().currsize == 2
+
+    def test_a_fresh_process_prints_what_a_warm_one_prints(self, capsys):
+        """The first call of a process solves the branch systems; later calls read them."""
+        pc_optimize(1, 0)
+        bh_from_pc_system(1, 0)
+        for argv in (
+            ["optimize-pc", "--format", "csv"],
+            ["optimize-pc", "--fix-z0", "--format", "csv"],
+            ["optimize-pc", "--starts", "1", "--seed", "1", "--format", "csv"],
+        ):
+            assert main(argv) == 0
+            warm = capsys.readouterr().out
+            fresh = _fresh_stdout(f"from qclone.cli import main\nmain({argv!r})\n")
+            assert fresh == warm and len(warm.splitlines()) == 2
+
+
+#: (optimizer, branch-plane normals, normalization weights) of the pc and the bh system
+SYSTEMS = (
+    (pc_optimize, ((1, 0, 1), (-1, 2, 1)), (1, 2, 1)),
+    (bh_from_pc_system, ((1, 0), (-1, 2)), (1, 2)),
+)
+
+
+def _reference_optimum(normals, weights, n_starts, seed):
+    """The multistart search of `_maximize_f0`, with every branch optimum solved afresh."""
+    normals = np.array(normals, dtype=float)
+    weights = np.array(weights, dtype=float)
+    optima = [prepsolver._branch_optimum(normal, weights) for normal in normals]
+    starts = np.random.default_rng(seed).normal(size=(n_starts, len(weights)))
+    nearest = np.argmin(np.abs(starts @ normals.T) / np.linalg.norm(normals, axis=1), axis=1)
+    best = None
+    for branch in nearest.tolist():
+        if best is None or optima[branch][0] > best[0] + 1e-15:
+            best = optima[branch]
+    point = best[1] if best[1][0] >= 0 else -best[1]
+    x, y, *z = (point + 0.0).tolist()
+    return prepsolver.PcSolution(x, y, z[0] if z else 0.0, x * x + y * y)
 
 
 def _fresh_stdout(probe: str) -> str:

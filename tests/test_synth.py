@@ -1,5 +1,7 @@
 """ANF extraction, CNOT synthesis, and the twelve-row machine catalog."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -377,6 +379,29 @@ class TestCatalog:
         perm = basis_permutation(parse_circuit(TABLE2[0].circuits[0], 3))
         want = permuted_isometries(pc_prep().amplitudes[None], perm)
         assert np.array_equal(machine_isometries("pc", [None]), want)
+
+    def test_a_repeated_call_gives_the_records_of_the_first(self):
+        synth._row_inputs.cache_clear()
+        for k in range(1, len(TABLE2) + 1):
+            first = verify_table2(k).records
+            assert verify_table2(k).records == first
+
+    def test_a_cached_row_still_runs_the_synthesis_check(self, monkeypatch):
+        for row in TABLE2:
+            assert verify_table2(row).passed
+        monkeypatch.setattr(synth, "synthesize_cnots", lambda bij: Circuit(3, ()))
+        for row in TABLE2:
+            checks = _checks(verify_table2(row))
+            assert checks["synth"]["ok"] is False
+            assert all(checks[name]["ok"] for name in ("angles", "fidelity", "swap"))
+
+    def test_a_modified_row_is_parsed_afresh(self):
+        assert verify_table2(1).passed
+        row = TABLE2[0]
+        for wrong, failing in (("P(0,1) P(0,2)", {"fidelity", "swap", "synth"}), (row.circuits[0], {"synth"})):
+            checks = _checks(verify_table2(dataclasses.replace(row, circuits=(row.circuits[0], wrong))))
+            assert {name for name, record in checks.items() if not record["ok"]} == failing
+        assert verify_table2(row).passed
 
     def test_row_lookup_by_index(self):
         report = verify_table2(10)
