@@ -29,7 +29,7 @@ def main() -> None:
     print(f"Algebraic normal form per output bit: ({', '.join(anf)})")
     circuit = synthesize_cnots(pair_mix)
     print(f"Synthesized circuit: {format_circuit(circuit)}")
-    print(f"  action check: {tuple(basis_permutation(circuit))}\n")
+    print(f"  action check: {basis_permutation(circuit)}\n")
 
     toffoli = BasisBijection((0, 1, 2, 3, 4, 5, 7, 6))
     try:

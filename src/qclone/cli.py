@@ -46,6 +46,7 @@ from .gates import format_circuit
 from .machines import (
     BH_FIDELITY,
     MACHINE_NAMES,
+    MEASURE_NAMES,
     PC_FIDELITY,
     PC_X,
     PC_Y,
@@ -447,7 +448,7 @@ def _sweep_arguments(parser):
     parser.add_argument("--steps", type=int, required=True, help=f"grid points, 2..{MAX_STEPS}")
     parser.add_argument(
         "--measure",
-        choices=("equatorial", "polar"),
+        choices=MEASURE_NAMES,
         default=None,
         help=f"averaging measure for --param phi sweeps (default {DEFAULT_MEASURE})",
     )

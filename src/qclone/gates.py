@@ -172,14 +172,14 @@ def apply_circuit(psi: PureState, circuit: Circuit) -> PureState:
     return psi
 
 
-def basis_permutation(circuit: Circuit) -> list[int] | None:
+def basis_permutation(circuit: Circuit) -> tuple[int, ...] | None:
     """Images of the basis states, if the circuit is a pure bit permutation.
 
     Returns ``None`` when any op is a rotation (CNOTs and X permute the
     computational basis without phases).
     """
     n = circuit.n_qubits
-    images = list(range(2**n))
+    images = range(2**n)
     for op in circuit.ops:
         if isinstance(op, CnotOp):
             images = [cnot_image(v, op, n) for v in images]
@@ -187,7 +187,7 @@ def basis_permutation(circuit: Circuit) -> list[int] | None:
             images = [v ^ (1 << (n - 1 - op.wire)) for v in images]
         else:
             return None
-    return images
+    return tuple(images)
 
 
 _FLOAT = r"\d+(?:\.\d*)?(?:e[+-]?\d+)?"

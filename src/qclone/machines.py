@@ -33,20 +33,20 @@ has none); the reference and the isometry builder both read it.
   :func:`two_op_case_statistics` reduce (phi, node) fidelity grids in one
   pass.
 
-Averaging is exact.  Both measures draw real inputs (cos t, sin t), and a
-copy is a few CNOTs on a fixed resource state, so each clone fidelity is a
-trigonometric polynomial of degree <= 4 in t and every reported statistic
-(means, variances, covariance) has degree <= 8.  The one rule takes the 17
-equispaced nodes t_j = 2 pi j / 17 with weights
-w_j = (1/17) sum_{|k|<=8} I_k e^{-ik t_j}, where I_k is the measure's k-th
-moment; it integrates every trigonometric polynomial of degree <= 8
-exactly.  Its nodes and weights are cached per measure and returned
-read-only, and so are the Bloch vectors of the node inputs.
+Averaging is exact.  A measure is one of its names, :data:`MEASURE_NAMES`.
+Both draw real inputs (cos t, sin t), and a copy is a few CNOTs on a fixed
+resource state, so each clone fidelity is a trigonometric polynomial of
+degree <= 4 in t and every reported statistic (means, variances,
+covariance) has degree <= 8.  The one rule takes the 17 equispaced nodes
+t_j = 2 pi j / 17 with weights w_j = (1/17) sum_{|k|<=8} I_k e^{-ik t_j},
+where I_k is the measure's k-th moment; it integrates every trigonometric
+polynomial of degree <= 8 exactly.  Its nodes and weights are cached per
+measure name and returned read-only, and so are the Bloch vectors of the
+node inputs.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -74,10 +74,10 @@ __all__ = [
     "NotDecomposable",
     "CloneOutput",
     "CloneBatch",
-    "AveragingMeasure",
     "FidelityStats",
     "DecompositionCoeffs",
     "MACHINE_NAMES",
+    "MEASURE_NAMES",
     "PC_X",
     "PC_Y",
     "PC_Z",
@@ -125,6 +125,11 @@ PC_FIDELITY = PC_X**2 + PC_Y**2
 #: Input-independent clone fidelity of the bh machine.
 BH_FIDELITY = 5.0 / 6.0
 
+#: How inputs are drawn when averaging: ``equatorial``, theta uniform on
+#: [0, 2pi), state (cos t, sin t); ``polar``, u = alpha^2 uniform on [0, 1],
+#: state (sqrt(u), sqrt(1-u)).
+MEASURE_NAMES = ("equatorial", "polar")
+
 #: Nodes of the averaging rule, exact for trigonometric polynomials of degree <= 8.
 EXACT_NODES = 17
 
@@ -146,32 +151,6 @@ class CloneOutput:
     clone_b: DensityMatrix
     original_channel: DensityMatrix | None = None
     ancilla: DensityMatrix | None = None
-
-
-class AveragingMeasure(enum.Enum):
-    """How input states are drawn when averaging fidelities.
-
-    * ``EquatorialUniform``: theta uniform on [0, 2pi), state (cos t, sin t).
-    * ``PolarUniform``: u = alpha^2 uniform on [0, 1], state (sqrt(u), sqrt(1-u)).
-    """
-
-    EQUATORIAL_UNIFORM = "EquatorialUniform"
-    POLAR_UNIFORM = "PolarUniform"
-
-
-_MEASURE_NAMES = {
-    "equatorial": AveragingMeasure.EQUATORIAL_UNIFORM,
-    "polar": AveragingMeasure.POLAR_UNIFORM,
-}
-
-
-def _as_measure(measure) -> AveragingMeasure:
-    """An :class:`AveragingMeasure`, or its command-line name ``equatorial`` or ``polar``."""
-    if isinstance(measure, AveragingMeasure):
-        return measure
-    if isinstance(measure, str) and measure in _MEASURE_NAMES:
-        return _MEASURE_NAMES[measure]
-    raise ValueError(f"unknown averaging measure {measure!r}")
 
 
 @dataclass(frozen=True)
@@ -360,14 +339,8 @@ def machine_isometries(machine: str, phis) -> np.ndarray:
     net = _network(machine)
     phis = list(phis)
     preps = _rotated_blanks(phis) if net.prep is None else PureState(net.prep).amplitudes[None]
-    iso = permuted_isometries(preps, _network_images(machine, preps.shape[1].bit_length()))
+    iso = permuted_isometries(preps, basis_permutation(Circuit(preps.shape[1].bit_length(), net.cnots)))
     return iso if net.prep is None else np.broadcast_to(iso, (len(phis), *iso.shape[1:]))
-
-
-@lru_cache(maxsize=len(_NETWORKS))
-def _network_images(machine: str, n: int) -> tuple[int, ...]:
-    """A table row's CNOT basis permutation on its ``n`` wires, built once per machine and immutable."""
-    return tuple(basis_permutation(Circuit(n, _NETWORKS[machine].cnots)))
 
 
 def qubit_batch(amplitudes) -> np.ndarray:
@@ -580,7 +553,9 @@ def measure_nodes(measure) -> tuple[np.ndarray, np.ndarray]:
     trigonometric polynomial of degree <= 8 exactly; the polar weights are
     not all positive.  The arrays are cached per measure and read-only.
     """
-    return _exact_nodes(_as_measure(measure))
+    if not (isinstance(measure, str) and measure in MEASURE_NAMES):
+        raise ValueError(f"unknown averaging measure {measure!r}")
+    return _exact_nodes(measure)
 
 
 def _polar_moment(k: int) -> complex:
@@ -591,10 +566,10 @@ def _polar_moment(k: int) -> complex:
 
 
 @lru_cache(maxsize=2)
-def _exact_nodes(measure: AveragingMeasure) -> tuple[np.ndarray, np.ndarray]:
+def _exact_nodes(measure: str) -> tuple[np.ndarray, np.ndarray]:
     j = np.arange(EXACT_NODES)
     thetas = 2.0 * math.pi * j / EXACT_NODES
-    if measure is AveragingMeasure.EQUATORIAL_UNIFORM:
+    if measure == "equatorial":
         weights = np.full(EXACT_NODES, 1.0 / EXACT_NODES)
     else:
         ks = np.arange(-(EXACT_NODES // 2), EXACT_NODES // 2 + 1)  # |k| <= 8
@@ -731,7 +706,7 @@ def two_op_case_statistics() -> dict[str, tuple[FidelityStats, FidelityStats]]:
     :func:`average_fidelities` reduces it.
     """
     fa, fb = _node_fidelities("two-op", [phi for _, phi, _, _ in _CASES])
-    per_measure = [_block_stats(measure_nodes(measure)[1], fa, fb) for measure in AveragingMeasure]
+    per_measure = [_block_stats(measure_nodes(measure)[1], fa, fb) for measure in MEASURE_NAMES]
     return {label: pair for (label, *_), pair in zip(_CASES, zip(*per_measure))}
 
 

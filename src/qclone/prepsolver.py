@@ -70,14 +70,20 @@ class ConvergenceFailure(RuntimeError):
 
 
 def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first call (unused; kept for tracers)."""
+    """``scipy.optimize.least_squares``, imported on first call (unused; kept for tracers).
+
+    SciPy comes only with the ``test`` extra; no command calls this.
+    """
     from scipy.optimize import least_squares as solve
 
     return solve(*args, **kwargs)
 
 
 def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call (unused; kept for tracers)."""
+    """``scipy.optimize.minimize``, imported on first call (unused; kept for tracers).
+
+    SciPy comes only with the ``test`` extra; no command calls this.
+    """
     from scipy.optimize import minimize as solve
 
     return solve(*args, **kwargs)
@@ -146,9 +152,6 @@ class AngleTriple:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta1, self.theta2, self.theta3)
-
-    def degrees(self) -> tuple[float, float, float]:
-        return tuple(math.degrees(t) for t in self.as_tuple())
 
 
 @dataclass(frozen=True)

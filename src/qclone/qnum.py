@@ -28,7 +28,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "SIGMA",
-    "make_qubit",
     "equatorial_qubit",
     "basis_state",
     "haar_qubit",
@@ -149,11 +148,6 @@ SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
-
-
-def make_qubit(alpha: complex, beta: complex) -> PureState:
-    """One-qubit state with amplitudes ``(alpha, beta)``, renormalized."""
-    return PureState([alpha, beta])
 
 
 def equatorial_qubit(theta: float) -> PureState:

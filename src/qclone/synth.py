@@ -309,8 +309,7 @@ def synthesize_cnots(bij: BasisBijection) -> Circuit:
         raise NonAffine(
             f"output wire {out_bit} contains the monomial {''.join(VAR_NAMES[v] for v in bad)}"
         )
-    realized = basis_permutation(circuit)
-    assert realized is not None and tuple(realized) == bij.images
+    assert basis_permutation(circuit) == bij.images
     return circuit
 
 
@@ -554,8 +553,7 @@ def _reference_readings(circuit_text: str) -> dict[str, BasisBijection]:
                 expanded.append(CnotOp(op.control, op.target))
             else:
                 expanded.append(op)
-        images = basis_permutation(Circuit(3, tuple(expanded)))
-        readings[label] = BasisBijection(tuple(images))
+        readings[label] = BasisBijection(basis_permutation(Circuit(3, tuple(expanded))))
     return readings
 
 
@@ -575,7 +573,7 @@ def _row_inputs(row: Table2Row) -> tuple:
     Inputs only; :func:`verify_table2` runs every check on them per call.
     """
     fanout = fan_out_map()
-    perms = tuple(tuple(basis_permutation(parse_circuit(text, 3))) for text in row.circuits)
+    perms = tuple(map(basis_permutation, (parse_circuit(text, 3) for text in row.circuits)))
     machines = tuple(compose(parse_form(text), fanout) for text in row.output_forms)
     ref_images = tuple(compose(parse_form(text), fanout).images for text in row.reference_forms)
     readings = tuple(
@@ -622,7 +620,7 @@ def verify_table2(row) -> RowReport:
     swap_residual = float(projector_distances(first, swapped).max())
 
     synth_ok = all(
-        stored == tuple(basis_permutation(synthesize_cnots(machine)))
+        stored == basis_permutation(synthesize_cnots(machine))
         for stored, machine in zip(perms, machines)
     )
     valid_images = set(perms)

@@ -320,7 +320,7 @@ def test_a09_synthesis(capsys):
     count = 0
     for bij in affine_bijections():
         got = synthesize_cnots(bij)
-        if tuple(basis_permutation(got)) != bij.images:
+        if basis_permutation(got) != bij.images:
             problems.append(f"wrong synthesis for {bij.images}")
             break
         count += 1

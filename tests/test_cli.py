@@ -678,6 +678,14 @@ class TestParser:
         assert all(a != b for a, b in zip(narrow, wide))
         assert max(len(line) for line in wide[0].splitlines()) > 40
 
+    @pytest.mark.parametrize("columns", ["40", "120"])
+    def test_sweep_help_lists_the_measure_names(self, monkeypatch, capsys, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run_cli(capsys, "sweep", "--help")
+        assert code == 0 and err == "" and "{equatorial,polar}" in out
+        monkeypatch.setattr(cli, "MEASURE_NAMES", ("equatorial", "polar"))
+        assert run_cli(capsys, "sweep", "--help") == (code, out, err)
+
     def test_only_the_named_commands_are_filled(self):
         full = _parsers(build_parser())
         assert all(len(parser._actions) > 1 for parser in full)  # -h and at least one more

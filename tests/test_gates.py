@@ -217,18 +217,18 @@ class TestCircuitUnitary:
 class TestBasisPermutation:
     def test_cnot_only_circuit(self):
         perm = basis_permutation(Circuit(2, (CnotOp(0, 1),)))
-        assert perm == [0, 1, 3, 2]
+        assert perm == (0, 1, 3, 2) and hash(perm) == hash((0, 1, 3, 2))
 
     def test_x_gate_supported(self):
         perm = basis_permutation(Circuit(1, (XOp(0),)))
-        assert perm == [1, 0]
+        assert perm == (1, 0) and hash(perm) == hash((1, 0))
 
     def test_rotation_returns_none(self):
         assert basis_permutation(Circuit(1, (RotationOp(0, 0.5),))) is None
 
     def test_inverted_cnot(self):
         perm = basis_permutation(Circuit(2, (CnotOp(0, 1, inverted=True),)))
-        assert perm == [1, 0, 2, 3]
+        assert perm == (1, 0, 2, 3) and hash(perm) == hash((1, 0, 2, 3))
 
 
 class TestCircuitText:

@@ -82,10 +82,6 @@ class TestAngleTriple:
         for val in t.as_tuple():
             assert -math.pi < val <= math.pi
 
-    def test_degrees(self):
-        t = AngleTriple(math.pi / 2, 0.0, -math.pi / 4)
-        assert np.allclose(t.degrees(), (90.0, 0.0, -45.0))
-
 
 class TestAsPrepCoeffs:
     def test_accepts_and_renormalizes_near_unit(self):
@@ -382,14 +378,42 @@ def _fresh_stdout(probe: str) -> str:
     return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
 
 
+#: One argv per command path: run, both sweeps, the singular-plane solve, both optimizers,
+#: an affine and a non-affine synth, every verification suite and the constants, with exit codes.
+NO_SCIPY_ARGV = (
+    (0, ["run", "bh", "--theta", "0.3"]),
+    (0, ["sweep", "two-op", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3"]),
+    (0, ["sweep", "pc", "--param", "theta", "--from", "0", "--to", "1", "--steps", "3"]),
+    (0, ["solve-prep", f"--coeffs={SINGULAR_COEFFS}"]),
+    (0, ["optimize-pc", "--starts", "5"]),
+    (0, ["optimize-pc", "--starts", "5", "--fix-z0"]),
+    (0, ["synth", "--perm", "0,5,6,3,4,1,2,7"]),
+    (1, ["synth", "--perm", "0,1,2,3,4,5,7,6"]),
+    (0, ["verify", "all"]),
+    (0, ["constants"]),
+)
+
+
 class TestLazyScipy:
+    """SciPy comes only with the test extra: no command imports any of it."""
+
     def test_import_leaves_scipy_optimize_unloaded(self):
         # the import also leaves synth's table of shortest CNOT networks unbuilt
         probe = (
             "import sys, qclone, qclone.cli\n"
-            "print('scipy.optimize' in sys.modules, qclone.synth._shortest_networks.cache_info().currsize)\n"
+            "print('scipy' in sys.modules, qclone.synth._shortest_networks.cache_info().currsize)\n"
         )
         assert _fresh_stdout(probe) == "False 0\n"
+
+    def test_every_command_leaves_scipy_unloaded(self):
+        probe = (
+            "import contextlib, io, sys\n"
+            "from qclone.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    codes = [main(argv) for _, argv in {NO_SCIPY_ARGV!r}]\n"
+            "print(codes, 'scipy' in sys.modules)\n"
+        )
+        assert _fresh_stdout(probe) == f"{[code for code, _ in NO_SCIPY_ARGV]} False\n"
 
     def test_solve_prep_on_a_singular_plane_leaves_scipy_optimize_unloaded(self):
         probe = (
@@ -397,7 +421,7 @@ class TestLazyScipy:
             "from qclone.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main(['solve-prep', '--coeffs={SINGULAR_COEFFS}'])\n"
-            "print(code, 'scipy.optimize' in sys.modules)\n"
+            "print(code, 'scipy' in sys.modules)\n"
         )
         assert _fresh_stdout(probe) == "0 False\n"
 

@@ -24,7 +24,6 @@ from qclone.qnum import (
     equatorial_qubit,
     fidelity,
     haar_qubit,
-    make_qubit,
     orthogonal_state,
     partial_trace,
     tensor,
@@ -41,31 +40,31 @@ def unit_pair(rng):
 
 class TestMakeQubit:
     def test_basis(self):
-        assert np.allclose(make_qubit(1, 0).amplitudes, [1, 0])
+        assert np.allclose(PureState((1, 0)).amplitudes, [1, 0])
 
     def test_equatorial_eighth(self):
-        psi = make_qubit(math.cos(math.pi / 8), math.sin(math.pi / 8))
+        psi = PureState((math.cos(math.pi / 8), math.sin(math.pi / 8)))
         assert np.allclose(psi.amplitudes, [0.92388, 0.38268], atol=5e-6)
 
     def test_complex_345(self):
-        psi = make_qubit(0.6, 0.8j)
+        psi = PureState((0.6, 0.8j))
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
     def test_renormalizes_small_drift(self):
-        psi = make_qubit(1.0 + 4e-10, 0.0)
+        psi = PureState((1.0 + 4e-10, 0.0))
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-15
 
     def test_always_returns_unit_norm(self):
-        psi = make_qubit(0.5, 0.5)
+        psi = PureState((0.5, 0.5))
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-15
 
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
-            make_qubit(0, 0)
+            PureState((0, 0))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            make_qubit(math.nan, 1.0)
+            PureState((math.nan, 1.0))
 
 
 class TestEquatorialQubit:
@@ -87,7 +86,7 @@ class TestTensor:
         assert np.allclose(out.amplitudes, [1, 0, 0, 0])
 
     def test_superposition_with_zero(self):
-        psi = make_qubit(0.6, 0.8)
+        psi = PureState((0.6, 0.8))
         out = tensor(psi, basis_state(1, 0))
         assert np.allclose(out.amplitudes, [0.6, 0, 0.8, 0])
 
@@ -148,7 +147,7 @@ class TestPartialTrace:
         assert np.allclose(red.entries, [[alpha**2, 0], [0, beta**2]], atol=1e-12)
 
     def test_product_state_restores_factor(self):
-        psi = make_qubit(0.6, 0.8j)
+        psi = PureState((0.6, 0.8j))
         red = partial_trace(density_of(tensor(psi, basis_state(1, 0))), 0)
         assert np.allclose(red.entries, density_of(psi).entries, atol=1e-12)
 
@@ -207,7 +206,7 @@ class TestPauli:
         assert np.allclose(apply_one_qubit(basis_state(1, 0), SIGMA[1], 0).amplitudes, [0, 1])
 
     def test_sigma2_action(self):
-        psi = make_qubit(0.6, 0.8j)
+        psi = PureState((0.6, 0.8j))
         out = apply_one_qubit(psi, SIGMA[2], 0)
         alpha, beta = psi.amplitudes
         assert np.allclose(out.amplitudes, [-1j * beta, 1j * alpha], atol=1e-12)
@@ -238,7 +237,7 @@ class TestOrthogonalState:
         assert abs(np.vdot(psi.amplitudes, out.amplitudes)) < 1e-12
 
     def test_real_pair(self):
-        out = orthogonal_state(make_qubit(0.6, 0.8))
+        out = orthogonal_state(PureState((0.6, 0.8)))
         assert abs(np.vdot([0.6, 0.8], out.amplitudes)) < 1e-12
 
     def test_complex_input_orthogonal(self):
