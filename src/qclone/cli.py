@@ -26,6 +26,12 @@ the only nonzero exit that writes to stdout; every other failure writes one
 angles in radians, or in degrees with ``--deg``.  Each call builds a new
 parser with all seven commands, but adds the arguments only of the commands
 its argv names (``_COMMANDS``, :func:`build_parser`).
+
+Importing this module loads only the standard library, NumPy and
+:mod:`qclone.qnum`.  Each handler, and the argument adders of ``run`` and
+``sweep``, import what they use from the defining modules when they run, so
+a call loads only its command's modules, and ``--help``, ``--version`` and a
+top-level usage error load no computational module.
 """
 
 from __future__ import annotations
@@ -42,42 +48,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .gates import format_circuit
-from .machines import (
-    BH_FIDELITY,
-    MACHINE_NAMES,
-    MEASURE_NAMES,
-    PC_FIDELITY,
-    PC_X,
-    PC_Y,
-    PC_Z,
-    NotDecomposable,
-    average_fidelities,
-    channel_tables,
-    equatorial_batch,
-    orthogonal_decompositions,
-    table_channels,
-    table_fidelities,
-)
-from .prepsolver import (
-    ConvergenceFailure,
-    NoSolution,
-    as_prep_coeffs,
-    bh_from_pc_system,
-    pc_optimize,
-    residual_of,
-    solve_prep_angles,
-)
 from .qnum import fidelity  # noqa: F401  (kept importable as qclone.cli.fidelity)
-from .synth import (
-    TABLE2,
-    BasisBijection,
-    NonAffine,
-    angle_constant_check,
-    anf_of,
-    synthesize_cnots,
-)
-from .verify import invariant_checks, table2_checks
 
 TOOL_NAME = "qclone"
 
@@ -223,6 +194,15 @@ def _require_in_range(flag: str, value: int, lo: int, hi: int) -> None:
 
 
 def _cmd_run(args) -> int:
+    from .machines import (
+        NotDecomposable,
+        channel_tables,
+        equatorial_batch,
+        orthogonal_decompositions,
+        table_channels,
+        table_fidelities,
+    )
+
     machine = args.machine
     _require_finite(args, "theta", "phi")
     phi = _two_op_phi(args)
@@ -267,6 +247,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .machines import average_fidelities, channel_tables, equatorial_batch, table_fidelities
+
     _require_in_range("steps", args.steps, 2, MAX_STEPS)
     _require_finite(args, "from", "to", "phi")
     machine = args.machine
@@ -310,6 +292,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_solve_prep(args) -> int:
+    from .prepsolver import as_prep_coeffs, residual_of, solve_prep_angles
+
     try:
         values = [float(tok) for tok in args.coeffs.split(",")]
     except ValueError as exc:
@@ -339,6 +323,8 @@ def _cmd_solve_prep(args) -> int:
 
 
 def _cmd_optimize_pc(args) -> int:
+    from .prepsolver import bh_from_pc_system, pc_optimize
+
     _require_in_range("starts", args.starts, 1, MAX_STARTS)
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be non-negative, not {args.seed}")
@@ -363,6 +349,9 @@ def _cmd_optimize_pc(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .gates import format_circuit
+    from .synth import BasisBijection, anf_of, synthesize_cnots
+
     try:
         images = tuple(int(tok) for tok in args.perm.split(","))
     except ValueError as exc:
@@ -389,6 +378,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .synth import TABLE2
+    from .verify import invariant_checks, table2_checks
+
     if args.row is not None and args.target != "table2":
         raise UsageError("--row applies to the table2 target only")
     if args.row is not None and not 1 <= args.row <= len(TABLE2):
@@ -406,6 +398,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .machines import BH_FIDELITY, PC_FIDELITY, PC_X, PC_Y, PC_Z
+    from .synth import angle_constant_check
+
     checks = angle_constant_check()
     payload = {
         "angle_checks": checks,
@@ -434,6 +429,8 @@ def _add_common(parser, *, fmt_default="json", angles=False):
 
 
 def _run_arguments(parser):
+    from .machines import MACHINE_NAMES
+
     parser.add_argument("machine", choices=MACHINE_NAMES)
     parser.add_argument("--theta", type=float, required=True)
     parser.add_argument("--phi", type=float, default=None)
@@ -441,6 +438,8 @@ def _run_arguments(parser):
 
 
 def _sweep_arguments(parser):
+    from .machines import MACHINE_NAMES, MEASURE_NAMES
+
     parser.add_argument("machine", choices=MACHINE_NAMES)
     parser.add_argument("--param", choices=("phi", "theta"), required=True)
     parser.add_argument("--from", type=float, required=True)
@@ -526,7 +525,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (NoSolution, NonAffine, ConvergenceFailure) as exc:
+    except Exception as exc:
+        # imported here, so that a call that raises nothing never loads prepsolver or synth
+        from .prepsolver import ConvergenceFailure, NoSolution
+        from .synth import NonAffine
+
+        if not isinstance(exc, (NoSolution, NonAffine, ConvergenceFailure)):
+            raise
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qclone import __version__, cli, machines, verify
+from fresh_process import fresh_stdout
+from qclone import __version__, cli, machines, prepsolver, synth, verify
 from qclone.cli import build_parser, main
 from qclone.machines import (
     BH_FIDELITY,
@@ -552,7 +553,7 @@ class TestVerify:
             records[1]["ok"] = False
             return records
 
-        monkeypatch.setattr(cli, "table2_checks", one_failing)
+        monkeypatch.setattr(verify, "table2_checks", one_failing)
         code, out, _ = run_cli(capsys, "verify", "table2", "--row", "1")
         assert code == 1
         assert [json.loads(line)["ok"] for line in out.splitlines()] == [True, False, True, True]
@@ -565,7 +566,7 @@ class TestVerify:
             records[0]["ok"] = False
             return records
 
-        monkeypatch.setattr(cli, "invariant_checks", one_failing)
+        monkeypatch.setattr(verify, "invariant_checks", one_failing)
         code, out, err = run_cli(capsys, "verify", "invariants")
         assert code == 1
         assert err == ""
@@ -609,7 +610,7 @@ class TestConstants:
     def test_failed_check_exits_1(self, capsys, monkeypatch):
         checks = list(angle_constant_check())
         checks[2] = {**checks[2], "ok": False}
-        monkeypatch.setattr(cli, "angle_constant_check", lambda: tuple(checks))
+        monkeypatch.setattr(synth, "angle_constant_check", lambda: tuple(checks))
         code, out, _ = run_cli(capsys, "constants")
         assert code == 1
         assert [c["ok"] for c in json.loads(out)["angle_checks"]] == [True, True, False, True]
@@ -683,7 +684,7 @@ class TestParser:
         monkeypatch.setenv("COLUMNS", columns)
         code, out, err = run_cli(capsys, "sweep", "--help")
         assert code == 0 and err == "" and "{equatorial,polar}" in out
-        monkeypatch.setattr(cli, "MEASURE_NAMES", ("equatorial", "polar"))
+        monkeypatch.setattr(machines, "MEASURE_NAMES", ("equatorial", "polar"))
         assert run_cli(capsys, "sweep", "--help") == (code, out, err)
 
     def test_only_the_named_commands_are_filled(self):
@@ -971,12 +972,71 @@ class TestDomainErrors:
         def fail(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, target, fail)
+        monkeypatch.setattr(prepsolver, target, fail)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == f"error: {type(exc).__name__}: {exc}\n"
         assert "Traceback" not in err
+
+    def test_a_non_affine_synth_exits_1_with_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "synth", "--perm", "0,1,2,3,4,5,7,6")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: NonAffine: ")
+
+    def test_any_other_exception_propagates(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("not a domain error")
+
+        monkeypatch.setattr(machines, "channel_tables", fail)
+        with pytest.raises(RuntimeError, match="not a domain error"):
+            main(["run", "bh", "--theta", "0"])
+
+
+#: The modules with the library's computation, which ``import qclone.cli`` leaves unloaded.
+COMPUTATIONAL = ("machines", "prepsolver", "synth", "verify")
+
+#: (exit code, argv, the computational modules the call loads, with the modules they import)
+COMMAND_LOADS = (
+    (2, [], ()),
+    (0, ["--help"], ()),
+    (0, ["--version"], ()),
+    (2, ["bogus"], ()),
+    (0, ["run", "bh", "--theta", "0.3"], ("machines",)),
+    (0, ["sweep", "two-op", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3"], ("machines",)),
+    (0, ["sweep", "pc", "--param", "theta", "--from", "0", "--to", "1", "--steps", "3"], ("machines",)),
+    (0, ["solve-prep", "--coeffs=0.6930117232058353,-0.14048043101898117,0.14048043101898125,0.6930117232058353"],
+     ("prepsolver",)),
+    (0, ["optimize-pc", "--starts", "5"], ("prepsolver",)),
+    (0, ["optimize-pc", "--starts", "5", "--fix-z0"], ("prepsolver",)),
+    (0, ["synth", "--perm", "0,5,6,3,4,1,2,7"], ("machines", "prepsolver", "synth")),
+    (0, ["constants"], ("machines", "prepsolver", "synth")),
+    (0, ["verify", "table2", "--row", "1"], COMPUTATIONAL),
+)
+
+
+class TestImports:
+    """Each call, in a fresh process, loads only the computational modules its command uses."""
+
+    def test_importing_the_cli_loads_none(self):
+        probe = f"import sys, qclone.cli\nprint([m for m in {COMPUTATIONAL!r} if 'qclone.' + m in sys.modules])\n"
+        assert fresh_stdout(probe) == "[]\n"
+
+    @pytest.mark.parametrize(
+        "code, argv, loaded", COMMAND_LOADS, ids=[" ".join(argv) or "no command" for _, argv, _ in COMMAND_LOADS]
+    )
+    def test_a_command_loads_only_its_modules(self, code, argv, loaded):
+        probe = (
+            "import contextlib, io, sys\n"
+            "from qclone.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = main({argv!r})\n"
+            "    except SystemExit as exc:  # argparse: --help, --version, usage errors\n"
+            "        code = exc.code\n"
+            f"print(code, [m for m in {COMPUTATIONAL!r} if 'qclone.' + m in sys.modules])\n"
+        )
+        assert fresh_stdout(probe) == f"{code} {list(loaded)}\n"
 
 
 #: Each subcommand's parser, read from the CLI's own parser.

@@ -1,15 +1,13 @@
 """Preparation-angle solver, its closed form, and the constrained optimizer."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fresh_process import fresh_stdout
 from qclone import prepsolver
 from qclone.cli import main
 from qclone.machines import PC_X, PC_Y, PC_Z, bh_prep, pc_prep
@@ -344,7 +342,7 @@ class TestBranchSolve:
         ):
             assert main(argv) == 0
             warm = capsys.readouterr().out
-            fresh = _fresh_stdout(f"from qclone.cli import main\nmain({argv!r})\n")
+            fresh = fresh_stdout(f"from qclone.cli import main\nmain({argv!r})\n")
             assert fresh == warm and len(warm.splitlines()) == 2
 
 
@@ -369,13 +367,6 @@ def _reference_optimum(normals, weights, n_starts, seed):
     point = best[1] if best[1][0] >= 0 else -best[1]
     x, y, *z = (point + 0.0).tolist()
     return prepsolver.PcSolution(x, y, z[0] if z else 0.0, x * x + y * y)
-
-
-def _fresh_stdout(probe: str) -> str:
-    """What ``probe`` prints in a fresh interpreter that imports qclone from src/."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
 
 
 #: One argv per command path: run, both sweeps, the singular-plane solve, both optimizers,
@@ -403,7 +394,7 @@ class TestLazyScipy:
             "import sys, qclone, qclone.cli\n"
             "print('scipy' in sys.modules, qclone.synth._shortest_networks.cache_info().currsize)\n"
         )
-        assert _fresh_stdout(probe) == "False 0\n"
+        assert fresh_stdout(probe) == "False 0\n"
 
     def test_every_command_leaves_scipy_unloaded(self):
         probe = (
@@ -413,7 +404,7 @@ class TestLazyScipy:
             f"    codes = [main(argv) for _, argv in {NO_SCIPY_ARGV!r}]\n"
             "print(codes, 'scipy' in sys.modules)\n"
         )
-        assert _fresh_stdout(probe) == f"{[code for code, _ in NO_SCIPY_ARGV]} False\n"
+        assert fresh_stdout(probe) == f"{[code for code, _ in NO_SCIPY_ARGV]} False\n"
 
     def test_solve_prep_on_a_singular_plane_leaves_scipy_optimize_unloaded(self):
         probe = (
@@ -423,7 +414,7 @@ class TestLazyScipy:
             f"    code = main(['solve-prep', '--coeffs={SINGULAR_COEFFS}'])\n"
             "print(code, 'scipy' in sys.modules)\n"
         )
-        assert _fresh_stdout(probe) == "0 False\n"
+        assert fresh_stdout(probe) == "0 False\n"
 
     def test_degenerate_target_never_calls_least_squares(self, monkeypatch):
         def refuse(*args, **kwargs):
