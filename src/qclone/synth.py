@@ -516,17 +516,38 @@ def _as_row(row) -> Table2Row:
     return TABLE2[index - 1]
 
 
+def check_record(suite: str, check: str, bounded: dict, ok: bool = True, strict=(), **detail) -> dict:
+    """One verification record: ``{"suite", "check", "ok", "bounds", "margin", **values, **detail}``.
+
+    ``bounded`` maps a key to ``(value, bound)``; the record holds ``key: value``
+    and ``bounds[key] = bound``.  A value passes at ``value <= bound``, or
+    ``value < bound`` for a key in ``strict``.  The record's ``ok`` holds when
+    every value passes and the argument ``ok``, the check's other condition,
+    is true.  ``margin`` is the smallest ``(bound - value) / bound``: 1 at a
+    value of 0, 0 at the bound, negative past it, NaN for a NaN value and
+    None with no bounded value.
+    """
+    values, bounds, margins = {}, {}, []
+    for key, (value, bound) in bounded.items():
+        values[key], bounds[key] = value, bound
+        ok = ok and (value < bound if key in strict else value <= bound)
+        margins.append((bound - value) / bound)
+    margin = math.nan if any(map(math.isnan, margins)) else min(margins, default=None)
+    return {"suite": suite, "check": check, "ok": bool(ok), **values, **detail, "bounds": bounds, "margin": margin}
+
+
 @dataclass(frozen=True)
 class RowReport:
-    """Verification outcome for one catalog row as four check records.
+    """Verification outcome for one catalog row as four :func:`check_record` records.
 
-    Each record is ``{"suite": "table2", "check", "ok", "row", **detail}``.
-    ``angles``: the solver reproduces the nominal angles within 0.2 degrees.
-    ``fidelity``: both stored circuits clone 64 equatorial inputs at the
-    optimal fidelity within 1e-9.  ``swap``: their outputs differ only by a
-    swap of the clone wires (projector residual below 1e-10).  ``synth``:
-    re-synthesizing each stored form reproduces the stored circuit's basis
-    action; it also adjudicates the retained reference transcription.
+    Each record also has ``"row"``.  ``angles``: the solver reproduces the
+    nominal angles within 0.2 degrees.  ``fidelity``: both stored circuits
+    clone 64 equatorial inputs at the optimal fidelity within 1e-9.  ``swap``:
+    their outputs differ only by a swap of the clone wires (projector residual
+    at most 1e-10).  ``synth``: re-synthesizing each stored form reproduces
+    the stored circuit's basis action with as many gates as the stored
+    circuit, the fewest any CNOT network needs; it also adjudicates the
+    retained reference transcription.
     """
 
     index: int
@@ -568,19 +589,21 @@ def _equatorial_inputs() -> np.ndarray:
 @lru_cache(maxsize=len(TABLE2))
 def _row_inputs(row: Table2Row) -> tuple:
     """A row's parsed text, once per row value: the stored circuits' basis
-    permutations, the output forms composed with the fan-out, and the composed
-    images of the reference forms and of each reference circuit's readings.
+    permutations and gate counts, the output forms composed with the fan-out,
+    and the composed images of the reference forms and of each reference
+    circuit's readings.
     Inputs only; :func:`verify_table2` runs every check on them per call.
     """
     fanout = fan_out_map()
-    perms = tuple(map(basis_permutation, (parse_circuit(text, 3) for text in row.circuits)))
+    circuits = [parse_circuit(text, 3) for text in row.circuits]
+    perms, gate_counts = tuple(map(basis_permutation, circuits)), tuple(map(len, circuits))
     machines = tuple(compose(parse_form(text), fanout) for text in row.output_forms)
     ref_images = tuple(compose(parse_form(text), fanout).images for text in row.reference_forms)
     readings = tuple(
         tuple((label, compose(bij, fanout).images) for label, bij in _reference_readings(text).items())
         for text in row.reference_circuits
     )
-    return perms, machines, ref_images, readings
+    return perms, gate_counts, machines, ref_images, readings
 
 
 def _wrapped_dev_deg(a_rad: float, b_rad: float) -> float:
@@ -610,7 +633,7 @@ def verify_table2(row) -> RowReport:
     angle_max_dev = devs[best]
     prep = coeff_formula(*solutions[best].as_tuple())[None]
 
-    perms, machines, ref_images, ref_readings = _row_inputs(row)
+    perms, gate_counts, machines, ref_images, ref_readings = _row_inputs(row)
     psi = _equatorial_inputs()
     out = isometry_batch(psi, np.concatenate([permuted_isometries(prep, images) for images in perms]), 1, 2)
     fid_err = float(np.abs(np.concatenate([out.fidelity_a, out.fidelity_b]) - PC_FIDELITY).max())
@@ -619,37 +642,37 @@ def verify_table2(row) -> RowReport:
     swapped = second.reshape(-1, 2, 2, 2).transpose(0, 1, 3, 2).reshape(-1, 8)
     swap_residual = float(projector_distances(first, swapped).max())
 
-    synth_ok = all(
-        stored == basis_permutation(synthesize_cnots(machine))
-        for stored, machine in zip(perms, machines)
+    shortest = [synthesize_cnots(machine) for machine in machines]
+    shortest_counts = tuple(map(len, shortest))
+    synth_ok = shortest_counts == gate_counts and all(
+        stored == basis_permutation(circuit) for stored, circuit in zip(perms, shortest)
     )
     valid_images = set(perms)
     ref_valid = [images in valid_images for images in ref_images]
     readings = [[label for label, images in reading if images in valid_images] for reading in ref_readings]
 
-    def record(check, ok, **detail):
-        return {"suite": "table2", "check": check, "ok": bool(ok), "row": row.index, **detail}
-
-    return RowReport(
-        row.index,
+    table = (
         (
-            record(
-                "angles",
-                angle_max_dev <= 0.2,
-                max_deviation_deg=angle_max_dev,
-                nominal_deg=list(row.angles_deg),
-                nominal_dm=[degrees_minutes(d) for d in row.angles_deg],
-            ),
-            record("fidelity", fid_err <= 1e-9, max_error=fid_err, target=PC_FIDELITY),
-            record("swap", swap_residual <= 1e-10, max_residual=swap_residual),
-            record(
-                "synth",
-                synth_ok,
-                reference_form_valid=ref_valid,
-                reference_circuit_readings=readings,
-            ),
+            "angles",
+            {"max_deviation_deg": (angle_max_dev, 0.2)},
+            {"nominal_deg": list(row.angles_deg), "nominal_dm": [degrees_minutes(d) for d in row.angles_deg]},
+        ),
+        ("fidelity", {"max_error": (fid_err, 1e-9)}, {"target": PC_FIDELITY}),
+        ("swap", {"max_residual": (swap_residual, 1e-10)}, {}),
+        (
+            "synth",
+            {},
+            {
+                "ok": synth_ok,
+                "stored_gate_counts": list(gate_counts),
+                "shortest_gate_counts": list(shortest_counts),
+                "reference_form_valid": ref_valid,
+                "reference_circuit_readings": readings,
+            },
         ),
     )
+    records = (check_record("table2", check, bounded, row=row.index, **detail) for check, bounded, detail in table)
+    return RowReport(row.index, tuple(records))
 
 
 def angle_constant_check() -> tuple[dict, ...]:

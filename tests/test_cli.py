@@ -547,6 +547,14 @@ class TestVerify:
         records = table2_checks() + invariant_checks()
         assert out == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
+    def test_every_record_states_its_bounds_and_margin(self):
+        """Each bounded value is a key of its record, a record has a margin exactly when it has a bound,
+        and a negative margin is a failed check."""
+        for record in table2_checks() + invariant_checks():
+            assert set(record["bounds"]) <= set(record), record["check"]
+            assert (record["margin"] is None) == (record["bounds"] == {}), record["check"]
+            assert record["margin"] is None or record["margin"] >= 0 or not record["ok"], record["check"]
+
     def test_failed_check_prints_every_line_and_exits_1(self, capsys, monkeypatch):
         def one_failing(row=None):
             records = table2_checks(row)
@@ -588,6 +596,7 @@ class TestVerify:
         assert record["flagged_cases"] == ["3pi/2"]
         assert not record["ok"]
         assert math.isclose(record["max_polar_mean_deviation"], 1e-6, rel_tol=1e-6)
+        assert record["margin"] < 0
         code, _, _ = run_cli(capsys, "verify", "invariants")
         assert code == 1
 

@@ -353,6 +353,7 @@ class TestCatalog:
             assert checks["fidelity"]["max_error"] <= 1e-9
             assert checks["swap"]["max_residual"] <= 1e-10
             assert checks["synth"]["ok"]
+            assert checks["synth"]["stored_gate_counts"] == checks["synth"]["shortest_gate_counts"]
 
     def test_permuted_isometry_matches_the_gate_level_compile(self):
         """One scatter of |k> (x) prep per circuit against the gate-by-gate run;
@@ -396,11 +397,20 @@ class TestCatalog:
             assert all(checks[name]["ok"] for name in ("angles", "fidelity", "swap"))
 
     def test_a_modified_row_is_parsed_afresh(self):
+        """A second circuit with another action fails its checks, and one with the stored action but two
+        more gates than the shortest network fails the synth check alone."""
         assert verify_table2(1).passed
         row = TABLE2[0]
-        for wrong, failing in (("P(0,1) P(0,2)", {"fidelity", "swap", "synth"}), (row.circuits[0], {"synth"})):
+        longer = row.circuits[1] + " P(1,0) P(1,0)"
+        for wrong, failing in (
+            ("P(0,1) P(0,2)", {"fidelity", "swap", "synth"}),
+            (row.circuits[0], {"synth"}),
+            (longer, {"synth"}),
+        ):
             checks = _checks(verify_table2(dataclasses.replace(row, circuits=(row.circuits[0], wrong))))
             assert {name for name, record in checks.items() if not record["ok"]} == failing
+        assert checks["synth"]["stored_gate_counts"] == [4, 6]
+        assert checks["synth"]["shortest_gate_counts"] == [4, 4]
         assert verify_table2(row).passed
 
     def test_row_lookup_by_index(self):
@@ -438,6 +448,29 @@ class TestCatalog:
                 assert dev < 1e-9
             else:
                 assert 0.03 < dev < 0.04
+
+
+class TestCheckRecord:
+    @pytest.mark.parametrize(
+        "value, strict, ok, margin",
+        [(0.0, (), True, 1.0), (1e-9, (), True, 0.0), (1e-9, ("v",), False, 0.0), (2e-9, (), False, -1.0)],
+    )
+    def test_the_record_states_its_values_bounds_and_smallest_margin(self, value, strict, ok, margin):
+        record = synth.check_record("s", "c", {"v": (value, 1e-9), "w": (0.0, 1.0)}, strict=strict, note=1)
+        assert record == {
+            "suite": "s", "check": "c", "ok": ok, "v": value, "w": 0.0, "note": 1,
+            "bounds": {"v": 1e-9, "w": 1.0}, "margin": margin,
+        }
+
+    def test_a_nan_value_fails_with_a_nan_margin(self):
+        record = synth.check_record("s", "c", {"v": (0.5, 1.0), "w": (float("nan"), 1.0)})
+        assert not record["ok"] and np.isnan(record["margin"])
+
+    def test_a_record_without_a_bound_has_no_margin_and_keeps_its_condition(self):
+        assert synth.check_record("s", "c", {}, True)["margin"] is None
+        assert synth.check_record("s", "c", {"v": (0.0, 1.0)}, False) == {
+            "suite": "s", "check": "c", "ok": False, "v": 0.0, "bounds": {"v": 1.0}, "margin": 1.0,
+        }
 
 
 class TestAngleConstants:
