@@ -11,19 +11,19 @@ synth        CNOT network for a basis permutation given as its image list
 verify       re-run the machine-catalog checks and the invariant suite
 constants    evaluate the catalog's angle constants and named values
 
-Each command but ``verify`` writes one report, as JSON or CSV per
-``--format`` (``_report``); ``verify`` prints each check record of
-:mod:`qclone.verify` as one JSON line.  Reports are deterministic: fixed
-averaging rules, fixed seeds for the optimizer starts, invariants checked
-on the machines' channel tables, sorted JSON keys, 15-significant-digit CSV
-with LF line endings, no timestamps.  Ensemble averages (``sweep --param phi``,
-``verify invariants``) use the exact 17-node rule, and a phi sweep's JSON
-metadata records ``"quadrature": "exact"``.  Exit codes: 0 success, 1
-failed verification or unrealizable request, 2 usage error.  A failed
-``verify`` or ``constants`` check exits 1 with its full report on stdout,
-the only nonzero exit that writes to stdout; every other failure writes one
-``error:`` line to stderr.  ``run``, ``sweep`` and ``solve-prep`` read
-angles in radians, or in degrees with ``--deg``.  Each call builds a new
+Each command but ``verify`` writes one report, as CSV or indented JSON per
+``--format`` (``_report``); ``verify`` prints each record of :mod:`qclone.verify`
+as one compact JSON line.  Reports are deterministic: fixed averaging rules,
+fixed seeds for the optimizer starts, invariants checked on the machines'
+channel tables, JSON from one writer (``_json``) as ``json.dumps`` prints it
+with sorted keys, 15-significant-digit CSV with LF line endings, no timestamps.
+Ensemble averages (``sweep --param phi``, ``verify invariants``) use the exact
+17-node rule, and a phi sweep's JSON metadata records ``"quadrature": "exact"``.
+Exit codes: 0 success, 1 failed verification or unrealizable request, 2 usage
+error.  A failed ``verify`` or ``constants`` check exits 1 with its full report
+on stdout, the only nonzero exit that writes to stdout; every other failure
+writes one ``error:`` line to stderr.  ``run``, ``sweep`` and ``solve-prep``
+read angles in radians, or in degrees with ``--deg``.  Each call builds a new
 parser with all seven commands, but adds the arguments only of the commands
 its argv names (``_COMMANDS``, :func:`build_parser`).
 
@@ -39,11 +39,11 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import json
 import math
 import os
 import shutil
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -64,17 +64,35 @@ class UsageError(Exception):
 # --- formatting -------------------------------------------------------------
 
 
-def _clean(value):
-    """JSON-safe copy: NaN/inf to None, numpy scalars to Python scalars."""
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _json(value, indent: int | None = None) -> str:
+    """``json.dumps(value, sort_keys=True, indent=indent)`` in one pass, NaN and infinities as null.
+
+    NumPy scalars print as Python scalars; floats, ints and strings go through the encoder's own
+    ``float.__repr__``, ``int.__repr__`` and ASCII escaper, so the bytes are equal (str keys only).
+    """
+    step, comma = ("", ", ") if indent is None else (" " * indent, ",")
+
+    def text(v, pad):
+        if isinstance(v, float):
+            return float.__repr__(v) if math.isfinite(v) else "null"
+        if isinstance(v, str):
+            return encode_basestring_ascii(v)
+        if v is None or isinstance(v, bool):
+            return "null" if v is None else "true" if v else "false"
+        if isinstance(v, int):
+            return int.__repr__(v)
+        if isinstance(v, (np.floating, np.integer)):
+            return text(v.item(), pad)
+        inner = pad + step  # "" in the compact layout, a newline and the next indent otherwise
+        if isinstance(v, dict):
+            items = [encode_basestring_ascii(k) + ": " + text(v[k], inner) for k in sorted(v)]
+            return "{" + inner + (comma + inner).join(items) + pad + "}" if items else "{}"
+        if isinstance(v, (list, tuple)):
+            items = [text(item, inner) for item in v]
+            return "[" + inner + (comma + inner).join(items) + pad + "]" if items else "[]"
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    return text(value, "" if indent is None else "\n")
 
 
 def _num(value) -> str:
@@ -155,7 +173,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _report(args, payload, columns, rows) -> None:
     """Write ``payload`` as JSON or ``columns``/``rows`` as CSV, per ``--format``."""
     if args.format == "json":
-        _emit(json.dumps(_clean(payload), sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json(payload, 2) + "\n", args.out)
     else:
         _emit(_csv_text(columns, rows), args.out)
 
@@ -390,7 +408,7 @@ def _cmd_verify(args) -> int:
         records += table2_checks(args.row)
     if args.target in ("invariants", "all"):
         records += invariant_checks()
-    _emit("".join(json.dumps(_clean(r), sort_keys=True) + "\n" for r in records), args.out)
+    _emit("".join(_json(r) + "\n" for r in records), args.out)
     return 0 if all(r["ok"] for r in records) else 1
 
 
@@ -508,7 +526,8 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    # given its prog, add_subparsers formats no top-level usage to find the prefix "qclone"
+    subparsers = parser.add_subparsers(dest="command", required=True, prog=TOOL_NAME)
     for name, (help_text, handler, add_arguments) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text, formatter_class=formatter)
         sub.set_defaults(func=handler)

@@ -172,19 +172,21 @@ class PcSolution:
             raise ValueError("cross-term constraint violated")
 
 
-def coeff_formula(t1: float, t2: float, t3: float) -> np.ndarray:
-    """Closed-form coefficients of the preparation circuit."""
+def _coeff_values(t1: float, t2: float, t3: float) -> tuple[float, float, float, float]:
     c1, s1 = math.cos(t1), math.sin(t1)
     c2, s2 = math.cos(t2), math.sin(t2)
     c3, s3 = math.cos(t3), math.sin(t3)
-    return np.array(
-        [
-            c1 * c2 * c3 + s1 * s2 * s3,
-            s1 * c2 * c3 - c1 * s2 * s3,
-            c1 * c2 * s3 - s1 * s2 * c3,
-            c1 * s2 * c3 + s1 * c2 * s3,
-        ]
+    return (
+        c1 * c2 * c3 + s1 * s2 * s3,
+        s1 * c2 * c3 - c1 * s2 * s3,
+        c1 * c2 * s3 - s1 * s2 * c3,
+        c1 * s2 * c3 + s1 * c2 * s3,
     )
+
+
+def coeff_formula(t1: float, t2: float, t3: float) -> np.ndarray:
+    """Closed-form coefficients of the preparation circuit."""
+    return np.array(_coeff_values(t1, t2, t3))
 
 
 def prep_circuit(angles: AngleTriple) -> Circuit:
@@ -208,7 +210,7 @@ def simulate_prep(angles: AngleTriple) -> PureState:
 
 def residual_of(angles: AngleTriple, coeffs: PrepCoeffs) -> float:
     """Max-norm reconstruction error of a candidate triple."""
-    return float(np.abs(coeff_formula(*angles.as_tuple()) - coeffs.as_array()).max())
+    return max(abs(a - b) for a, b in zip(_coeff_values(*angles.as_tuple()), coeffs.c))
 
 
 _ACCEPT_TOL = 1e-9

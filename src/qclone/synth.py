@@ -309,7 +309,6 @@ def synthesize_cnots(bij: BasisBijection) -> Circuit:
         raise NonAffine(
             f"output wire {out_bit} contains the monomial {''.join(VAR_NAMES[v] for v in bad)}"
         )
-    assert basis_permutation(circuit) == bij.images
     return circuit
 
 
@@ -357,8 +356,8 @@ def derive_machines(prep) -> list[BasisBijection]:
     for probe in (PureState((0.6, 0.8)), PureState((0.28, 0.96))):
         joint = tensor(probe, prep.as_state()).amplitudes
         target = pair_clone_target(probe).amplitudes
-        # a map sends amplitude v to position images[v]
-        ok &= np.isclose(joint, target[table], atol=1e-10).all(axis=1)
+        match = np.isclose(joint[:, None], target, atol=1e-10)  # amplitude v against position p
+        ok &= match[np.arange(8), table].all(axis=1)  # a map sends amplitude v to position images[v]
     bijections = affine_bijections()
     return [bijections[k] for k in np.flatnonzero(ok)]
 

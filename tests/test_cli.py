@@ -640,6 +640,83 @@ _CSV_ROWS = st.one_of(
     ),
 )
 
+#: ``coeff_formula(0.3, pi/4, 0.5)``, on the prep solver's singular plane cos t2 = sin t2
+SINGULAR_COEFFS = "0.6930117232058353,-0.14048043101898117,0.14048043101898125,0.6930117232058353"
+#: JSON values: nested dicts, lists and tuples (empty ones too) of None, bools, ints, any
+#: double (+-0.0, subnormals, +-inf and NaN), NumPy float64 and int64, and strings with
+#: escapes or non-ASCII characters, as values and as keys
+_JSON_STRINGS = st.one_of(st.text(), st.sampled_from(['', '"', "\\", "\n\t\x00\x1f", "\u00e9", "\u2028", "\U0001d11e"]))
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    _CSV_FLOATS,
+    st.sampled_from([math.inf, -math.inf, math.nan, -5e-324]),
+    _CSV_FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _JSON_STRINGS,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _clean_reference(value):
+    """The reference cleaner (NaN/inf to None, NumPy scalars to Python): ``cli._json`` prints ``json.dumps`` of it."""
+    if isinstance(value, dict):
+        return {k: _clean_reference(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_clean_reference(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+class TestJsonWriter:
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(value=_JSON_VALUES)
+    def test_both_layouts_equal_the_encoder_on_the_cleaned_value(self, value):
+        cleaned = _clean_reference(value)
+        assert cli._json(value, 2) == json.dumps(cleaned, sort_keys=True, indent=2)
+        assert cli._json(value) == json.dumps(cleaned, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [object(), np.bool_(True), {"a": [1, {2.0}]}, np.array([1.0])])
+    def test_a_value_the_encoder_rejects_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(_clean_reference(value), sort_keys=True)
+        for indent in (None, 2):
+            with pytest.raises(TypeError):
+                cli._json(value, indent)
+
+    def test_every_report_and_verify_line_equals_the_encoder(self, capsys):
+        reports = [
+            ("run", "pc", "--theta", "0.4"),
+            ("run", "two-op", "--theta", "0.7", "--phi", "0.7853981633974483"),
+            # through a null-correlation node, so the rows hold a NaN printed as null
+            (*PHI_SWEEP[:5], "0.7853981633974483", *PHI_SWEEP[6:], "--format", "json"),
+            ("solve-prep", "--coeffs=" + SINGULAR_COEFFS),
+            ("synth", "--perm", "0,5,6,3,4,1,2,7"),
+            ("optimize-pc", "--starts", "3"),
+            ("constants",),
+        ]
+        for argv in reports:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        code, out, _ = run_cli(capsys, "verify", "all")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 12 * 4 + 8
+        assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in lines)
+
 
 def _parsers(parser):
     """The top-level parser and every command's subparser."""

@@ -45,6 +45,25 @@ PC_BRANCH_OPTIMA = (0.5, 0.5 + 1.0 / math.sqrt(8.0))
 BH_BRANCH_OPTIMA = (0.5, 5.0 / 6.0)
 
 
+def test_residual_of_equals_the_array_reference_bit_for_bit():
+    """Four float differences give the residual that two arrays gave, to the last bit.
+
+    Seeded random triples against random unit vectors and against their own solved triples,
+    whose residuals are at rounding level.
+    """
+    rng = np.random.default_rng(2028)
+    for t, v in zip(rng.uniform(-math.pi, math.pi, size=(500, 3)), rng.normal(size=(500, 4))):
+        triple = AngleTriple(*t)
+        coeffs = as_prep_coeffs(v / np.linalg.norm(v))
+        pairs = [(triple, coeffs)] + [(sol, coeffs) for sol in solve_prep_angles(coeffs)]
+        own = as_prep_coeffs(coeff_formula(*triple.as_tuple()))
+        pairs += [(triple, own)] + [(sol, own) for sol in solve_prep_angles(own)]
+        for angles, c in pairs:
+            want = float(np.abs(coeff_formula(*angles.as_tuple()) - c.as_array()).max())
+            got = residual_of(angles, c)
+            assert type(got) is float and got.hex() == want.hex()
+
+
 def best_residual(coeffs) -> float:
     sols = solve_prep_angles(as_prep_coeffs(coeffs))
     return min(residual_of(s, as_prep_coeffs(coeffs)) for s in sols)
