@@ -212,14 +212,7 @@ def _require_in_range(flag: str, value: int, lo: int, hi: int) -> None:
 
 
 def _cmd_run(args) -> int:
-    from .machines import (
-        NotDecomposable,
-        channel_tables,
-        equatorial_batch,
-        orthogonal_decompositions,
-        table_channels,
-        table_fidelities,
-    )
+    from .machines import OFF_BASIS_TOL, channel_tables, equatorial_batch, table_decompositions
 
     machine = args.machine
     _require_finite(args, "theta", "phi")
@@ -227,33 +220,21 @@ def _cmd_run(args) -> int:
     theta = _angle(args.theta, args.deg)
 
     # the elementwise evaluation a theta sweep runs, so both print the same numbers
-    tables, psi = channel_tables(machine, [phi])[0], equatorial_batch([theta])
-    fids, channels = table_fidelities(tables, psi), table_channels(tables, psi)
+    f0, f2, residual = table_decompositions(channel_tables(machine, [phi])[0], equatorial_batch([theta]))
 
-    note = None
-    f0_sq = f2_sq = s = None
-    try:
-        f0, f2 = orthogonal_decompositions(channels[0], psi)
-        f0_sq, f2_sq, s = f0[0], f2[0], f0[0] - f2[0]
-    except NotDecomposable:
-        note = "clone channel is not diagonal in the input's projector basis"
-
-    orig_f0 = orig_f2 = None
-    if len(channels) == 3:  # the degraded original (pc)
-        orig_f0, orig_f2 = (f[0] for f in orthogonal_decompositions(channels[2], psi))
-
+    decomposable = residual[0, 0] <= OFF_BASIS_TOL
     payload = {
         "machine": machine,
         "theta": theta,
         "phi": phi,
-        "fidelity_a": fids[0, 0],
-        "fidelity_b": fids[1, 0],
-        "f0_sq": f0_sq,
-        "f2_sq": f2_sq,
-        "scaling_factor": s,
-        "original_f0_sq": orig_f0,
-        "original_f2_sq": orig_f2,
-        "note": note,
+        "fidelity_a": f0[0, 0],
+        "fidelity_b": f0[1, 0],
+        "f0_sq": f0[0, 0] if decomposable else None,
+        "f2_sq": f2[0, 0] if decomposable else None,
+        "scaling_factor": f0[0, 0] - f2[0, 0] if decomposable else None,
+        "original_f0_sq": f0[2, 0] if len(f0) == 3 else None,  # the degraded original (pc)
+        "original_f2_sq": f2[2, 0] if len(f0) == 3 else None,
+        "note": None if decomposable else "clone channel is not diagonal in the input's projector basis",
         "metadata": _metadata(machine=machine),
     }
     columns = [c for c in payload if c != "metadata"]

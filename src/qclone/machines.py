@@ -26,9 +26,11 @@ has none); the reference and the isometry builder both read it.
   holds every wire's ``[M | t]``, built once per process, cached and
   read-only, from one kernel call on four probe inputs; two-op's map is
   quadratic in its blank (c, s), so three angles fix it for every phi.
-  :func:`table_fidelities` and :func:`table_channels` evaluate it
-  elementwise, so ``run``, the theta sweep, :func:`pointwise_fidelities`,
-  the averaging nodes and the invariant suite read it and run no kernel.
+  :func:`table_fidelities` evaluates it elementwise, so ``run``, the theta
+  sweep, :func:`pointwise_fidelities`, the averaging nodes and the
+  invariant suite read it and run no kernel.  :func:`table_decompositions`
+  gives ``run`` each channel's weights in its input's projector pair,
+  (1 +- r . v) / 2 with v = ``M r + t``, and the off-basis residual.
 * :func:`average_fidelities` (``average_fidelity``, the phi sweep) and
   :func:`two_op_case_statistics` reduce (phi, node) fidelity grids in one
   pass.
@@ -94,7 +96,7 @@ __all__ = [
     "pointwise_fidelities",
     "channel_tables",
     "table_fidelities",
-    "table_channels",
+    "table_decompositions",
     "permuted_isometries",
     "machine_isometries",
     "qubit_batch",
@@ -132,6 +134,9 @@ MEASURE_NAMES = ("equatorial", "polar")
 
 #: Nodes of the averaging rule, exact for trigonometric polynomials of degree <= 8.
 EXACT_NODES = 17
+
+#: Largest off-basis residual of a channel that decomposes in its input's projector pair.
+OFF_BASIS_TOL = 1e-6
 
 #: A correlation is printed only if its rounding bound, 8 eps / sd of the
 #: flatter clone, is at most this; otherwise it is null (NaN).
@@ -527,15 +532,28 @@ def table_fidelities(tables: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return _bloch_fidelities(tables, _bloch(_outer(psi)))
 
 
+def _dots(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return r[0] * v[..., 0, :] + r[1] * v[..., 1, :] + r[2] * v[..., 2, :]
+
+
 def _bloch_fidelities(tables: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return np.clip(0.5 * (1.0 + _dots(r, _images(tables, r))), 0.0, 1.0)
+
+
+def table_decompositions(tables: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f0_sq, f2_sq, residual), each (..., N): every wire's channel in its input's projector pair.
+
+    With v = ``M r + t``, f0 = (1 + r . v) / 2 is :func:`table_fidelities`'
+    value bit for bit and f2 = (1 - r . v) / 2, each clamped to [0, 1].  The
+    residual ``|v - (r . v) r| / sqrt 2`` is the Frobenius norm of
+    ``rho - f0 P0 - f2 P2``, which :func:`orthogonal_decompositions` holds
+    to :data:`OFF_BASIS_TOL`.  Elementwise, so a row does not depend on its batch.
+    """
+    r = _bloch(_outer(psi))
     v = _images(tables, r)
-    return np.clip(0.5 * (1.0 + (r[0] * v[..., 0, :] + r[1] * v[..., 1, :] + r[2] * v[..., 2, :])), 0.0, 1.0)
-
-
-def table_channels(tables: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(..., N, 2, 2) channels ``(I + v . sigma) / 2``, v = ``M r + t``, of normalized (N, 2) inputs."""
-    x, y, z = np.moveaxis(_images(tables, _bloch(_outer(psi))), -2, 0)
-    return 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1).reshape(*z.shape, 2, 2)
+    rv = _dots(r, v)
+    residual = np.linalg.norm(v - rv[..., None, :] * r, axis=-2) / math.sqrt(2.0)
+    return np.clip(0.5 * (1.0 + rv), 0.0, 1.0), np.clip(0.5 * (1.0 - rv), 0.0, 1.0), residual
 
 
 # --- averaging ----------------------------------------------------------------
@@ -655,8 +673,8 @@ def orthogonal_decompositions(rho: np.ndarray, amplitudes) -> tuple[np.ndarray, 
     under the Frobenius inner product, so the weights are the two diagonal
     overlaps.  Raises :class:`WrongArity` unless ``rho`` is (N, 2, 2) for N
     input rows, :class:`NotDecomposable` when a row's off-basis residual
-    exceeds 1e-6, and ``ValueError`` when a weight is below -1e-9 or a pair's
-    sum is off 1 by more than 1e-9; the weights are clamped to [0, 1].
+    exceeds :data:`OFF_BASIS_TOL`, and ``ValueError`` when a weight is below
+    -1e-9 or a pair's sum is off 1 by more than 1e-9; weights clamp to [0, 1].
     """
     psi = qubit_batch(amplitudes)
     if np.shape(rho) != (len(psi), 2, 2):
@@ -667,7 +685,7 @@ def orthogonal_decompositions(rho: np.ndarray, amplitudes) -> tuple[np.ndarray, 
     f2 = np.einsum("nij,nji->n", p2, rho).real
     residual = np.linalg.norm(rho - f0[:, None, None] * p0 - f2[:, None, None] * p2, axis=(1, 2))
     worst = float(np.max(residual, initial=0.0))
-    if worst > 1e-6:
+    if worst > OFF_BASIS_TOL:
         raise NotDecomposable(
             f"state has coherences outside the reference basis (residual {worst:.3e})"
         )

@@ -58,7 +58,7 @@ from .machines import (
     projector_distances,
 )
 from .prepsolver import AngleTriple, PrepCoeffs, coeff_formula, solve_prep_angles
-from .qnum import PureState, tensor
+from .qnum import PureState
 from .qnum import fidelity  # noqa: F401  (kept importable as qclone.synth.fidelity)
 
 __all__ = [
@@ -343,21 +343,33 @@ def pair_clone_target(psi0: PureState) -> PureState:
     return PureState([amp[k] * values[letter] for k, letter in CLONE_MIX_LABELS])
 
 
+@lru_cache(maxsize=1)
+def _derive_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only: the (2, 2) amplitudes of :func:`derive_machines`' probes, their (2, 8) targets, and the
+    (1344, 8) indices ``8 v + images[v]`` of :func:`affine_bijections` into a flat 8 x 8 table."""
+    probes = (PureState((0.6, 0.8)), PureState((0.28, 0.96)))
+    arrays = (np.array([probe.amplitudes for probe in probes]),
+              np.array([pair_clone_target(probe).amplitudes for probe in probes]),
+              _affine_image_table() + 8 * np.arange(8))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def derive_machines(prep) -> list[BasisBijection]:
     """All affine basis maps sending ``psi0 (x) prep`` to the clone target.
 
     The check runs over two independent input amplitudes; linearity then
-    extends the equality to every input.  For each catalog row exactly two
-    maps survive — a pair related by swapping the two clone wires.
+    extends the equality to every input.  One 8 x 8 table (both probes'
+    amplitude v within 1e-10 of their targets at p) decides all 1,344 maps,
+    each sending amplitude v to position ``images[v]``, in one gather.  For
+    each catalog row exactly two maps survive, related by a clone-wire swap.
     """
     prep = PrepCoeffs(tuple(prep)) if not isinstance(prep, PrepCoeffs) else prep
-    table = _affine_image_table()
-    ok = np.ones(len(table), dtype=bool)
-    for probe in (PureState((0.6, 0.8)), PureState((0.28, 0.96))):
-        joint = tensor(probe, prep.as_state()).amplitudes
-        target = pair_clone_target(probe).amplitudes
-        match = np.isclose(joint[:, None], target, atol=1e-10)  # amplitude v against position p
-        ok &= match[np.arange(8), table].all(axis=1)  # a map sends amplitude v to position images[v]
+    amplitudes, targets, flat_images = _derive_inputs()
+    joint = (amplitudes[:, :, None] * prep.as_state().amplitudes).reshape(2, 8)
+    match = np.abs(joint[:, :, None] - targets[:, None, :]) <= 1e-10  # (probe, amplitude v, position p)
+    ok = match.all(axis=0).ravel()[flat_images].all(axis=1)
     bijections = affine_bijections()
     return [bijections[k] for k in np.flatnonzero(ok)]
 

@@ -20,6 +20,7 @@ from qclone.gates import Circuit, basis_permutation
 from qclone.machines import (
     MACHINE_NAMES,
     MEASURE_NAMES,
+    OFF_BASIS_TOL,
     FidelityStats,
     NotDecomposable,
     average_fidelities,
@@ -34,7 +35,7 @@ from qclone.machines import (
     orthogonal_decompositions,
     qubit_batch,
     reduced_qubits,
-    table_channels,
+    table_decompositions,
     table_fidelities,
     _qubit_min_eigenvalues,
     _require_psd,
@@ -738,20 +739,51 @@ table_phis = st.one_of(angles, st.sampled_from([0.0, -0.0, 1e6, -1e6] + NOTABLE_
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), phi=table_phis)
 def test_table_channels_and_fidelities_match_the_reference(machine, seed, n, phi):
-    """Every wire's channel and fidelity from its table, at Haar complex inputs, within ``TABLE_TOL`` of
-    the gate-by-gate run."""
+    """Every wire's channel as its table gives it, at Haar complex inputs, within ``TABLE_TOL`` of the
+    gate-by-gate run: the fidelity, and ``table_decompositions``' weights in the input's projector pair
+    and off-basis residual (the Frobenius norm of ``rho - f0 P0 - f2 P2``); f0 is the fidelity bit for bit."""
     phi = _phi_for(machine, phi)
     amplitudes = qubit_batch(haar_amplitudes(np.random.default_rng(seed), n))
     tables = channel_tables(machine, [phi])[0]
-    channels, fids = table_channels(tables, amplitudes), table_fidelities(tables, amplitudes)
+    fids, (f0, f2, residual) = table_fidelities(tables, amplitudes), table_decompositions(tables, amplitudes)
+    assert np.array_equal(f0, fids)
     for k, row in enumerate(amplitudes):
-        psi = PureState(row)
+        psi, perp = PureState(row), orthogonal_state(PureState(row))
         ref = clone_output(machine, psi, phi)
         wires = [rho for rho in (ref.clone_a, ref.clone_b, ref.original_channel) if rho is not None]
-        assert len(wires) == len(channels)
-        for channel, fid, rho in zip(channels[:, k], fids[:, k], wires):
-            assert np.abs(channel - rho.entries).max() <= TABLE_TOL
-            assert abs(fid - fidelity(psi, rho)) <= TABLE_TOL
+        assert len(wires) == len(fids)
+        for w, rho in enumerate(wires):
+            want_f0, want_f2 = fidelity(psi, rho), fidelity(perp, rho)
+            off_basis = rho.entries - want_f0 * density_of(psi).entries - want_f2 * density_of(perp).entries
+            assert abs(fids[w, k] - want_f0) <= TABLE_TOL
+            assert abs(f2[w, k] - want_f2) <= TABLE_TOL
+            assert abs(residual[w, k] - np.linalg.norm(off_basis)) <= TABLE_TOL
+
+
+@pytest.mark.parametrize(
+    "machine, phi",
+    [("one-op", None), ("bh", None), ("pc", None)] + [("two-op", phi) for phi in [0.0, 0.3, -2.0] + NOTABLE_PHIS],
+)
+def test_table_decompositions_match_the_kernel_decompositions(machine, phi):
+    """At |0>, |1> and seeded Haar and equatorial inputs, every wire's f0 and f2 are within 1e-15 of
+    ``orthogonal_decompositions`` of the kernel's channel, and the residual exceeds ``OFF_BASIS_TOL``
+    exactly where that reference raises ``NotDecomposable``."""
+    rng = np.random.default_rng(2029)
+    psi = qubit_batch(np.concatenate([[(1, 0), (0, 1)], haar_amplitudes(rng, 40),
+                                      equatorial_batch(rng.uniform(-10.0, 10.0, 40))]))
+    f0, f2, residual = table_decompositions(channel_tables(machine, [phi])[0], psi)
+    batch = clone_batch(machine, psi, phi)
+    channels = [rho for rho in (batch.clone_a, batch.clone_b, batch.original_channel) if rho is not None]
+    assert len(channels) == len(f0)
+    for w, rho in enumerate(channels):
+        for k in range(len(psi)):
+            try:
+                want_f0, want_f2 = orthogonal_decompositions(rho[k:k + 1], psi[k:k + 1])
+            except NotDecomposable:
+                assert residual[w, k] > OFF_BASIS_TOL
+                continue
+            assert residual[w, k] <= OFF_BASIS_TOL
+            assert abs(f0[w, k] - want_f0[0]) <= 1e-15 and abs(f2[w, k] - want_f2[0]) <= 1e-15
 
 
 # --- the exact 17-node rule ----------------------------------------------------

@@ -303,20 +303,21 @@ class TestCatalog:
         assert not synth._affine_image_table().flags.writeable
 
     def test_derive_machines_equals_the_image_table_reference(self):
-        """The 8 x 8 match table keeps exactly the maps that ``isclose`` over all 1,344 x 8 images keeps.
+        """The one gather through the 8 x 8 match table keeps exactly the maps that an absolute 1e-10
+        test over all 1,344 x 8 images keeps.
 
         Inputs: the 12 rows; each row turned in the plane of two neighbouring coefficients by the
-        angles on both sides of where ``isclose``'s tolerance (1e-10 plus 1e-5 of the target) stops
-        keeping its maps, found by bisection to 30 bits; and seeded random real unit 4-vectors with
-        all 24 of their coefficient permutations.
+        angles on both sides of where the 1e-10 tolerance stops keeping its maps, found by bisection
+        to 30 bits; and seeded random real unit 4-vectors with all 24 of their coefficient
+        permutations.
         """
 
         def reference(prep):
             table = synth._affine_image_table()
             ok = np.ones(len(table), dtype=bool)
             for probe in (PureState((0.6, 0.8)), PureState((0.28, 0.96))):
-                joint = tensor(probe, PureState(prep)).amplitudes
-                ok &= np.isclose(joint, pair_clone_target(probe).amplitudes[table], atol=1e-10).all(axis=1)
+                joint = np.kron(probe.amplitudes, PureState(prep).amplitudes)
+                ok &= (np.abs(joint - pair_clone_target(probe).amplitudes[table]) <= 1e-10).all(axis=1)
             return [affine_bijections()[k] for k in np.flatnonzero(ok)]
 
         def turned(c, k, angle):
@@ -327,7 +328,7 @@ class TestCatalog:
         rows = [row_prep_coeffs(row).as_array() for row in TABLE2]
         preps = [tuple(c) for c in rows]
         for c, k in itertools.product(rows, range(4)):
-            kept, lost = 1e-6, 3e-5
+            kept, lost = 1e-11, 1e-9
             assert reference(turned(c, k, kept)) and not reference(turned(c, k, lost))
             for _ in range(30):
                 mid = (kept + lost) / 2
@@ -339,6 +340,9 @@ class TestCatalog:
             preps += [tuple(v[list(order)]) for order in itertools.permutations(range(4))]
         for prep in preps:
             assert derive_machines(prep) == reference(prep)
+        amplitudes, targets, flat_images = synth._derive_inputs()
+        assert np.array_equal(flat_images, synth._affine_image_table() + 8 * np.arange(8))
+        assert not any(cached.flags.writeable for cached in (amplitudes, targets, flat_images))
 
     def test_machines_are_clone_swap_related(self):
         swap = parse_form("x, z, y")
