@@ -24,8 +24,8 @@ error.  A failed ``verify`` or ``constants`` check exits 1 with its full report
 on stdout, the only nonzero exit that writes to stdout; every other failure
 writes one ``error:`` line to stderr.  ``run``, ``sweep`` and ``solve-prep``
 read angles in radians, or in degrees with ``--deg``.  Each call builds a new
-parser with all seven commands, but adds the arguments only of the commands
-its argv names (``_COMMANDS``, :func:`build_parser`).
+parser with all seven commands, but adds the arguments, ``-h`` included, only
+to the commands its argv names (``_COMMANDS``, :func:`build_parser`).
 
 Importing this module loads only the standard library, NumPy and
 :mod:`qclone.qnum`.  Each handler, and the argument adders of ``run`` and
@@ -108,13 +108,22 @@ def _num(value) -> str:
     return format(float(value), ".15g")
 
 
+#: a CSV cell's one-pass format by its type; ``%.0s`` prints ``None`` as nothing, as ``_num`` does
+_CELL_FORMATS = {float: "%.15g", type(None): "%.0s"}
+
+
 def _csv_text(columns, rows) -> str:
-    """CSV lines; a row of finite floats is one ``%.15g`` pass, equal to ``_num`` cell by cell."""
+    """CSV lines; a row of finite floats and ``None`` is one ``%`` pass, equal to ``_num`` cell by cell."""
     lines = [",".join(columns)]
-    row_format = ",".join(["%.15g"] * len(columns))
+    formats = {}  # a row's cell types -> its one-pass format, or "" if a cell has another type
     for row in rows:
-        if all(type(cell) is float and math.isfinite(cell) for cell in row):
-            lines.append(row_format % tuple(row))
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            cells = [_CELL_FORMATS.get(kind) for kind in kinds]
+            formats[kinds] = "" if None in cells else ",".join(cells)
+        line = formats[kinds] and formats[kinds] % tuple(row)
+        if line and "n" not in line:  # %.15g prints a NaN or an infinity as "nan" or "inf", _num as ""
+            lines.append(line)
             continue
         cells = []
         for cell in row:
@@ -492,11 +501,11 @@ _COMMANDS = {
 def build_parser(commands=None) -> argparse.ArgumentParser:
     """The top-level parser with all seven subparsers, filling only those named in ``commands``.
 
-    ``commands=None`` fills every subparser.  A subparser left empty changes no output: argparse
-    runs one only when an argv token equals its name (no abbreviation, no alias, and no top-level
-    option takes a value), and the top-level help, usage and invalid-choice error read only the
-    names and their help.  So :func:`main` passes the set of its argv tokens, which holds the
-    name of any subparser that runs.
+    ``commands=None`` fills every subparser.  A subparser not named is built empty, without even
+    its ``-h``, and that changes no output: argparse runs one only when an argv token equals its
+    name (no abbreviation, no alias, and no top-level option takes a value), and the top-level
+    help, usage and invalid-choice error read only the names and their help.  So :func:`main`
+    passes the set of its argv tokens, which holds the name of any subparser that runs.
     """
     # argparse makes a formatter per argument and subparser, and each looks the terminal up unless
     # given a width; one lookup per build gives the same width (it subtracts 2 only when it looks up)
@@ -510,9 +519,10 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
     # given its prog, add_subparsers formats no top-level usage to find the prefix "qclone"
     subparsers = parser.add_subparsers(dest="command", required=True, prog=TOOL_NAME)
     for name, (help_text, handler, add_arguments) in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text, formatter_class=formatter)
+        named = commands is None or name in commands
+        sub = subparsers.add_parser(name, help=help_text, formatter_class=formatter, add_help=named)
         sub.set_defaults(func=handler)
-        if commands is None or name in commands:
+        if named:
             add_arguments(sub)
     return parser
 

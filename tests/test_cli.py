@@ -619,20 +619,30 @@ class TestConstants:
         assert [c["ok"] for c in json.loads(out)["angle_checks"]] == [True, True, False, True]
 
 
-#: CSV rows: any doubles (subnormals, +-0.0, NaN and +-inf included), or cells that
-#: the row pass must leave to ``_num``: None, bools, ints and plain strings among them
+#: CSV rows: any doubles (subnormals, +-0.0, NaN and +-inf included); doubles and None, as in
+#: the one-pass rows of a theta sweep; or cells that the row pass must leave to ``_num`` among
+#: them: bools, ints, and strings that need quoting (commas, quotes, newlines) or not
 _CSV_FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
 )
 _CSV_ROWS = st.one_of(
     st.lists(_CSV_FLOATS, min_size=6, max_size=6),
+    st.lists(st.one_of(_CSV_FLOATS, st.none()), min_size=6, max_size=6),
     st.lists(
-        st.one_of(_CSV_FLOATS, st.none(), st.booleans(), st.integers(), st.text(alphabet="ab c", max_size=3)),
+        st.one_of(_CSV_FLOATS, st.none(), st.booleans(), st.integers(), st.text(alphabet='ab ,"\n', max_size=4)),
         min_size=6,
         max_size=6,
     ),
 )
+
+
+def _csv_cell(cell) -> str:
+    """The reference CSV cell: a string quoted when it holds a comma, a quote or a newline, else ``_num``."""
+    if isinstance(cell, str):
+        return '"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in ',"\n') else cell
+    return cli._num(cell)
+
 
 #: ``coeff_formula(0.3, pi/4, 0.5)``, on the prep solver's singular plane cos t2 = sin t2
 SINGULAR_COEFFS = "0.6930117232058353,-0.14048043101898117,0.14048043101898125,0.6930117232058353"
@@ -718,6 +728,14 @@ def _parsers(parser):
     return [parser, *sub.choices.values()]
 
 
+def _default_parser():
+    """A full ``build_parser()`` whose every parser formats with argparse's own ``HelpFormatter``."""
+    parser = build_parser()
+    for each in _parsers(parser):
+        each.formatter_class = argparse.HelpFormatter
+    return parser
+
+
 class TestParser:
     """``build_parser`` looks the terminal width up once and hands it to every formatter; the help,
     usage and error text must be what argparse's own width lookup gives, and nothing may carry over
@@ -744,9 +762,7 @@ class TestParser:
     def test_a_usage_error_prints_what_the_default_formatter_prints(self, monkeypatch, capsys, argv):
         monkeypatch.setenv("COLUMNS", "40")
         code, out, err = run_cli(capsys, *argv)
-        reference = build_parser()
-        for parser in _parsers(reference):
-            parser.formatter_class = argparse.HelpFormatter
+        reference = _default_parser()
         monkeypatch.setattr(cli, "build_parser", lambda commands=None: reference)
         assert run_cli(capsys, *argv) == (code, out, err)
         assert code == 2 and out == "" and err.startswith("usage: qclone")
@@ -768,14 +784,32 @@ class TestParser:
         assert run_cli(capsys, "sweep", "--help") == (code, out, err)
 
     def test_only_the_named_commands_are_filled(self):
+        """A named subparser gets ``-h`` and every argument; one not named gets neither, only its handler."""
         full = _parsers(build_parser())
-        assert all(len(parser._actions) > 1 for parser in full)  # -h and at least one more
+        assert all(parser.add_help and len(parser._actions) > 1 for parser in full)  # -h and at least one more
         top, *subs = _parsers(build_parser({"sweep", "--to", "x"}))
         assert [a.dest for a in top._actions] == [a.dest for a in full[0]._actions]
         for sub, reference in zip(subs, full[1:]):
-            want = reference._actions if sub.prog.endswith(" sweep") else reference._actions[:1]
-            assert [a.option_strings for a in sub._actions] == [a.option_strings for a in want]
+            named = sub.prog.endswith(" sweep")
+            assert sub.add_help is named
+            if named:
+                assert sub._actions[0].option_strings == ["-h", "--help"]
+                assert [a.option_strings for a in sub._actions] == [a.option_strings for a in reference._actions]
+            else:
+                assert sub._actions == []
             assert sub.get_default("func") is reference.get_default("func")
+
+    @pytest.mark.parametrize("columns", ["40", "80", "120"])
+    def test_every_help_prints_what_a_full_default_parser_prints(self, monkeypatch, columns):
+        """``-h`` and ``--help``, at the top level and on each command, print the bytes and exit code
+        of a parser with every subparser filled and argparse's own formatter."""
+        monkeypatch.setenv("COLUMNS", columns)
+        argvs = [[flag] for flag in ("-h", "--help")]
+        argvs += [[name, flag] for name in cli._COMMANDS for flag in ("-h", "--help")]
+        fast = [_invoke(argv) for argv in argvs]
+        assert all(code == 0 and out.startswith("usage: qclone") and err == "" for code, _, out, err in fast)
+        monkeypatch.setattr(cli, "build_parser", lambda commands=None: _default_parser())
+        assert [_invoke(argv) for argv in argvs] == fast
 
     def test_no_state_carries_over_between_calls(self, capsys):
         alone = run_cli(capsys, "run", "pc", "--theta", "0")
@@ -862,10 +896,18 @@ class TestInfrastructure:
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(_CSV_ROWS, max_size=6))
     def test_csv_row_pass_equals_the_per_cell_path(self, rows):
-        """A row of finite floats is formatted in one pass; every row reads as ``_num`` cell by cell."""
+        """A row of finite floats and None is formatted in one pass; every row reads as ``_num`` cell by cell."""
         columns = ["param", "mean_a", "mean_b", "var_a", "var_b", "correlation"]
-        per_cell = [",".join(cell if isinstance(cell, str) else cli._num(cell) for cell in row) for row in rows]
+        per_cell = [",".join(map(_csv_cell, row)) for row in rows]
         assert cli._csv_text(columns, rows) == "\n".join([",".join(columns), *per_cell]) + "\n"
+
+    def test_a_row_of_finite_floats_and_none_is_one_pass(self, monkeypatch):
+        """A theta sweep prints ``phi`` as None on every row of one-op, bh and pc, and no cell
+        of such a row goes through ``_num``."""
+        rows = [[0.25 * k, None, 0.853553390593274, -0.0, 5e-324] for k in range(5)]
+        expected = "".join(f"{0.25 * k:.15g},,0.853553390593274,-0,4.94065645841247e-324\n" for k in range(5))
+        monkeypatch.setattr(cli, "_num", None)
+        assert cli._csv_text(["theta", "phi", "F_a", "F_b", "F_orig"], rows) == "theta,phi,F_a,F_b,F_orig\n" + expected
 
 
 PHI_SWEEP = ("sweep", "two-op", "--param", "phi", "--from", "0", "--to", "1", "--steps", "3")

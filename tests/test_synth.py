@@ -285,21 +285,34 @@ class TestCatalog:
             assert derived == stored
 
     def test_derive_machines_matches_a_loop_over_the_affine_maps(self):
-        """The one-array search agrees with permuting the amplitudes map by map."""
+        """The one-array search agrees with permuting the amplitudes map by map, under the same
+        absolute 1e-10 test.
+
+        Row 1 turned in the plane of its first two coefficients by 1.2e-10 moves its two maps'
+        amplitudes by 9.8e-11, just inside the tolerance, and by 1.5e-10 moves them by 1.2e-10,
+        just outside; ``np.allclose``'s default ``rtol=1e-5`` would still keep the second.
+        """
         probes = (PureState((0.6, 0.8)), PureState((0.28, 0.96)))
-        preps = [tuple(row_prep_coeffs(row).as_array()) for row in TABLE2] + [(0.5, 0.5, 0.5, 0.5)]
+
+        def matches(prep, bij, rtol=0.0):
+            state, ok = PureState(prep), True
+            for probe in probes:
+                permuted = np.empty(8, dtype=complex)
+                permuted[list(bij.images)] = tensor(probe, state).amplitudes
+                ok &= np.allclose(permuted, pair_clone_target(probe).amplitudes, rtol=rtol, atol=1e-10)
+            return ok
+
+        def turned(angle):
+            c, cos, sin = row_prep_coeffs(TABLE2[0]).as_array(), math.cos(angle), math.sin(angle)
+            return (cos * c[0] - sin * c[1], sin * c[0] + cos * c[1], *c[2:])
+
+        inside, outside = turned(1.2e-10), turned(1.5e-10)
+        preps = [tuple(row_prep_coeffs(row).as_array()) for row in TABLE2] + [(0.5, 0.5, 0.5, 0.5), inside, outside]
         for prep in preps:
-            state = PureState(prep)
-            expected = []
-            for bij in affine_bijections():
-                ok = True
-                for probe in probes:
-                    permuted = np.empty(8, dtype=complex)
-                    permuted[list(bij.images)] = tensor(probe, state).amplitudes
-                    ok &= np.allclose(permuted, pair_clone_target(probe).amplitudes, atol=1e-10)
-                if ok:
-                    expected.append(bij)
-            assert derive_machines(prep) == expected
+            assert derive_machines(prep) == [bij for bij in affine_bijections() if matches(prep, bij)]
+        row_maps = derive_machines(turned(0.0))
+        assert len(row_maps) == 2 and derive_machines(inside) == row_maps and derive_machines(outside) == []
+        assert all(matches(outside, bij, rtol=1e-5) for bij in row_maps)
         assert not synth._affine_image_table().flags.writeable
 
     def test_derive_machines_equals_the_image_table_reference(self):
