@@ -336,10 +336,8 @@ def _cmd_optimize_pc(args) -> int:
     _require_in_range("starts", args.starts, 1, MAX_STARTS)
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be non-negative, not {args.seed}")
-    if args.fix_z0:
-        sol = bh_from_pc_system(n_starts=args.starts, seed=11 if args.seed is None else args.seed)
-    else:
-        sol = pc_optimize(n_starts=args.starts, seed=7 if args.seed is None else args.seed)
+    seed = {} if args.seed is None else {"seed": args.seed}  # else each optimizer's own default
+    sol = (bh_from_pc_system if args.fix_z0 else pc_optimize)(n_starts=args.starts, **seed)
     payload = {
         "x": sol.x,
         "y": sol.y,

@@ -16,19 +16,19 @@ has none); the reference and the isometry builder both read it.
   CNOT network only permutes basis states, so ``V`` is the resource state,
   normalized once, scattered by the network's basis permutation
   (:func:`permuted_isometries`; :func:`machine_isometries` for a table row).
-  :func:`isometry_batch` maps normalized (N, 2) inputs through a stack of
-  isometries and forms each one-wire channel from three row dot products
-  (:func:`reduced_qubits`), with the reference path's checks.  It builds
-  the channel tables, and ``synth.verify_table2`` runs it on each catalog
-  circuit.
 * Each output wire maps an input's Bloch vector r to its channel's
-  ``M r + t``, so F = (1 + r . (M r + t)) / 2.  :func:`channel_tables`
-  holds every wire's ``[M | t]``, built once per process, cached and
-  read-only, from one kernel call on four probe inputs; two-op's map is
+  ``M r + t``, so F = (1 + r . (M r + t)) / 2.  :func:`isometry_tables` is
+  the one place an isometry is applied to inputs: it fixes every wire's
+  ``[M | t]`` from four probe inputs, with the reference path's checks
+  (:func:`reduced_qubits`).  :func:`channel_tables` holds the machines'
+  tables, built once per process, cached and read-only; two-op's map is
   quadratic in its blank (c, s), so three angles fix it for every phi.
-  :func:`table_fidelities` evaluates it elementwise, so ``run``, the theta
-  sweep, :func:`pointwise_fidelities`, the averaging nodes and the
-  invariant suite read it and run no kernel.  :func:`table_decompositions`
+  ``synth.verify_table2`` reads each catalog circuit's fidelities through
+  its table, and holds the clone-swap relation of a row's two circuits for
+  every input through their isometries.
+  :func:`table_fidelities` evaluates a table elementwise, so ``run``, the
+  theta sweep, :func:`pointwise_fidelities`, the averaging nodes and the
+  invariant suite read it and apply no isometry.  :func:`table_decompositions`
   gives ``run`` each channel's weights in its input's projector pair,
   (1 +- r . v) / 2 with v = ``M r + t``, and the off-basis residual.
 * :func:`average_fidelities` (``average_fidelity``, the phi sweep) and
@@ -75,7 +75,6 @@ from .qnum import fidelity  # noqa: F401  (kept importable as qclone.machines.fi
 __all__ = [
     "NotDecomposable",
     "CloneOutput",
-    "CloneBatch",
     "FidelityStats",
     "DecompositionCoeffs",
     "MACHINE_NAMES",
@@ -102,9 +101,7 @@ __all__ = [
     "qubit_batch",
     "equatorial_batch",
     "reduced_qubits",
-    "batch_fidelity",
-    "projector_distances",
-    "isometry_batch",
+    "isometry_tables",
     "measure_nodes",
     "average_fidelity",
     "average_fidelities",
@@ -297,24 +294,7 @@ def pointwise_fidelities(machine: str, theta: float, phi: float | None = None) -
     return float(fids[0, 0, 0]), float(fids[0, 1, 0])
 
 
-# --- batched kernel -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class CloneBatch:
-    """Batched counterpart of :class:`CloneOutput` for N inputs.
-
-    ``joint`` holds the (N, 2**n) output amplitudes, the channels are
-    (N, 2, 2) stacks and the fidelities are length-N arrays.
-    """
-
-    joint: np.ndarray
-    clone_a: np.ndarray
-    clone_b: np.ndarray
-    fidelity_a: np.ndarray
-    fidelity_b: np.ndarray
-    original_channel: np.ndarray | None = None
-    fidelity_original: np.ndarray | None = None
-
+# --- isometries ---------------------------------------------------------------
 
 def permuted_isometries(preps: np.ndarray, images) -> np.ndarray:
     """(P, 2m, 2) isometries of one basis permutation acting on ``|k> tensor prep``.
@@ -421,45 +401,6 @@ def _require_psd(rho: np.ndarray) -> None:
         raise ValueError(f"matrix has eigenvalue {eigmin} below the PSD floor")
 
 
-def batch_fidelity(psi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Overlaps ``<psi|rho|psi>`` row by row, checked real and clamped to [0, 1].
-
-    ``einsum`` rounds a one-row batch through another kernel than the rows
-    of a larger one, so a lone row is evaluated twice: a row's value then
-    does not depend on the batch it came in.
-    """
-    rows = len(psi)
-    if rows == 1:
-        psi, rho = np.repeat(psi, 2, axis=0), np.repeat(rho, 2, axis=0)
-    values = np.einsum("ni,nij,nj->n", psi.conj(), rho, psi)[:rows]
-    if np.max(np.abs(values.imag), initial=0.0) > ATOL_ALGEBRAIC:
-        raise ValueError("fidelity came out non-real")
-    return np.clip(values.real, 0.0, 1.0)
-
-
-def projector_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius norms of ``|a><a| - |b><b|`` row by row (phase-blind state distance)."""
-    return np.linalg.norm(_outer(a) - _outer(b), axis=(1, 2))
-
-
-def isometry_batch(psi: np.ndarray, isometries: np.ndarray, clone_a: int, clone_b: int,
-                   original: int | None = None) -> CloneBatch:
-    """Normalized (N, 2) input rows through a (P, D, 2) stack of isometries.
-
-    P N rows, isometry-major (row ``p N + k`` is input k through isometry p),
-    with the channels of the given wires and their fidelities to the inputs.
-    """
-    # V psi as psi_0 V[:, 0] + psi_1 V[:, 1], so a row does not depend on its batch (a complex
-    # matrix product rounds a lone row differently); the in-place add saves a (P, N, D) temporary
-    joint = psi[:, :1] * isometries[:, None, :, 0]
-    joint += psi[:, 1:] * isometries[:, None, :, 1]
-    joint = joint.reshape(-1, isometries.shape[1])
-    rows = np.tile(psi, (len(isometries), 1))
-    rho = [None if w is None else reduced_qubits(joint, w) for w in (clone_a, clone_b, original)]
-    fid = [None if r is None else batch_fidelity(rows, r) for r in rho]
-    return CloneBatch(joint, rho[0], rho[1], fid[0], fid[1], rho[2], fid[2])
-
-
 # --- channel tables -----------------------------------------------------------
 
 #: The probe inputs |0>, |1>, |+> and |+i>, whose channels fix each wire's Bloch-affine map.
@@ -472,26 +413,39 @@ def _bloch(rho: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * off.real, -2.0 * off.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real])
 
 
+def isometry_tables(isometries: np.ndarray, wires) -> np.ndarray:
+    """(P, W, 3, 4) tables ``[M | t]`` of the given output wires of a (P, D, 2) stack of isometries.
+
+    The four probes go through each isometry, the joint formed as
+    ``psi_0 V[:, 0] + psi_1 V[:, 1]``, and each wire's channel is one checked
+    :func:`reduced_qubits` stack: |0> and |1> give t +- M e_z, |+> and |+i>
+    give M e_x + t and M e_y + t.
+    """
+    psi = qubit_batch(_PROBES)
+    # the in-place add saves a (P, 4, D) temporary
+    joint = psi[:, :1] * isometries[:, None, :, 0]
+    joint += psi[:, 1:] * isometries[:, None, :, 1]
+    joint = joint.reshape(-1, isometries.shape[1])
+    rho = np.stack([reduced_qubits(joint, w) for w in wires], axis=1)
+    # (component, isometry, probe, wire) to (probe, isometry, wire, component)
+    v0, v1, vx, vy = _bloch(rho).reshape(3, len(isometries), len(_PROBES), -1).transpose(2, 1, 3, 0)
+    t = (v0 + v1) / 2.0
+    return np.stack([vx - t, vy - t, (v0 - v1) / 2.0, t], axis=-1)
+
+
 @lru_cache(maxsize=len(_NETWORKS))
 def _channel_forms(machine: str) -> np.ndarray:
     """(K, W, 3, 4) tables ``[M | t]`` of a machine's wires, built once and read-only.
 
-    One :func:`isometry_batch` call on the four probes: |0> and |1> give
-    t +- M e_z, |+> and |+i> give M e_x + t and M e_y + t.  A fixed machine
-    has K = 1.  Two-op's tables are quadratic in its blank (c, s), so its
-    three tables at phi = 0, pi/4 and pi/2 are mapped through the constant
-    inverse of those blanks' (c^2, 2 c s, s^2) rows to its coefficients
-    (T0, T1, T2).
+    :func:`isometry_tables` of the machine's isometries; a fixed machine has
+    K = 1.  Two-op's tables are quadratic in its blank (c, s), so its three
+    tables at phi = 0, pi/4 and pi/2 are mapped through the constant inverse
+    of those blanks' (c^2, 2 c s, s^2) rows to its coefficients (T0, T1, T2).
     """
     net = _NETWORKS[machine]
     phis = (None,) if net.prep is not None else (0.0, math.pi / 4.0, math.pi / 2.0)
-    out = isometry_batch(qubit_batch(_PROBES), machine_isometries(machine, phis), net.clone_a, net.clone_b,
-                         net.original)
-    wires = [rho for rho in (out.clone_a, out.clone_b, out.original_channel) if rho is not None]
-    # (component, phi, probe, wire) to (probe, phi, wire, component)
-    v0, v1, vx, vy = _bloch(np.stack(wires, axis=1)).reshape(3, len(phis), len(_PROBES), -1).transpose(2, 1, 3, 0)
-    t = (v0 + v1) / 2.0
-    tables = np.stack([vx - t, vy - t, (v0 - v1) / 2.0, t], axis=-1)
+    wires = [w for w in (net.clone_a, net.clone_b, net.original) if w is not None]
+    tables = isometry_tables(machine_isometries(machine, phis), wires)
     if net.prep is None:
         c, s = _rotated_blanks(phis).real.T
         tables = np.tensordot(np.linalg.inv(np.stack([c * c, 2.0 * c * s, s * s], axis=1)), tables, axes=1)

@@ -53,9 +53,9 @@ from .machines import (
     PC_Y,
     PC_Z,
     equatorial_batch,
-    isometry_batch,
+    isometry_tables,
     permuted_isometries,
-    projector_distances,
+    table_fidelities,
 )
 from .prepsolver import AngleTriple, PrepCoeffs, coeff_formula, solve_prep_angles
 from .qnum import PureState
@@ -622,6 +622,14 @@ def _wrapped_dev_deg(a_rad: float, b_rad: float) -> float:
     return min(d, 360.0 - d)
 
 
+def _swap_residual(isometries: np.ndarray) -> float:
+    """``sqrt 2 |V1 - S V2|_F`` of a (2, 8, 2) isometry pair, S exchanging clone wires 1 and 2: every
+    unit input's outputs a = V1 psi and b = S V2 psi have ``|P_a - P_b|_F <= sqrt 2 |a - b| <=`` it."""
+    first, second = isometries
+    swapped = second.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(8, 2)
+    return math.sqrt(2.0) * float(np.linalg.norm(first - swapped))
+
+
 def verify_table2(row) -> RowReport:
     """Run the four-part verification of one catalog row (a :class:`Table2Row` or 1-based index).
 
@@ -645,13 +653,10 @@ def verify_table2(row) -> RowReport:
     prep = coeff_formula(*solutions[best].as_tuple())[None]
 
     perms, gate_counts, machines, ref_images, ref_readings = _row_inputs(row)
-    psi = _equatorial_inputs()
-    out = isometry_batch(psi, np.concatenate([permuted_isometries(prep, images) for images in perms]), 1, 2)
-    fid_err = float(np.abs(np.concatenate([out.fidelity_a, out.fidelity_b]) - PC_FIDELITY).max())
-    # the second circuit's output with clone wires 1 and 2 exchanged
-    first, second = out.joint.reshape(2, len(psi), 8)
-    swapped = second.reshape(-1, 2, 2, 2).transpose(0, 1, 3, 2).reshape(-1, 8)
-    swap_residual = float(projector_distances(first, swapped).max())
+    isometries = np.concatenate([permuted_isometries(prep, images) for images in perms])
+    fids = table_fidelities(isometry_tables(isometries, (1, 2)), _equatorial_inputs())
+    fid_err = float(np.abs(fids - PC_FIDELITY).max())
+    swap_residual = _swap_residual(isometries)
 
     shortest = [synthesize_cnots(machine) for machine in machines]
     shortest_counts = tuple(map(len, shortest))

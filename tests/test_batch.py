@@ -1,4 +1,4 @@
-"""The batched kernel against the per-state reference path it replaces."""
+"""The channel tables and the four-probe pass that builds them, against the per-state reference path."""
 
 import contextlib
 import dataclasses
@@ -28,7 +28,7 @@ from qclone.machines import (
     channel_tables,
     clone_output,
     equatorial_batch,
-    isometry_batch,
+    isometry_tables,
     machine_isometries,
     measure_nodes,
     orthogonal_decomposition,
@@ -59,11 +59,17 @@ angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 theta_lists = st.lists(angles, min_size=1, max_size=12)
 
 
-def clone_batch(machine, amplitudes, phi=None):
-    """The kernel on one machine's isometry, as the channel tables are built from it."""
-    psi = qubit_batch(amplitudes)
+def reference_wires(machine, amplitudes, phi=None):
+    """Each wire's gate-by-gate channels of the input rows (clone A, clone B, then pc's original), as
+    (N, 2, 2) stacks: the reference."""
+    outs = [clone_output(machine, PureState(row), phi) for row in amplitudes]
+    return [np.array([getattr(out, field).entries for out in outs])
+            for field in ("clone_a", "clone_b", "original_channel") if getattr(outs[0], field) is not None]
+
+
+def _wires(machine):
     net = machines._network(machine)
-    return isometry_batch(psi, machine_isometries(machine, [phi]), net.clone_a, net.clone_b, net.original)
+    return [w for w in (net.clone_a, net.clone_b, net.original) if w is not None]
 
 
 def _phi_for(machine, phi):
@@ -71,23 +77,20 @@ def _phi_for(machine, phi):
 
 
 def _assert_matches_reference(machine, amplitudes, phi):
-    """Every channel and fidelity of ``clone_batch`` equals the row-by-row reference."""
-    batch = clone_batch(machine, amplitudes, phi)
-    for k, row in enumerate(amplitudes):
-        psi = PureState(row)
-        ref = clone_output(machine, psi, phi)
-        pairs = [
-            (batch.clone_a[k], batch.fidelity_a[k], ref.clone_a),
-            (batch.clone_b[k], batch.fidelity_b[k], ref.clone_b),
-        ]
-        if ref.original_channel is not None:
-            pairs.append((batch.original_channel[k], batch.fidelity_original[k], ref.original_channel))
-        else:
-            assert batch.original_channel is None and batch.fidelity_original is None
-        for rho, fid, ref_rho in pairs:
-            assert np.abs(rho - ref_rho.entries).max() <= TOL
-            assert abs(fid - fidelity(psi, ref_rho)) <= TOL
-        assert np.abs(batch.joint[k] - ref.joint.amplitudes).max() <= TOL
+    """Every wire's table, built by ``isometry_tables`` from the machine's isometry at ``phi``, gives
+    each input row the Bloch vector and the fidelity of the row-by-row reference channel."""
+    psi = qubit_batch(amplitudes)
+    tables = isometry_tables(machine_isometries(machine, [phi]), _wires(machine))[0]
+    images = machines._images(tables, machines._bloch(machines._outer(psi)))  # (wire, component, row)
+    fids = table_fidelities(tables, psi)
+    for k, row in enumerate(psi):
+        state = PureState(row)
+        ref = clone_output(machine, state, phi)
+        wires = [rho for rho in (ref.clone_a, ref.clone_b, ref.original_channel) if rho is not None]
+        assert len(wires) == len(tables)
+        for w, rho in enumerate(wires):
+            assert np.abs(images[w, :, k] - machines._bloch(rho.entries)).max() <= TOL
+            assert abs(fids[w, k] - fidelity(state, rho)) <= TOL
 
 
 @pytest.mark.parametrize("machine", MACHINE_NAMES)
@@ -175,7 +178,7 @@ def test_batched_decomposition_matches_reference(seed, n):
     """Both decompositions against the overlaps of the gate-by-gate channel
     with the input and with its orthogonal state."""
     amplitudes = qubit_batch(haar_amplitudes(np.random.default_rng(seed), n))
-    f0, f2 = orthogonal_decompositions(clone_batch("bh", amplitudes).clone_a, amplitudes)
+    f0, f2 = orthogonal_decompositions(reference_wires("bh", amplitudes)[0], amplitudes)
     for k, row in enumerate(amplitudes):
         psi = PureState(row)
         rho = clone_output("bh", psi).clone_a
@@ -188,16 +191,16 @@ def test_batched_decomposition_matches_reference(seed, n):
 def test_batched_decomposition_rejects_off_basis_coherence():
     # the two-op clone A at phi = 0.3 is not diagonal in the input's projector pair
     amplitudes = equatorial_batch([0.0, 0.4])
-    batch = clone_batch("two-op", amplitudes, 0.3)
+    clone_a = reference_wires("two-op", amplitudes, 0.3)[0]
     with pytest.raises(NotDecomposable):
-        orthogonal_decompositions(batch.clone_a, amplitudes)
+        orthogonal_decompositions(clone_a, amplitudes)
     with pytest.raises(NotDecomposable):
-        orthogonal_decomposition(DensityMatrix(batch.clone_a[1]), PureState(amplitudes[1]))
+        orthogonal_decomposition(DensityMatrix(clone_a[1]), PureState(amplitudes[1]))
 
 
 def test_batched_decomposition_needs_one_channel_per_input():
     amplitudes = equatorial_batch([0.0, 0.4, 1.1])
-    rho = clone_batch("bh", amplitudes).clone_a
+    rho = reference_wires("bh", amplitudes)[0]
     for bad in (rho[:1], rho[:2], rho[0]):
         with pytest.raises(WrongArity):
             orthogonal_decompositions(bad, amplitudes)
@@ -210,20 +213,20 @@ def test_batched_decomposition_needs_one_channel_per_input():
 
 def test_input_batch_validation():
     with pytest.raises(ValueError):
-        clone_batch("bh", [[1.0, math.nan]])
+        qubit_batch([[1.0, math.nan]])
     with pytest.raises(ValueError):
         equatorial_batch([0.1, math.inf])
     with pytest.raises(ZeroVector):
-        clone_batch("bh", [[1.0, 0.0], [0.0, 0.0]])
+        qubit_batch([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(WrongArity):
-        clone_batch("bh", [1.0, 0.0])
+        qubit_batch([1.0, 0.0])
     with pytest.raises(ValueError):
-        clone_batch("two-op", [[1.0, 0.0]])  # phi missing
+        channel_tables("two-op", [None])  # phi missing
     with pytest.raises(ValueError):
-        clone_batch("three-op", [[1.0, 0.0]])
+        channel_tables("three-op")
 
 
-# --- the phi x node kernel -----------------------------------------------------
+# --- the phi x node grid -------------------------------------------------------
 
 #: the 65-step phi grid of the golden sweeps; node 40 is 3.927, next to 5pi/4
 GOLDEN_PHIS = np.linspace(0.0, 6.2832, 65).tolist()
@@ -261,34 +264,20 @@ def test_table_compiled_isometries_are_within_2_ulps_of_the_reference_compile(ma
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), phi=angles, complex_rows=st.booleans())
 def test_a_row_does_not_depend_on_its_batch(machine, seed, n, phi, complex_rows):
-    """Each row of ``clone_batch``, equatorial or complex, equals the same input evaluated alone."""
+    """Each input's table fidelities and decompositions, equatorial or complex, equal the same input
+    evaluated alone."""
     phi = _phi_for(machine, phi)
     rng = np.random.default_rng(seed)
-    amplitudes = haar_amplitudes(rng, n) if complex_rows else equatorial_batch(rng.uniform(-10.0, 10.0, n))
-    batch = clone_batch(machine, amplitudes, phi)
+    if complex_rows:
+        amplitudes = qubit_batch(haar_amplitudes(rng, n))
+    else:
+        amplitudes = equatorial_batch(rng.uniform(-10.0, 10.0, n))
+    tables = channel_tables(machine, [phi])[0]
+    batch = (table_fidelities(tables, amplitudes), *table_decompositions(tables, amplitudes))
     for k in (0, n // 2, n - 1):
-        alone = clone_batch(machine, amplitudes[k:k + 1], phi)
-        for field, value in vars(batch).items():
-            if value is not None:
-                assert np.array_equal(value[k], getattr(alone, field)[0]), field
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
-def test_each_block_of_the_stacked_kernel_is_clone_batch(seed, n):
-    """Block p of ``isometry_batch`` over a phi stack equals ``clone_batch`` at phi p, in every field."""
-    rng = np.random.default_rng(seed)
-    amplitudes = haar_amplitudes(rng, n)
-    phis = rng.uniform(-10.0, 10.0, 5).tolist()
-    stacked = isometry_batch(qubit_batch(amplitudes), machine_isometries("two-op", phis), 0, 1)
-    for p, phi in enumerate(phis):
-        alone = clone_batch("two-op", amplitudes, phi)
-        for field, value in vars(alone).items():
-            got = getattr(stacked, field)
-            if value is None:
-                assert got is None, field
-            else:
-                assert np.array_equal(got[p * n:(p + 1) * n], value), field
+        alone = (table_fidelities(tables, amplitudes[k:k + 1]), *table_decompositions(tables, amplitudes[k:k + 1]))
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got[:, k], want[:, 0])
 
 
 def _reduced_by_matmul(joint, wire):
@@ -382,26 +371,20 @@ def _fidelity_stats(weights, fa, fb) -> FidelityStats:
     return FidelityStats(mean_a, mean_b, var_a, var_b, corr)
 
 
-def _one_batch_stats(machine, measure, phi):
-    """Statistics of one phi through ``clone_batch``, reduced by the reference."""
-    thetas, weights = measure_nodes(measure)
-    out = clone_batch(machine, equatorial_batch(thetas), phi)
-    return _fidelity_stats(weights, out.fidelity_a, out.fidelity_b)
-
-
-#: Bound on a node fidelity of a channel table against ``clone_batch`` at the same phi, for the table's
+#: Bound on a node fidelity of a channel table against ``clone_output`` at the same phi, for the table's
 #: rounding (and two-op's form coefficients and blank normalization); 5,005 phi in [-10, 10], the
-#: notable angles and 1e6 gave 1.6e-15 on the earlier node forms.
+#: notable angles and 1e6 gave 1.6e-15 on the earlier node forms; against the gate-by-gate run, 198 seeded
+#: phi in [-10, 10], the notable angles, +-0 and +-1e6 gave 7.8e-16.
 FORM_TOL = 4e-15
 
 
-def _assert_near_kernel_and_oracle(machine, measure, phi, st: FidelityStats):
+def _assert_near_reference_and_oracle(machine, measure, phi, st: FidelityStats):
     """A machine's statistics at ``phi``: the means within ``FORM_TOL`` per unit weight (plus the
-    sums' rounding) of the kernel's, every statistic within the longdouble oracle's bound."""
-    _, weights = measure_nodes(measure)
-    kernel = _one_batch_stats(machine, measure, phi)
+    sums' rounding) of the gate-by-gate reference's, every statistic within the longdouble oracle's bound."""
+    thetas, weights = measure_nodes(measure)
+    mean_a, mean_b = _reference_stats(machine, thetas, weights, phi)[:2]
     tol = (FORM_TOL + 2 * EPS) * np.abs(weights).sum()
-    assert abs(st.mean_a - kernel.mean_a) <= tol and abs(st.mean_b - kernel.mean_b) <= tol
+    assert abs(st.mean_a - mean_a) <= tol and abs(st.mean_b - mean_b) <= tol
     if longdouble_oracle.OK:
         oracle = longdouble_oracle.machine_statistics(machine, measure, phi)
         assert max(longdouble_oracle.deviations(dataclasses.astuple(st), oracle)) <= 1.0
@@ -420,7 +403,7 @@ def test_grid_equals_a_loop_of_one_phi_calls_exactly(measure, rows):
     assert all(_same_stats(a, b) for a, b in zip(grid, whole))
     for phi, st in zip(phis, grid):
         assert _same_stats(st, average_fidelity("two-op", measure, phi=phi))
-        _assert_near_kernel_and_oracle("two-op", measure, phi, st)
+        _assert_near_reference_and_oracle("two-op", measure, phi, st)
     thetas, weights = measure_nodes(measure)
     for phi, st in zip(phis[::8] + NOTABLE_PHIS, grid[::8] + grid[-3:]):
         want = _reference_stats("two-op", thetas, weights, phi)[:4]
@@ -434,7 +417,7 @@ def test_grid_covers_every_machine(machine):
     for measure in ("equatorial", "polar"):
         grid = average_fidelities(machine, measure, phis)
         for phi, st in zip(phis, grid):
-            _assert_near_kernel_and_oracle(machine, measure, phi, st)
+            _assert_near_reference_and_oracle(machine, measure, phi, st)
 
 
 #: Standard deviation at which a correlation's rounding bound is the null threshold.
@@ -499,11 +482,11 @@ def test_the_first_bad_phi_of_a_grid_names_the_error(phis, message):
         machine_isometries("two-op", phis)
 
 
-# --- constants built once, and one kernel call per input batch -----------------
+# --- constants built once, and one four-probe pass per machine -----------------
 
 
 def test_both_measures_share_their_node_angles_bit_for_bit():
-    """The premise of evaluating both measures' case statistics in one kernel call."""
+    """The premise of evaluating both measures' case statistics in one table pass."""
     equatorial, _ = measure_nodes("equatorial")
     polar, _ = measure_nodes("polar")
     assert equatorial.tobytes() == polar.tobytes()
@@ -546,20 +529,20 @@ def _quietly(argv):
 
 
 def test_channel_tables_are_read_only_and_built_by_one_kernel_call_per_machine(monkeypatch):
-    """Each machine's [M | t] table comes from one kernel call on the four probes (two-op's at its three
-    form angles), once per process; then run, both sweeps, the case statistics and the invariants read
-    it and make no kernel call."""
+    """Each machine's [M | t] table comes from one ``isometry_tables`` call on the four probes (two-op's
+    at its three form angles), once per process; then run, both sweeps, the case statistics and the
+    invariants read it and make no such call."""
     calls = []
-    kernel = machines.isometry_batch
+    tables = machines.isometry_tables
 
-    def counting_kernel(psi, isometries, *wires):
-        calls.append((len(psi), len(isometries)))
-        return kernel(psi, isometries, *wires)
+    def counting_tables(isometries, wires):
+        calls.append((len(isometries), tuple(wires)))
+        return tables(isometries, wires)
 
-    monkeypatch.setattr(machines, "isometry_batch", counting_kernel)
+    monkeypatch.setattr(machines, "isometry_tables", counting_tables)
     machines._channel_forms.cache_clear()
     forms = {machine: machines._channel_forms(machine) for machine in MACHINE_NAMES}
-    assert calls == [(4, 3 if machine == "two-op" else 1) for machine in MACHINE_NAMES]
+    assert calls == [(3 if machine == "two-op" else 1, tuple(_wires(machine))) for machine in MACHINE_NAMES]
     for machine, form in forms.items():
         assert form.shape == (3 if machine == "two-op" else 1, 3 if machine == "pc" else 2, 3, 4)
         assert machines._channel_forms(machine) is form and not form.flags.writeable
@@ -586,15 +569,15 @@ form_phis = st.one_of(angles, st.sampled_from([0.0, -0.0, 1e6, -1e6] + NOTABLE_P
 @settings(max_examples=40, deadline=None)
 @given(phis=st.lists(form_phis, min_size=1, max_size=40))
 def test_two_op_form_fidelities_match_the_kernel_and_a_lone_phi(phis):
-    """Each node fidelity is within ``FORM_TOL`` of ``clone_batch`` at its phi, and a lone-phi
-    call gives its grid row bit for bit."""
+    """Each node fidelity is within ``FORM_TOL`` of the gate-by-gate ``clone_output`` at its phi, and a
+    lone-phi call gives its grid row bit for bit."""
     thetas, _ = measure_nodes("equatorial")
     fa, fb = machines._node_fidelities("two-op", phis)
     assert fa.shape == fb.shape == (len(phis), machines.EXACT_NODES)
     for k, phi in enumerate(phis):
-        out = clone_batch("two-op", equatorial_batch(thetas), phi)
-        assert np.abs(fa[k] - out.fidelity_a).max() <= FORM_TOL
-        assert np.abs(fb[k] - out.fidelity_b).max() <= FORM_TOL
+        want = np.array([_reference_fidelities("two-op", theta, phi) for theta in thetas])
+        assert np.abs(fa[k] - want[:, 0]).max() <= FORM_TOL
+        assert np.abs(fb[k] - want[:, 1]).max() <= FORM_TOL
         alone_a, alone_b = machines._node_fidelities("two-op", [phi])
         assert alone_a.tobytes() == fa[k].tobytes() and alone_b.tobytes() == fb[k].tobytes()
 
@@ -640,7 +623,7 @@ def test_fixed_machine_averages_are_within_rounding_of_the_longdouble_oracle(mac
 
 def test_the_invariant_suite_runs_no_kernel_and_builds_no_input_batch(monkeypatch):
     """Once the tables and the averaging rule's node inputs are built, every invariant passes with
-    the kernel and the Haar sampler gone, and no input is formed."""
+    ``isometry_tables`` and the Haar sampler gone, and no input is formed."""
     for machine in MACHINE_NAMES:
         machines._channel_forms(machine)
     machines._node_bloch()
@@ -654,7 +637,7 @@ def test_the_invariant_suite_runs_no_kernel_and_builds_no_input_batch(monkeypatc
         rows.append(len(amplitudes))
         return normalize(amplitudes)
 
-    monkeypatch.setattr(machines, "isometry_batch", gone)
+    monkeypatch.setattr(machines, "isometry_tables", gone)
     monkeypatch.setattr(qnum, "haar_amplitudes", gone)
     monkeypatch.setattr(machines, "qubit_batch", recording_normalize)
     records = verify.invariant_checks()
@@ -665,16 +648,15 @@ def test_the_invariant_suite_runs_no_kernel_and_builds_no_input_batch(monkeypatc
 @pytest.mark.parametrize("machine", ["bh", "pc"])
 def test_the_table_scaling_factor_reproduces_the_kernel_channels(machine):
     """The scaling form rho -> s rho + (1 - s) I / 2 with s read from the table, as the invariant suite
-    reads it, gives every sampled kernel channel of both clones: 1,000 Haar rows for bh, 256 equatorial
-    rows for pc."""
+    reads it, gives every sampled gate-by-gate channel of both clones: 1,000 Haar rows for bh, 256
+    equatorial rows for pc."""
     m = channel_tables(machine)[0, 0, :, :3]
     if machine == "bh":
         s, psi = np.trace(m) / 3.0, qubit_batch(haar_amplitudes(np.random.default_rng(20240901), 1000))
     else:
         s, psi = (m[0, 0] + m[2, 2]) / 2.0, equatorial_batch(2.0 * math.pi * np.arange(256) / 256.0)
     want = s * machines._outer(psi) + (1.0 - s) / 2.0 * np.eye(2)
-    out = clone_batch(machine, psi)
-    for rho in (out.clone_a, out.clone_b):
+    for rho in reference_wires(machine, psi)[:2]:
         assert np.abs(rho - want).max() <= 8 * EPS
 
 
@@ -766,14 +748,13 @@ def test_table_channels_and_fidelities_match_the_reference(machine, seed, n, phi
 )
 def test_table_decompositions_match_the_kernel_decompositions(machine, phi):
     """At |0>, |1> and seeded Haar and equatorial inputs, every wire's f0 and f2 are within 1e-15 of
-    ``orthogonal_decompositions`` of the kernel's channel, and the residual exceeds ``OFF_BASIS_TOL``
+    ``orthogonal_decompositions`` of the gate-by-gate channel, and the residual exceeds ``OFF_BASIS_TOL``
     exactly where that reference raises ``NotDecomposable``."""
     rng = np.random.default_rng(2029)
     psi = qubit_batch(np.concatenate([[(1, 0), (0, 1)], haar_amplitudes(rng, 40),
                                       equatorial_batch(rng.uniform(-10.0, 10.0, 40))]))
     f0, f2, residual = table_decompositions(channel_tables(machine, [phi])[0], psi)
-    batch = clone_batch(machine, psi, phi)
-    channels = [rho for rho in (batch.clone_a, batch.clone_b, batch.original_channel) if rho is not None]
+    channels = reference_wires(machine, psi, phi)
     assert len(channels) == len(f0)
     for w, rho in enumerate(channels):
         for k in range(len(psi)):
@@ -894,7 +875,7 @@ def test_default_arguments_select_the_exact_rule():
 def test_closed_form_min_eigenvalue_matches_eigvalsh(seed, n, rank_one):
     rng = np.random.default_rng(seed)
     if rank_one:  # channels of pure two-wire states: one eigenvalue near 0
-        rho = clone_batch("two-op", haar_amplitudes(rng, n), rng.uniform(-4.0, 4.0)).clone_a
+        rho = reference_wires("two-op", haar_amplitudes(rng, n), rng.uniform(-4.0, 4.0))[0]
     else:
         z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
         rho = z @ z.conj().transpose(0, 2, 1)

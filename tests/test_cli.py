@@ -24,13 +24,13 @@ from qclone.machines import (
     OFF_BASIS_TOL,
     PC_FIDELITY,
     channel_tables,
+    clone_output,
     equatorial_batch,
-    isometry_batch,
-    machine_isometries,
     table_decompositions,
     table_fidelities,
 )
 from qclone.prepsolver import ConvergenceFailure, NoSolution
+from qclone.qnum import PureState, fidelity
 from qclone.synth import angle_constant_check
 from qclone.verify import invariant_checks, table2_checks
 
@@ -154,7 +154,7 @@ class TestRun:
         fidelities and the matching rows of the machine's channel-table
         decompositions, bit for bit: ``f0_sq`` is ``fidelity_a``, and the note
         fires where clone A's off-basis residual exceeds ``OFF_BASIS_TOL``; the
-        fidelities are within 1e-15 of the kernel's."""
+        fidelities are within 1e-15 of the gate-by-gate ``clone_output``."""
         rng = np.random.default_rng(1301)
         lo, hi, phi = (float(v) for v in rng.uniform(-10.0, 10.0, 3))
         extra = (f"--phi={phi!r}",) if machine == "two-op" else ()
@@ -168,9 +168,10 @@ class TestRun:
         psi = equatorial_batch(thetas)
         tables = channel_tables(machine, [phi])[0]
         fids, (f0, f2, residual) = table_fidelities(tables, psi), table_decompositions(tables, psi)
-        net = machines._network(machine)
-        batch = isometry_batch(psi, machine_isometries(machine, [phi]), net.clone_a, net.clone_b)
-        assert np.abs(fids[:2] - [batch.fidelity_a, batch.fidelity_b]).max() <= 1e-15
+        for k, row in enumerate(psi):
+            state = PureState(row)
+            ref = clone_output(machine, state, phi)
+            assert np.abs(fids[:2, k] - [fidelity(state, ref.clone_a), fidelity(state, ref.clone_b)]).max() <= 1e-15
         decomposable = residual[0] <= OFF_BASIS_TOL
         assert decomposable.all() if machine in ("bh", "pc") else not decomposable.any()
         for k, (theta, row) in enumerate(zip(thetas, rows)):
@@ -457,6 +458,20 @@ class TestOptimizePc:
         assert data["z"] == 0.0
         assert abs(data["f0_sq"] - 5.0 / 6.0) < 1e-9
         assert data["fixed_z0"] is True
+
+    @pytest.mark.parametrize("target, flags", [("pc_optimize", ()), ("bh_from_pc_system", ("--fix-z0",))])
+    def test_a_seed_is_passed_only_when_given(self, capsys, monkeypatch, target, flags):
+        """Without ``--seed`` the optimizer runs on its own default seed: the CLI names no seed of its own."""
+        calls, optimize = [], getattr(prepsolver, target)
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            return optimize(**kwargs)
+
+        monkeypatch.setattr(prepsolver, target, recording)
+        for seed in ((), ("--seed", "4")):
+            assert run_cli(capsys, "optimize-pc", "--starts", "3", *seed, *flags)[0] == 0
+        assert calls == [{"n_starts": 3}, {"n_starts": 3, "seed": 4}]
 
 
 class TestSynthCommand:

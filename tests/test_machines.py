@@ -173,26 +173,24 @@ class TestTwoOpCaseReport:
 
     def test_invariant_suite_builds_the_same_report_from_its_shared_statistics(self, monkeypatch):
         """``invariant_checks`` takes its case statistics from two-op's cached channel table, with
-        no kernel call over the rule's nodes once it is built, and its report equals
-        ``two_op_case_report()``."""
+        no ``isometry_tables`` call once it is built, and its report equals ``two_op_case_report()``."""
         machines._channel_forms("two-op")
-        node_calls, built = [], []
-        kernel = machines.isometry_batch
+        table_calls, built = [], []
+        tables = machines.isometry_tables
         report = machines.two_op_case_report
 
-        def counting_kernel(psi, isometries, *wires):
-            if len(psi) == machines.EXACT_NODES:
-                node_calls.append(len(isometries))
-            return kernel(psi, isometries, *wires)
+        def counting_tables(isometries, wires):
+            table_calls.append(len(isometries))
+            return tables(isometries, wires)
 
         def recording_report(*args):
             built.append(report(*args))
             return built[-1]
 
-        monkeypatch.setattr(machines, "isometry_batch", counting_kernel)
+        monkeypatch.setattr(machines, "isometry_tables", counting_tables)
         monkeypatch.setattr(verify, "two_op_case_report", recording_report)
         verify.invariant_checks()
-        assert node_calls == []
+        assert table_calls == []
         assert len(built) == 1
         monkeypatch.undo()
         # json renders a NaN correlation as NaN, so equal reports dump to equal text

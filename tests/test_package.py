@@ -27,14 +27,14 @@ def test_package_declares_nothing_else():
 
 def test_all_is_the_ordered_union_of_the_submodules_lists():
     assert qclone.__all__ == _declared()
-    assert len(qclone.__all__) == 109
+    assert len(qclone.__all__) == 106
 
 
 def test_star_import_binds_every_name_to_its_defining_object():
     namespace = {}
     exec("from qclone import *", namespace)
     del namespace["__builtins__"]
-    assert sorted(namespace) == sorted(qclone.__all__) and len(namespace) == 109
+    assert sorted(namespace) == sorted(qclone.__all__) and len(namespace) == 106
     for module in SUBMODULES:
         module = importlib.import_module(f"qclone.{module}")
         assert [n for n in module.__all__ if namespace[n] is not getattr(module, n)] == []

@@ -18,23 +18,24 @@ from qclone.gates import (
     format_circuit,
     parse_circuit,
 )
+from qclone import machines, synth
 from qclone.machines import (
     _NETWORKS,
     PC_FIDELITY,
     PC_X,
     PC_Y,
     PC_Z,
-    batch_fidelity,
     equatorial_batch,
+    isometry_tables,
     machine_isometries,
     pc_clone,
     pc_prep,
     permuted_isometries,
-    reduced_qubits,
+    qubit_batch,
+    table_fidelities,
 )
 from qclone.prepsolver import simulate_prep, solve_prep_angles
-from qclone import synth
-from qclone.qnum import PureState, basis_state, tensor
+from qclone.qnum import PureState, basis_state, density_of, fidelity, haar_amplitudes, partial_trace, tensor
 from qclone.synth import (
     TABLE2,
     AnfPolynomial,
@@ -53,6 +54,7 @@ from qclone.synth import (
     synthesize_cnots,
     verify_table2,
 )
+from test_batch import TABLE_TOL
 
 TABLE1_IMAGES = (0, 5, 6, 3, 4, 1, 2, 7)
 IDENTITY = BasisBijection(tuple(range(8)))
@@ -394,10 +396,11 @@ class TestCatalog:
         assert net.cnots == parse_circuit(row.circuits[0], 3).ops
         assert np.array_equal(pc_prep().amplitudes, row_prep_coeffs(row).as_state().amplitudes)
         assert (net.clone_a, net.clone_b, net.original) == (1, 2, 0)
-        psi = equatorial_batch(2.0 * np.pi * np.arange(8) / 8.0)
-        target = np.array([pair_clone_target(PureState(p)).amplitudes for p in psi])
-        for wire, want in ((net.clone_a, PC_FIDELITY), (net.clone_b, PC_FIDELITY), (net.original, 0.75)):
-            assert np.allclose(batch_fidelity(psi, reduced_qubits(target, wire)), want, atol=1e-12)
+        for p in equatorial_batch(2.0 * np.pi * np.arange(8) / 8.0):
+            psi = PureState(p)
+            target = density_of(pair_clone_target(psi))
+            for wire, want in ((net.clone_a, PC_FIDELITY), (net.clone_b, PC_FIDELITY), (net.original, 0.75)):
+                assert abs(fidelity(psi, partial_trace(target, wire)) - want) <= 1e-12
 
     def test_all_rows_pass_verification(self):
         for row in TABLE2:
@@ -411,6 +414,38 @@ class TestCatalog:
             assert checks["swap"]["max_residual"] <= 1e-10
             assert checks["synth"]["ok"]
             assert checks["synth"]["stored_gate_counts"] == checks["synth"]["shortest_gate_counts"]
+
+    def test_catalog_tables_match_the_gate_by_gate_run(self):
+        """For both stored circuits of every row, ``isometry_tables`` of the circuit's isometry gives
+        seeded Haar complex inputs the fidelities and Bloch vectors of clone wires 1 and 2 of the
+        gate-by-gate run (the parsed circuit applied to psi (x) prep, then ``partial_trace``), within
+        ``TABLE_TOL``."""
+        psi = qubit_batch(haar_amplitudes(np.random.default_rng(3101), 16))
+        r = machines._bloch(machines._outer(psi))
+        for row in TABLE2:
+            prep = row_prep_coeffs(row).as_state()
+            for text in row.circuits:
+                circuit = parse_circuit(text, 3)
+                tables = isometry_tables(permuted_isometries(prep.amplitudes[None], basis_permutation(circuit)),
+                                         (1, 2))[0]
+                images, fids = machines._images(tables, r), table_fidelities(tables, psi)
+                for k, amplitudes in enumerate(psi):
+                    state = PureState(amplitudes)
+                    rho = density_of(apply_circuit(tensor(state, prep), circuit))
+                    for w, wire in enumerate((1, 2)):
+                        channel = partial_trace(rho, wire)
+                        assert abs(fids[w, k] - fidelity(state, channel)) <= TABLE_TOL, (row.index, text)
+                        assert np.abs(images[w, :, k] - machines._bloch(channel.entries)).max() <= TABLE_TOL
+
+    def test_a_second_circuit_that_is_not_the_clone_swap_fails_the_swap_check(self):
+        """Row 2's first circuit followed by a swap of wires 0 and 1 (or 0 and 2) is a wire permutation
+        of it, but not the clone-wire swap: its swap record fails with a negative margin."""
+        row = TABLE2[1]
+        for swap in ("P(0,1) P(1,0) P(0,1)", "P(0,2) P(2,0) P(0,2)"):
+            wrong = dataclasses.replace(row, circuits=(row.circuits[0], f"{row.circuits[0]} {swap}"))
+            record = _checks(verify_table2(wrong))["swap"]
+            assert not record["ok"] and record["margin"] < 0.0
+            assert record["bounds"]["max_residual"] == 1e-10 < record["max_residual"]
 
     def test_permuted_isometry_matches_the_gate_level_compile(self):
         """One scatter of |k> (x) prep per circuit against the gate-by-gate run;
@@ -575,3 +610,35 @@ def test_table_networks_are_cnot_only_on_three_wires():
     for circuit in networks:
         assert circuit.n_qubits == 3
         assert all(isinstance(op, CnotOp) for op in circuit.ops)
+
+
+#: S as a basis map: (x, y, z) to (x, z, y), exchanging clone wires 1 and 2.
+CLONE_SWAP = tuple((v & 4) | ((v & 1) << 1) | ((v >> 1) & 1) for v in range(8))
+
+
+def _projector_distances(a, b):
+    """Frobenius norms of ``|a><a| - |b><b|``, row by row."""
+    return np.linalg.norm(a[:, :, None] * a.conj()[:, None, :] - b[:, :, None] * b.conj()[:, None, :], axis=(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), wires=st.permutations(range(3)),
+       scale=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]))
+def test_the_swap_residual_bounds_every_inputs_projector_distance(seed, wires, scale):
+    """``sqrt 2 |V1 - S V2|_F`` is at least the largest projector distance of V1 psi and S V2 psi over
+    the 64 equatorial inputs and over Haar inputs.  V1 is a random catalog circuit's isometry on a
+    random complex prep; V2 is the same circuit's isometry on that prep moved by ``scale``, with its
+    three wires permuted at random (so S V2 = V1 at scale 0 and the permutation that is S)."""
+    rng = np.random.default_rng(seed)
+    row = TABLE2[rng.integers(len(TABLE2))]
+    images = basis_permutation(parse_circuit(row.circuits[rng.integers(2)], 3))
+    prep = rng.normal(size=4) + 1j * rng.normal(size=4)
+    moved = prep + scale * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    first, other = (permuted_isometries(p[None], images)[0] for p in (prep, moved))
+    second = other.reshape(2, 2, 2, 2).transpose(*wires, 3).reshape(8, 2)
+    bound = synth._swap_residual(np.stack([first, second]))
+    psi = np.concatenate([synth._equatorial_inputs(), qubit_batch(haar_amplitudes(rng, 64))])
+    a, b = psi @ first.T, (psi @ second.T)[:, CLONE_SWAP]
+    assert _projector_distances(a, b).max() <= bound + 4 * np.finfo(np.float64).eps
+    if scale == 0.0 and tuple(wires) == (0, 2, 1):
+        assert bound == 0.0
