@@ -3,8 +3,10 @@
 A permutation of the 3-bit computational basis is realizable with CNOT gates
 alone exactly when each output bit is an *affine* Boolean function of the
 input bits.  This module converts truth tables to algebraic normal form (XOR
-of AND monomials), synthesizes shortest CNOT networks from one breadth-first
-search over the 12 (inverted) CNOTs, and ships a built-in catalog of the
+of AND monomials) and enumerates the 1,344 affine maps once: one array search
+over the 12 (inverted) CNOTs yields a table of every map's images and the gates
+of a shortest network for it, which backs :func:`affine_bijections`, CNOT
+synthesis and :func:`derive_machines`.  It also ships a built-in catalog of the
 twelve coefficient rearrangements of the equatorial cloner together with a
 four-part verification report per row.
 
@@ -196,22 +198,12 @@ def anf_of(bij: BasisBijection, output_bit: int) -> AnfPolynomial:
     return AnfPolynomial(n, tuple(terms))
 
 
-def _affine_images(rows, const: int) -> tuple[int, ...]:
-    """Images of every basis index under the GF(2) affine map ``v -> A v + const``.
-
-    ``rows[i]`` is row ``i`` of ``A`` as a bit mask over the input index and
-    produces output wire ``i``; masks and ``const`` use the index's own bit
-    order (wire 0 = most significant bit).
-    """
-    n = len(rows)
-    return tuple(
-        const ^ sum(((row & v).bit_count() & 1) << (n - 1 - i) for i, row in enumerate(rows))
-        for v in range(2**n)
-    )
-
-
 def parse_form(text: str) -> BasisBijection:
-    """Parse an affine 3-bit form string like ``"x+y+z, y, z+1"`` into a bijection."""
+    """Parse an affine 3-bit form string like ``"x+y+z, y, z+1"`` into a bijection.
+
+    Output wire ``i``'s expression is row ``i`` of the GF(2) map ``v -> A v + const``, a
+    bit mask over the input index; masks and ``const`` use the index's bit order.
+    """
     comps = [c.strip() for c in text.split(",")]
     if len(comps) != 3:
         raise ValueError(f"expected 3 comma-separated expressions in {text!r}")
@@ -228,36 +220,14 @@ def parse_form(text: str) -> BasisBijection:
             else:
                 raise ValueError(f"unknown token {token!r} in form {text!r}")
         rows.append(row)
-    return BasisBijection(_affine_images(rows, const))
+    return BasisBijection(
+        const ^ sum(((row & v).bit_count() & 1) << (2 - i) for i, row in enumerate(rows)) for v in range(8)
+    )
 
 
 def fan_out_map() -> BasisBijection:
     """The involution ``(x, y, z) -> (x, x+y, x+z)`` copying wire 0 downward."""
     return parse_form("x, x+y, x+z")
-
-
-@lru_cache(maxsize=1)
-def affine_bijections() -> tuple[BasisBijection, ...]:
-    """All 1344 affine bijections of 3 bits (168 linear maps x 8 constants).
-
-    A map is invertible exactly when its eight images are distinct.
-    """
-    linear = (
-        rows
-        for rows in itertools.product(range(1, 8), repeat=3)
-        if len(set(_affine_images(rows, 0))) == 8
-    )
-    out = tuple(BasisBijection(_affine_images(rows, const)) for rows in linear for const in range(8))
-    assert len(out) == 1344
-    return out
-
-
-@lru_cache(maxsize=1)
-def _affine_image_table() -> np.ndarray:
-    """Read-only (1344, 8) array of the images of :func:`affine_bijections`."""
-    table = np.array([bij.images for bij in affine_bijections()])
-    table.setflags(write=False)
-    return table
 
 
 #: The 12 search generators: every plain P(c,t), then every inverted P!(c,t).
@@ -269,47 +239,63 @@ _GENERATORS = tuple(
 
 
 @lru_cache(maxsize=1)
-def _shortest_networks() -> MappingProxyType:
-    """Read-only map from each affine bijection's images to a shortest 3-wire network.
+def _affine_group() -> tuple[np.ndarray, np.ndarray, MappingProxyType]:
+    """The 1,344 affine bijections of 3 bits and a shortest CNOT network for each, from one search.
 
-    A breadth-first search from the identity appends one generator at a time
-    and keeps the first network that reaches an image tuple, so ties follow
-    generator order.  Over the 1,344 affine maps the optimal lengths 0..6
-    occur 1/12/93/360/579/282/17 times.
+    Returns read-only (1344, 8) images and (1344, 6) generator indices into
+    :data:`_GENERATORS` (padded with -1), ordered by the rows of the linear part
+    as bit masks, then the constant, and a read-only map from images to row.
+    A breadth-first search from the identity applies all 12 generators to the
+    whole frontier at once, keys each image as a base-8 integer and keeps its
+    first occurrence in frontier-major, generator-minor order, so ties follow
+    generator order.  The optimal lengths 0..6 occur 1/12/93/360/579/282/17 times.
     """
-    steps = [tuple(cnot_image(v, gate, 3) for v in range(8)) for gate in _GENERATORS]
-    networks = {tuple(range(8)): ()}
-    frontier = list(networks)
-    while frontier:
-        reached = []
-        for images in frontier:
-            for gate, step in zip(_GENERATORS, steps):
-                image = tuple(step[v] for v in images)
-                if image not in networks:
-                    networks[image] = networks[images] + (gate,)
-                    reached.append(image)
-        frontier = reached
-    assert len(networks) == 1344
-    return MappingProxyType({images: Circuit(3, ops) for images, ops in networks.items()})
+    steps = np.array([cnot_image(np.arange(8), gate, 3) for gate in _GENERATORS])
+    key_weights = 8 ** np.arange(7, -1, -1)
+    images, gates = np.arange(8)[None], np.full((1, 6), -1, dtype=np.int8)
+    frontier = np.arange(1)
+    for depth in range(6):
+        reached = steps[:, images[frontier]].transpose(1, 0, 2).reshape(-1, 8)  # frontier-major
+        _, first = np.unique(np.concatenate([images, reached]) @ key_weights, return_index=True)
+        first = np.sort(first[first >= len(images)]) - len(images)  # each new map, in search order
+        found = gates[frontier[first // 12]]
+        found[:, depth] = first % 12
+        frontier = len(images) + np.arange(len(first))
+        images, gates = np.concatenate([images, reached[first]]), np.concatenate([gates, found])
+    assert len(images) == 1344
+    linear = images[:, [4, 2, 1]] ^ images[:, :1]  # column j: the image of wire j's unit vector
+    rows = ((linear[:, None, :] >> np.array([[2], [1], [0]])) & 1) @ (4, 2, 1)  # row i: wire i's mask
+    order = np.argsort(rows @ (512, 64, 8) + images[:, 0])
+    images, gates = images[order], gates[order]
+    for array in (images, gates):
+        array.setflags(write=False)
+    return images, gates, MappingProxyType({key: k for k, key in enumerate(map(tuple, images.tolist()))})
+
+
+@lru_cache(maxsize=1)
+def affine_bijections() -> tuple[BasisBijection, ...]:
+    """All 1344 affine bijections of 3 bits (168 linear maps x 8 constants), in :func:`_affine_group`'s order."""
+    return tuple(map(BasisBijection, _affine_group()[0].tolist()))
 
 
 def synthesize_cnots(bij: BasisBijection) -> Circuit:
     """A shortest CNOT network (with inversion flags) realizing the bijection.
 
-    The network is looked up in :func:`_shortest_networks`; a bijection it
-    lacks has an output bit with an AND term, named in the :class:`NonAffine`.
+    The network is read from :func:`_affine_group`; a bijection it lacks has
+    an output bit with an AND term, named in the :class:`NonAffine`.
     """
     if bij.n_bits != 3:
         raise ValueError("synthesis is supported for exactly 3 wires")
-    circuit = _shortest_networks().get(bij.images)
-    if circuit is None:
+    _, gates, rows = _affine_group()
+    row = rows.get(bij.images)
+    if row is None:
         polys = [anf_of(bij, out_bit) for out_bit in range(3)]
         out_bit = next(b for b, poly in enumerate(polys) if not poly.is_affine)
         bad = next(t for t in polys[out_bit].terms if len(t) >= 2)
         raise NonAffine(
             f"output wire {out_bit} contains the monomial {''.join(VAR_NAMES[v] for v in bad)}"
         )
-    return circuit
+    return Circuit(3, tuple(_GENERATORS[g] for g in gates[row].tolist() if g >= 0))
 
 
 # --- the built-in catalog ---------------------------------------------------
@@ -346,11 +332,11 @@ def pair_clone_target(psi0: PureState) -> PureState:
 @lru_cache(maxsize=1)
 def _derive_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only: the (2, 2) amplitudes of :func:`derive_machines`' probes, their (2, 8) targets, and the
-    (1344, 8) indices ``8 v + images[v]`` of :func:`affine_bijections` into a flat 8 x 8 table."""
+    (1344, 8) indices ``8 v + images[v]`` of :func:`_affine_group`'s maps into a flat 8 x 8 table."""
     probes = (PureState((0.6, 0.8)), PureState((0.28, 0.96)))
     arrays = (np.array([probe.amplitudes for probe in probes]),
               np.array([pair_clone_target(probe).amplitudes for probe in probes]),
-              _affine_image_table() + 8 * np.arange(8))
+              _affine_group()[0] + 8 * np.arange(8))
     for array in arrays:
         array.setflags(write=False)
     return arrays
@@ -370,8 +356,7 @@ def derive_machines(prep) -> list[BasisBijection]:
     joint = (amplitudes[:, :, None] * prep.as_state().amplitudes).reshape(2, 8)
     match = np.abs(joint[:, :, None] - targets[:, None, :]) <= 1e-10  # (probe, amplitude v, position p)
     ok = match.all(axis=0).ravel()[flat_images].all(axis=1)
-    bijections = affine_bijections()
-    return [bijections[k] for k in np.flatnonzero(ok)]
+    return [BasisBijection(images) for images in _affine_group()[0][ok].tolist()]
 
 
 @dataclass(frozen=True)
@@ -555,9 +540,10 @@ class RowReport:
     nominal angles within 0.2 degrees.  ``fidelity``: both stored circuits
     clone 64 equatorial inputs at the optimal fidelity within 1e-9.  ``swap``:
     their outputs differ only by a swap of the clone wires (projector residual
-    at most 1e-10).  ``synth``: re-synthesizing each stored form reproduces
-    the stored circuit's basis action with as many gates as the stored
-    circuit, the fewest any CNOT network needs; it also adjudicates the
+    at most 1e-10), and the second circuit's basis permutation is the first's
+    with clone wires 1 and 2 exchanged.  ``synth``: re-synthesizing each stored
+    form reproduces the stored circuit's basis action with as many gates as the
+    stored circuit, the fewest any CNOT network needs; it also adjudicates the
     retained reference transcription.
     """
 
@@ -622,6 +608,9 @@ def _wrapped_dev_deg(a_rad: float, b_rad: float) -> float:
     return min(d, 360.0 - d)
 
 
+_CLONE_SWAP = (0, 2, 1, 3, 4, 6, 5, 7)  # (x, y, z) -> (x, z, y): clone wires 1 and 2 exchanged
+
+
 def _swap_residual(isometries: np.ndarray) -> float:
     """``sqrt 2 |V1 - S V2|_F`` of a (2, 8, 2) isometry pair, S exchanging clone wires 1 and 2: every
     unit input's outputs a = V1 psi and b = S V2 psi have ``|P_a - P_b|_F <= sqrt 2 |a - b| <=`` it."""
@@ -657,6 +646,7 @@ def verify_table2(row) -> RowReport:
     fids = table_fidelities(isometry_tables(isometries, (1, 2)), _equatorial_inputs())
     fid_err = float(np.abs(fids - PC_FIDELITY).max())
     swap_residual = _swap_residual(isometries)
+    maps_swapped = perms[1] == tuple(_CLONE_SWAP[v] for v in perms[0])
 
     shortest = [synthesize_cnots(machine) for machine in machines]
     shortest_counts = tuple(map(len, shortest))
@@ -674,7 +664,7 @@ def verify_table2(row) -> RowReport:
             {"nominal_deg": list(row.angles_deg), "nominal_dm": [degrees_minutes(d) for d in row.angles_deg]},
         ),
         ("fidelity", {"max_error": (fid_err, 1e-9)}, {"target": PC_FIDELITY}),
-        ("swap", {"max_residual": (swap_residual, 1e-10)}, {}),
+        ("swap", {"max_residual": (swap_residual, 1e-10)}, {"ok": maps_swapped, "basis_maps_swapped": maps_swapped}),
         (
             "synth",
             {},

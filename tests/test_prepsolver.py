@@ -408,10 +408,10 @@ class TestLazyScipy:
     """SciPy comes only with the test extra: no command imports any of it."""
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # the import also leaves synth's table of shortest CNOT networks unbuilt
+        # the import also leaves synth's table of the affine maps and their shortest CNOT networks unbuilt
         probe = (
             "import sys, qclone, qclone.cli\n"
-            "print('scipy' in sys.modules, qclone.synth._shortest_networks.cache_info().currsize)\n"
+            "print('scipy' in sys.modules, qclone.synth._affine_group.cache_info().currsize)\n"
         )
         assert fresh_stdout(probe) == "False 0\n"
 

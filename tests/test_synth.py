@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fresh_process import fresh_stdout
 from qclone.gates import (
     Circuit,
     CnotOp,
@@ -173,6 +174,92 @@ class TestAnf:
             parse_form("x, y, w")
 
 
+#: The 12 search generators in search order: every plain P(c,t), then every inverted P!(c,t).
+GENERATORS = [CnotOp(c, t, inverted) for inverted in (False, True) for c in range(3) for t in range(3) if c != t]
+
+
+def reference_affine_images(rows, const):
+    """Images of ``v -> A v + const``, row ``i`` of ``A`` a bit mask giving output wire ``i`` (wire 0 = MSB)."""
+    return tuple(const ^ sum(((row & v).bit_count() & 1) << (2 - i) for i, row in enumerate(rows)) for v in range(8))
+
+
+def reference_affine_maps():
+    """The 1,344 affine maps' images walked as rows x constants: every invertible linear part (its rows
+    as bit masks, in lexicographic order), then the eight constants."""
+    candidates = itertools.product(range(1, 8), repeat=3)
+    linear = [rows for rows in candidates if len(set(reference_affine_images(rows, 0))) == 8]
+    return [reference_affine_images(rows, const) for rows in linear for const in range(8)]
+
+
+def reference_networks():
+    """The tuple breadth-first search: each affine map's images to the ops of a shortest network.
+
+    It appends one generator at a time, frontier by frontier, and keeps the first network that reaches
+    an image tuple, so ties follow generator order.
+    """
+    steps = [tuple(cnot_image(v, gate, 3) for v in range(8)) for gate in GENERATORS]
+    networks = {tuple(range(8)): ()}
+    frontier = list(networks)
+    while frontier:
+        reached = []
+        for images in frontier:
+            for gate, step in zip(GENERATORS, steps):
+                image = tuple(step[v] for v in images)
+                if image not in networks:
+                    networks[image] = networks[images] + (gate,)
+                    reached.append(image)
+        frontier = reached
+    return networks
+
+
+class TestAffineGroup:
+    """The one array search against the rows x constants walk and the tuple search it replaced."""
+
+    def test_affine_bijections_follow_the_rows_times_constants_walk(self):
+        maps = reference_affine_maps()
+        assert [bij.images for bij in affine_bijections()] == maps
+        images, _, rows = synth._affine_group()
+        assert images.tolist() == [list(m) for m in maps]
+        assert dict(rows) == {m: k for k, m in enumerate(maps)}
+
+    def test_every_network_is_the_tuple_searchs(self):
+        networks = reference_networks()
+        assert len(networks) == 1344
+        for bij in affine_bijections():
+            assert synthesize_cnots(bij).ops == networks[bij.images]
+
+    def test_length_histogram(self):
+        _, gates, _ = synth._affine_group()
+        lengths = (gates >= 0).sum(axis=1)
+        assert np.bincount(lengths).tolist() == [1, 12, 93, 360, 579, 282, 17]
+        assert gates.shape == (1344, 6) and gates.max() == 11
+        assert np.array_equal(gates >= 0, np.arange(6) < lengths[:, None])  # the padding trails
+
+    def test_tables_are_read_only(self):
+        images, gates, _ = synth._affine_group()
+        assert not images.flags.writeable and not gates.flags.writeable
+        with pytest.raises(ValueError):
+            images[0, 0] = 1
+
+    def test_no_circuit_or_bijection_is_cached_per_map(self):
+        """In a fresh process, synthesizing all 1,344 maps, verifying and deriving every catalog row
+        leaves no Circuit alive and only the rows' 24 parsed machines; affine_bijections() builds the
+        1,344 bijections only when called."""
+        probe = (
+            "import gc\n"
+            "from qclone import synth\n"
+            "from qclone.gates import Circuit\n"
+            "from qclone.synth import BasisBijection, TABLE2\n"
+            "def alive(kind): return sum(type(o) is kind for o in gc.get_objects())\n"
+            "for images in synth._affine_group()[0].tolist(): synth.synthesize_cnots(BasisBijection(images))\n"
+            "for row in TABLE2: synth.verify_table2(row); synth.derive_machines(synth.row_prep_coeffs(row))\n"
+            "print(alive(Circuit), alive(BasisBijection), synth.affine_bijections.cache_info().currsize)\n"
+            "synth.affine_bijections()\n"
+            "print(alive(BasisBijection))\n"
+        )
+        assert fresh_stdout(probe) == "0 24 0\n1368\n"
+
+
 class TestSynthesize:
     def test_identity_is_empty(self):
         assert len(synthesize_cnots(IDENTITY)) == 0
@@ -195,14 +282,7 @@ class TestSynthesize:
         """Every gate string of length <= 5 over the 12 generators, composed
         along each prefix with no dedup: each map reached gets a network of its
         shortest length, and the maps none reaches get 6."""
-        gates = [
-            CnotOp(c, t, inverted)
-            for inverted in (False, True)
-            for c in range(3)
-            for t in range(3)
-            if c != t
-        ]
-        steps = [[cnot_image(v, gate, 3) for v in range(8)] for gate in gates]
+        steps = [[cnot_image(v, gate, 3) for v in range(8)] for gate in GENERATORS]
         shortest = {}
         strings = 0
 
@@ -219,10 +299,10 @@ class TestSynthesize:
         affine = affine_bijections()
         for bij in affine:
             assert len(synthesize_cnots(bij)) == shortest.get(bij.images, 6)
-        networks = synth._shortest_networks()
-        assert set(networks) == {bij.images for bij in affine}
+        rows = synth._affine_group()[2]
+        assert set(rows) == {bij.images for bij in affine}
         with pytest.raises(TypeError):
-            networks[tuple(range(8))] = Circuit(3)
+            rows[tuple(range(8))] = 0
 
     def test_toffoli_rejected(self):
         with pytest.raises(NonAffine):
@@ -315,7 +395,7 @@ class TestCatalog:
         row_maps = derive_machines(turned(0.0))
         assert len(row_maps) == 2 and derive_machines(inside) == row_maps and derive_machines(outside) == []
         assert all(matches(outside, bij, rtol=1e-5) for bij in row_maps)
-        assert not synth._affine_image_table().flags.writeable
+        assert not synth._affine_group()[0].flags.writeable
 
     def test_derive_machines_equals_the_image_table_reference(self):
         """The one gather through the 8 x 8 match table keeps exactly the maps that an absolute 1e-10
@@ -328,7 +408,7 @@ class TestCatalog:
         """
 
         def reference(prep):
-            table = synth._affine_image_table()
+            table = synth._affine_group()[0]
             ok = np.ones(len(table), dtype=bool)
             for probe in (PureState((0.6, 0.8)), PureState((0.28, 0.96))):
                 joint = np.kron(probe.amplitudes, PureState(prep).amplitudes)
@@ -356,7 +436,7 @@ class TestCatalog:
         for prep in preps:
             assert derive_machines(prep) == reference(prep)
         amplitudes, targets, flat_images = synth._derive_inputs()
-        assert np.array_equal(flat_images, synth._affine_image_table() + 8 * np.arange(8))
+        assert np.array_equal(flat_images, synth._affine_group()[0] + 8 * np.arange(8))
         assert not any(cached.flags.writeable for cached in (amplitudes, targets, flat_images))
 
     def test_machines_are_clone_swap_related(self):
@@ -412,6 +492,7 @@ class TestCatalog:
             assert checks["angles"]["max_deviation_deg"] <= 0.2
             assert checks["fidelity"]["max_error"] <= 1e-9
             assert checks["swap"]["max_residual"] <= 1e-10
+            assert checks["swap"]["basis_maps_swapped"] is True
             assert checks["synth"]["ok"]
             assert checks["synth"]["stored_gate_counts"] == checks["synth"]["shortest_gate_counts"]
 
@@ -446,6 +527,7 @@ class TestCatalog:
             record = _checks(verify_table2(wrong))["swap"]
             assert not record["ok"] and record["margin"] < 0.0
             assert record["bounds"]["max_residual"] == 1e-10 < record["max_residual"]
+            assert record["basis_maps_swapped"] is False
 
     def test_permuted_isometry_matches_the_gate_level_compile(self):
         """One scatter of |k> (x) prep per circuit against the gate-by-gate run;
@@ -489,18 +571,21 @@ class TestCatalog:
             assert all(checks[name]["ok"] for name in ("angles", "fidelity", "swap"))
 
     def test_a_modified_row_is_parsed_afresh(self):
-        """A second circuit with another action fails its checks, and one with the stored action but two
-        more gates than the shortest network fails the synth check alone."""
+        """A second circuit with another action fails its checks, the first circuit stored twice fails
+        swap (its permutation is not the first's with the clone wires exchanged, though both make
+        the clone target) and synth, and one with the stored action but two more gates than the
+        shortest network fails the synth check alone."""
         assert verify_table2(1).passed
         row = TABLE2[0]
         longer = row.circuits[1] + " P(1,0) P(1,0)"
         for wrong, failing in (
             ("P(0,1) P(0,2)", {"fidelity", "swap", "synth"}),
-            (row.circuits[0], {"synth"}),
+            (row.circuits[0], {"swap", "synth"}),
             (longer, {"synth"}),
         ):
             checks = _checks(verify_table2(dataclasses.replace(row, circuits=(row.circuits[0], wrong))))
             assert {name for name, record in checks.items() if not record["ok"]} == failing
+            assert checks["swap"]["basis_maps_swapped"] == ("swap" not in failing)
         assert checks["synth"]["stored_gate_counts"] == [4, 6]
         assert checks["synth"]["shortest_gate_counts"] == [4, 4]
         assert verify_table2(row).passed
@@ -605,7 +690,7 @@ class TestDegreesMinutes:
 
 
 def test_table_networks_are_cnot_only_on_three_wires():
-    networks = synth._shortest_networks().values()
+    networks = [synthesize_cnots(bij) for bij in affine_bijections()]
     assert len(networks) == 1344
     for circuit in networks:
         assert circuit.n_qubits == 3
